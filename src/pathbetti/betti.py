@@ -4,19 +4,19 @@ The brute-force route enumerates every vertex subset, keeps the induced
 subcollections whose support is the whole subset (the others complement
 to cones and contribute nothing), and reads homology dimensions of the
 complements off boundary-matrix ranks.  The closed-form route counts
-run placements satisfying two linear constraints and adds the explicit
-top-degree value.  Either route checks the other.
+eligible run placements as sequences of blocks, each a run followed by a
+gap of at least t empty facet slots, in time polynomial in n, and adds
+the explicit top-degree value.  Either route checks the other.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import SimplicialComplex, complement, make_complex
 from .homology import FieldSpec, HomologyVector, QQ, reduced_homology_dims
-from .paths import PathFamilySpec, RunSequence, enumerate_placements, vertex_count_of_runs
+from .paths import PathFamilySpec, RunSequence
 
 DEFAULT_MAX_SUBSET_BITS = 22
 MAX_SUBSET_BITS_ENV = "PATHBETTI_MAX_SUBSET_BITS"
@@ -173,7 +173,8 @@ def betti_hochster(
     the PATHBETTI_MAX_SUBSET_BITS environment variable) are refused.
 
     ``subset_range`` restricts the scan to a sub-interval of the bitmask
-    space [0, 2^m); disjoint chunks can be processed independently (or
+    space [0, 2^m), and a range reaching outside it is refused with
+    ValueError; disjoint chunks can be processed independently (or
     concurrently) and combined with :meth:`BettiTable.merge`.
     """
     cap = max_subset_bits if max_subset_bits is not None else _subset_cap()
@@ -189,8 +190,13 @@ def betti_hochster(
         for v in f:
             mask |= 1 << position[v]
         facet_masks.append(mask)
+    full = range(1 << len(verts))
+    if subset_range is None:
+        subset_range = full
+    elif subset_range and not (subset_range[0] in full and subset_range[-1] in full):
+        raise ValueError(f"subset_range {subset_range} reaches outside the bitmask space {full}")
     table = BettiTable()
-    for y in subset_range if subset_range is not None else range(1 << len(verts)):
+    for y in subset_range:
         picked = [fm for fm in facet_masks if fm & ~y == 0]
         if not picked:
             continue
@@ -248,35 +254,58 @@ def betti_top_degree(spec: PathFamilySpec) -> tuple[int, int]:
     return 2 * spec.p + 1, 1
 
 
-def _eligible_pair(t: int, seq: RunSequence) -> tuple[int, int] | None:
-    """The (i, j) a placement of this shape contributes to, if any."""
-    if not seq.is_eligible_shaped(t):
-        return None
-    p_total, q_total, alpha, beta = seq.aggregates(t)
-    i = 2 * (p_total + q_total) + 2 * beta + alpha
-    j = (t + 1) * (p_total + q_total) + t * (alpha + beta) + beta
-    assert j == vertex_count_of_runs(seq, t)
-    return i, j
+def _add_shifted(into: dict, counts: dict, di: int, dj: int, factor: int = 1) -> None:
+    for (i, j), c in counts.items():
+        key = (i + di, j + dj)
+        into[key] = into.get(key, 0) + factor * c
 
 
-@lru_cache(maxsize=None)
-def _eligible_histogram(n: int, t: int) -> dict[tuple[int, int], int]:
-    spec = PathFamilySpec("cycle", n, t)
-    hist: dict[tuple[int, int], int] = {}
-    for placement in enumerate_placements(spec):
-        pair = _eligible_pair(t, placement.run_sequence())
-        if pair is not None:
-            hist[pair] = hist.get(pair, 0) + 1
-    return hist
+def _placement_counts(kind: str, n: int, t: int) -> dict[tuple[int, int], int]:
+    """Eligible run placements on the cycle or line of n vertices, counted by (i, j).
+
+    A placement is read as a sequence of blocks.  A block is an eligible
+    run of length s = (t+1)p + d with d in {1, 2}, weighing
+    (i, j) = (2p + d, s + t - 1), followed by a gap of at least t empty
+    facet slots.  seq[k] is the weighted count of block sequences that
+    fill exactly k slots.  On the cycle, slot 1 lies at one of the s + g
+    offsets of exactly one block.  The line has n - t + 1 facet slots;
+    t virtual empty slots after them let its last run end a block too.
+    """
+    slots = n if kind == "cycle" else n + 1
+    weights = {
+        s: (2 * (s // (t + 1)) + s % (t + 1), s + t - 1)
+        for s in range(1, slots - t + 1)
+        if s % (t + 1) in (1, 2)
+    }
+    seq = [{(0, 0): 1}]
+    gapped = [{} for _ in range(t)]  # gapped[r]: the sum of seq[m] over m <= r - t
+    for k in range(1, slots + 1):
+        gapped.append(dict(gapped[-1]))
+        _add_shifted(gapped[-1], seq[k - 1], 0, 0)
+        counts: dict[tuple[int, int], int] = {}
+        for s, (di, dj) in weights.items():
+            if s <= k - t:
+                _add_shifted(counts, gapped[k - s], di, dj)
+        seq.append(counts)
+    total: dict[tuple[int, int], int] = {}
+    if kind == "line":
+        for k in range(1, slots + 1):
+            _add_shifted(total, seq[k], 0, 0)
+        return total
+    for s, (di, dj) in weights.items():
+        for m in range(n - s - t + 1):
+            _add_shifted(total, seq[m], di, dj, n - m)
+    return total
 
 
 def count_eligible(spec: PathFamilySpec, i: int, j: int) -> int:
-    """Number of run placements on the cycle hitting the (i, j) constraints.
+    """Number of eligible run placements on the cycle contributing to (i, j).
 
-    Placements count only when every run length has residue 1 or 2 mod
-    t+1 and the aggregates satisfy j = (t+1)(P+Q) + t(alpha+beta) + beta
-    and i = 2(P+Q) + 2*beta + alpha.  This equals the Betti number in
-    bidegree (i, j) for every j < n.
+    A placement counts when every run length s = (t+1)p + d has d in
+    {1, 2}; its runs sum to i = sum of 2p + d and j = sum of s + t - 1.
+    Placements are counted as sequences of blocks, each a run followed by
+    a gap of at least t empty facet slots; see ``_placement_counts``.
+    This equals the Betti number in bidegree (i, j) for every j < n.
     """
     if spec.kind != "cycle":
         raise ValueError("eligible counting is defined for cycles")
@@ -284,9 +313,7 @@ def count_eligible(spec: PathFamilySpec, i: int, j: int) -> int:
         raise ValueError(f"j={j} is not below n={spec.n}; the degree-n value has its own formula")
     if i > j:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
-    if spec.t == spec.n:
-        return 0
-    return _eligible_histogram(spec.n, spec.t).get((i, j), 0)
+    return _placement_counts("cycle", spec.n, spec.t).get((i, j), 0)
 
 
 def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
@@ -311,55 +338,33 @@ def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
 def betti_closed_cycle(spec: PathFamilySpec) -> BettiTable:
     """Full Betti table of the cycle path ideal by counting placements.
 
-    Degrees below n come from eligible-placement counts (bidegrees ruled
-    out by the vanishing criterion are skipped); degree n comes from the
-    top-degree formula.
+    Degrees below n come from eligible-placement counts; degree n comes
+    from the top-degree formula.
     """
     if spec.kind != "cycle":
         raise ValueError("expected a cycle spec")
     table = BettiTable()
-    n, t = spec.n, spec.t
-    if t < n:
-        i_cap = 2 * spec.p - 1 if spec.d == 0 else 2 * spec.p + 1
-        for i in range(1, i_cap + 1):
-            for j in range(i, n):
-                if not nonzero_criterion(spec, i, j):
-                    continue
-                count = count_eligible(spec, i, j)
-                if count:
-                    table.accumulate(i, j, count, "eligible_count")
+    for (i, j), count in _placement_counts("cycle", spec.n, spec.t).items():
+        table.accumulate(i, j, count, "eligible_count")
     i_top, value = betti_top_degree(spec)
-    table.accumulate(i_top, n, value, "closed_form")
+    table.accumulate(i_top, spec.n, value, "closed_form")
     return table
 
 
-def betti_closed_line(spec: PathFamilySpec, embed_cycle_size: int | None = None) -> BettiTable:
+def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
     """Full Betti table of the line path ideal by counting placements.
 
-    The line embeds as an induced subcollection of a cycle large enough
-    that no placement wraps, so the placement count covers every degree
-    including the top one.  Any embedding cycle of at least n + t + 1
-    vertices gives the same table.
+    On the line no placement wraps, so the placement count covers every
+    degree including the top one.
     """
     if spec.kind != "line":
         raise ValueError("expected a line spec")
-    n, t = spec.n, spec.t
     table = BettiTable()
-    if t == n:
-        table.accumulate(1, n, 1, "closed_form")
+    if spec.t == spec.n:
+        table.accumulate(1, spec.n, 1, "closed_form")
         return table
-    m = embed_cycle_size if embed_cycle_size is not None else n + t + 1
-    if m < n + t + 1:
-        raise ValueError(f"embedding cycle needs at least n + t + 1 = {n + t + 1} vertices, got {m}")
-    line_facets = n - t + 1
-    big = PathFamilySpec("cycle", m, t)
-
-    for placement in enumerate_placements(big):
-        if any(b + s - 1 > line_facets for b, s in placement.runs):
-            continue
-        pair = _eligible_pair(t, placement.run_sequence())
-        if pair is not None:
-            table.accumulate(pair[0], pair[1], 1, "eligible_count")
+    for (i, j), count in _placement_counts("line", spec.n, spec.t).items():
+        table.accumulate(i, j, count, "eligible_count")
     return table
 
 

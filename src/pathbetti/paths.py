@@ -11,7 +11,7 @@ least one vertex (equivalently, t facet slots) lies between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .complexes import Face, SimplicialComplex, complement, connected_components, make_complex
 
@@ -197,27 +197,20 @@ def build_run_complement(seq: RunSequence, t: int) -> SimplicialComplex:
     return complement(gamma, ambient)
 
 
-def enumerate_placements(
-    spec: PathFamilySpec,
-    constraint: Callable[[RunSequence], bool] | None = None,
-) -> Iterator[RunPlacement]:
+def enumerate_placements(spec: PathFamilySpec) -> Iterator[RunPlacement]:
     """All sets of disjoint runs on the cycle's standard labeling.
 
     Starts are ascending and pairwise cyclic facet gaps are at least t,
     which is exactly the condition for the union to be an induced
-    subcollection.  Each placement is yielded once.  The optional
-    constraint filters by run-length multiset before yielding.
+    subcollection.  Each placement is yielded once.  Their number grows
+    exponentially in n; this enumerator is the reference that the
+    polynomial block count in :mod:`pathbetti.betti` is tested against.
     """
     if spec.kind != "cycle":
         raise ValueError("placements are enumerated on cycles only")
     n, t = spec.n, spec.t
     if t >= n:
         raise ValueError("placement enumeration requires t < n")
-
-    def passes(runs: tuple[tuple[int, int], ...]) -> bool:
-        if constraint is None:
-            return True
-        return constraint(RunSequence(tuple(sorted((s for _, s in runs), reverse=True))))
 
     def extend(runs: tuple[tuple[int, int], ...]) -> Iterator[RunPlacement]:
         first_start = runs[0][0]
@@ -227,13 +220,11 @@ def enumerate_placements(
             s_max = first_start + n - t - b
             for s in range(1, s_max + 1):
                 longer = runs + ((b, s),)
-                if passes(longer):
-                    yield RunPlacement(longer)
+                yield RunPlacement(longer)
                 yield from extend(longer)
 
     for b1 in range(1, n + 1):
         for s1 in range(1, n - t + 1):
             first = ((b1, s1),)
-            if passes(first):
-                yield RunPlacement(first)
+            yield RunPlacement(first)
             yield from extend(first)

@@ -18,13 +18,16 @@ from pathbetti import (
     build_path_complex,
     build_run_complement,
     count_eligible,
+    enumerate_placements,
     homology_cycle_complement,
     homology_run_sequence,
     make_complex,
     nonzero_criterion,
     pd_reg,
     reduced_homology_dims,
+    vertex_count_of_runs,
 )
+from pathbetti.betti import _placement_counts
 
 
 def _table(entries: dict) -> BettiTable:
@@ -121,6 +124,12 @@ class TestHochsterOracle:
             merged.merge(betti_hochster(delta, subset_range=chunk))
         assert merged == whole
 
+    @pytest.mark.parametrize("bad", [range(-2, 2**7 + 3), range(-1, 4), range(2**7 - 1, 2**7 + 1)])
+    def test_subset_range_outside_bitmask_space_rejected(self, bad):
+        delta = build_path_complex(PathFamilySpec("cycle", 7, 3))
+        with pytest.raises(ValueError):
+            betti_hochster(delta, subset_range=bad)
+
 
 class TestRunSequenceHomology:
     @pytest.mark.parametrize("t,lengths,degree", [
@@ -200,6 +209,35 @@ class TestCountEligible:
             count_eligible(PathFamilySpec("cycle", 5, 2), 4, 3)
 
 
+class TestPlacementCounts:
+    @pytest.mark.parametrize("n,t", [
+        (n, t) for n in range(4, 15) for t in range(2, n)
+    ])
+    def test_matches_the_reference_enumerator(self, n, t):
+        spec = PathFamilySpec("cycle", n, t)
+        hist: dict[tuple[int, int], int] = {}
+        for placement in enumerate_placements(spec):
+            seq = placement.run_sequence()
+            summary = homology_run_sequence(t, seq)
+            if summary.nonzero_degree is not None:
+                key = (summary.nonzero_degree + 2, vertex_count_of_runs(seq, t))
+                hist[key] = hist.get(key, 0) + 1
+        assert _placement_counts("cycle", n, t) == hist
+
+
+class TestClosedCycleBeyondTheOracle:
+    @pytest.mark.parametrize("n,t", [
+        (n, t) for n in (30, 45, 60) for t in (2, 3, 4, 5)
+    ])
+    def test_independent_invariants(self, n, t):
+        spec = PathFamilySpec("cycle", n, t)
+        table = betti_closed_cycle(spec)
+        assert (table.pd, table.reg) == pd_reg(spec)
+        i_top, value = betti_top_degree(spec)
+        assert {i: v for i, j, v, _ in table.items() if j == n} == {i_top: value}
+        assert all(nonzero_criterion(spec, i, j) for i, j in table.entries if j < n)
+
+
 class TestNonzeroCriterion:
     def test_gap_bound(self):
         assert not nonzero_criterion(PathFamilySpec("cycle", 7, 4), 2, 8)
@@ -262,16 +300,6 @@ class TestClosedLine:
                 spec = PathFamilySpec("line", n, t)
                 oracle = betti_hochster(build_path_complex(spec))
                 assert betti_closed_line(spec) == oracle, (n, t)
-
-    def test_larger_embedding_cycle_gives_same_table(self):
-        spec = PathFamilySpec("line", 7, 3)
-        base = betti_closed_line(spec)
-        for extra in (1, 2, 5):
-            assert betti_closed_line(spec, embed_cycle_size=spec.n + spec.t + 1 + extra) == base
-
-    def test_too_small_embedding_rejected(self):
-        with pytest.raises(ValueError):
-            betti_closed_line(PathFamilySpec("line", 7, 3), embed_cycle_size=8)
 
 
 class TestPdReg:

@@ -199,13 +199,6 @@ class TestEnumeratePlacements:
         assert len([p for p in placements if p.lengths == (2,)]) == 5
         assert len([p for p in placements if sorted(p.lengths) == [1, 1]]) == 0
 
-    def test_constraint_filters_by_shape(self):
-        spec = PathFamilySpec("cycle", 8, 2)
-        only_pairs = list(enumerate_placements(spec, lambda seq: seq.lengths == (1, 1)))
-        assert all(p.lengths == (1, 1) for p in only_pairs)
-        # unordered start pairs at cyclic separation 3, 4 or 5 on 8 slots
-        assert len(only_pairs) == 12
-
     def test_rotation_of_a_placement_is_a_placement(self):
         spec = PathFamilySpec("cycle", 9, 2)
         all_placements = set(p.runs for p in enumerate_placements(spec))

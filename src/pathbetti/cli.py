@@ -23,10 +23,12 @@ from .betti import (
     betti_closed_cycle,
     betti_closed_line,
     betti_hochster,
+    check_vertex_cap,
     homology_cycle_complement,
     homology_run_sequence,
     nonzero_criterion,
     pd_reg,
+    subset_cap,
 )
 from .complexes import complement
 from .homology import FieldSpec, QQ, reduced_homology_dims
@@ -166,6 +168,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         field = FieldSpec(args.char)
+        cap = subset_cap()
         if args.runs is not None:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
@@ -183,6 +186,11 @@ def cmd_homology(args: argparse.Namespace) -> int:
                 explicit_complex = complement(delta, delta.ambient)
             else:
                 explicit_complex = None
+        if explicit_complex is not None:
+            check_vertex_cap(len(explicit_complex.ambient), cap)
+    except OracleCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -202,8 +210,13 @@ def cmd_homology(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def run_verification(max_n: int, t_lo: int, t_hi: int, characteristics: Sequence[int]) -> tuple[list[str], int]:
-    """Cross-check matrix; returns (report lines, number of failures)."""
+def run_verification(
+    max_n: int, t_lo: int, t_hi: int, characteristics: Sequence[int], cap: int | None = None,
+) -> tuple[list[str], int]:
+    """Cross-check matrix; returns (report lines, number of failures).
+
+    ``cap`` is the oracle's vertex cap, read from the environment when None.
+    """
     lines: list[str] = []
     failures = 0
     fields = [FieldSpec(c) for c in characteristics]
@@ -229,6 +242,7 @@ def run_verification(max_n: int, t_lo: int, t_hi: int, characteristics: Sequence
         spec = PathFamilySpec("cycle", n, t)
         delta = build_path_complex(spec)
         expected = homology_cycle_complement(spec).as_vector()
+        check_vertex_cap(len(delta.ambient), cap)
         for field in fields:
             got = reduced_homology_dims(complement(delta, delta.ambient), field)
             check(
@@ -241,7 +255,7 @@ def run_verification(max_n: int, t_lo: int, t_hi: int, characteristics: Sequence
         closed = betti_closed_cycle(spec)
         reference: BettiTable | None = None
         for field in fields:
-            oracle = betti_hochster(delta, field)
+            oracle = betti_hochster(delta, field, cap)
             diff = closed.diff(oracle)
             bad = next(iter(diff)) if diff else None
             check(
@@ -274,7 +288,7 @@ def run_verification(max_n: int, t_lo: int, t_hi: int, characteristics: Sequence
             f"formula={pd_reg(spec)} oracle={(reference.pd, reference.reg)}",
         )
         line_spec = PathFamilySpec("line", n, t)
-        line_oracle = betti_hochster(build_path_complex(line_spec), fields[0])
+        line_oracle = betti_hochster(build_path_complex(line_spec), fields[0], cap)
         line_closed = betti_closed_line(line_spec)
         diff = line_closed.diff(line_oracle)
         bad = next(iter(diff)) if diff else None
@@ -295,11 +309,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             FieldSpec(c)
         if not characteristics:
             raise ValueError("empty characteristic list")
+        cap = subset_cap()
     except ValueError as exc:
         print(f"error: invalid verify arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        lines, failures = run_verification(args.max_n, t_lo, t_hi, characteristics)
+        lines, failures = run_verification(args.max_n, t_lo, t_hi, characteristics, cap)
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
 
 from pathbetti import (
     GF2,
@@ -17,17 +20,22 @@ from pathbetti import (
     betti_top_degree,
     build_path_complex,
     build_run_complement,
+    complement,
     count_eligible,
     enumerate_placements,
     homology_cycle_complement,
     homology_run_sequence,
+    induced_subcollection,
     make_complex,
     nonzero_criterion,
     pd_reg,
     reduced_homology_dims,
     vertex_count_of_runs,
 )
+from pathbetti import betti as betti_module
 from pathbetti.betti import _placement_counts
+
+from conftest import small_complexes
 
 
 def _table(entries: dict) -> BettiTable:
@@ -129,6 +137,84 @@ class TestHochsterOracle:
         delta = build_path_complex(PathFamilySpec("cycle", 7, 3))
         with pytest.raises(ValueError):
             betti_hochster(delta, subset_range=bad)
+
+
+def _direct_hochster(delta, field) -> BettiTable:
+    """Hochster's sum taken literally: homology of the complement of every induced subcollection."""
+    table = BettiTable()
+    for size in range(len(delta.ambient) + 1):
+        for y in combinations(delta.ambient, size):
+            gamma = induced_subcollection(delta, y)
+            if gamma.is_void or gamma.ambient != y:
+                continue
+            for degree, dim in reduced_homology_dims(complement(gamma, y), field).items():
+                table.accumulate(degree + 2, size, dim, "direct")
+    return table
+
+
+class TestOracleRoute:
+    """The oracle passes through Alexander duality and components; the direct sum checks it."""
+
+    @given(small_complexes(allow_void=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_direct_complement_route(self, delta):
+        for field in (QQ, GF2):
+            assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+
+    @pytest.mark.parametrize("ambient,facets,entries", [
+        ((1, 2, 3), [], {}),
+        ((1, 2), [()], {(1, 0): 1}),
+        ((1, 2, 3), [(1, 2, 3)], {(1, 3): 1}),
+        ((1, 2, 3, 4), [(1, 2, 3)], {(1, 3): 1}),
+        ((1, 2, 3), [(1,), (2,), (3,)], {(1, 1): 3, (2, 2): 3, (3, 3): 1}),
+        ((1, 2, 3, 4), [(1,), (3, 4)], {(1, 1): 1, (1, 2): 1, (2, 3): 1}),
+    ], ids=["void", "irrelevant", "simplex", "simplex-with-free-vertex",
+            "isolated-vertices", "isolated-vertex-and-edge"])
+    def test_degenerate_complexes(self, ambient, facets, entries):
+        delta = make_complex(ambient, facets)
+        for field in (QQ, GF2):
+            assert betti_hochster(delta, field).entries == entries
+
+    def test_wrapped_run_shares_the_key_of_an_unwrapped_run(self):
+        wrapped = [0b1000000011, 0b1100000001]  # facets {9, 0, 1} and {8, 9, 0} of a 10-cycle
+        unwrapped = [0b0111, 0b1110]
+        assert betti_module._relabelled(0b1100000011, wrapped, 10) == \
+            betti_module._relabelled(0b1111, unwrapped, 10)
+
+    def test_large_facets_take_the_complement_route(self, monkeypatch):
+        # Ind of the 12-cycle with t = 9 holds every subset of at most 8
+        # vertices; the complements of its facets have 3 vertices each.
+        seen = []
+        homology = betti_module.reduced_homology_dims
+
+        def recording(delta, field):
+            seen.append(delta)
+            return homology(delta, field)
+
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "reduced_homology_dims", recording)
+        spec = PathFamilySpec("cycle", 12, 9)
+        assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
+        assert seen and max(delta.dim for delta in seen) <= 2
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        limit = 3
+        cache: dict = {}
+        sizes = []
+        homology = betti_module.reduced_homology_dims
+
+        def counting(delta, field):
+            sizes.append(len(cache))
+            return homology(delta, field)
+
+        monkeypatch.setattr(betti_module, "_IND_CACHE_LIMIT", limit)
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
+        monkeypatch.setattr(betti_module, "reduced_homology_dims", counting)
+        spec = PathFamilySpec("cycle", 9, 2)
+        table = betti_hochster(build_path_complex(spec))
+        assert len(sizes) > limit
+        assert max(sizes) <= limit and len(cache) <= limit
+        assert table == betti_closed_cycle(spec)
 
 
 class TestRunSequenceHomology:

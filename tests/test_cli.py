@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from pathbetti import BettiTable
+from pathbetti import BettiTable, cli
 from pathbetti.cli import main
 
 
@@ -113,6 +113,42 @@ class TestHomologyCommand:
         code, _, err = _run(capsys, "homology", "--runs", "2", "--kind", "cycle", "--n", "5", "--t", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--runs", "40", "--t", "2"),
+        ("--kind", "cycle", "--n", "40", "--t", "2"),
+    ], ids=["runs", "cycle"])
+    def test_explicit_complement_above_the_cap_is_refused(self, capsys, argv):
+        code, _, err = _run(capsys, "homology", *argv, "--explicit")
+        assert code == 3
+        assert "cap" in err
+        code, out, _ = _run(capsys, "homology", *argv)
+        assert code == 0
+        assert "explicit" not in json.loads(out)
+
+    def test_explicit_cap_follows_the_environment(self, capsys, monkeypatch):
+        # runs 3 with t = 2 cover 4 vertices
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "3")
+        code, _, _ = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
+        assert code == 3
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "4")
+        code, out, _ = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
+        assert code == 0
+        assert json.loads(out)["match"] is True
+
+    def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
+        code, _, err = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
+        assert code == 2
+        assert "PATHBETTI_MAX_SUBSET_BITS" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(delta, field):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "reduced_homology_dims", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["homology", "--runs", "3", "--t", "2", "--explicit"])
+
     def test_bad_run_lengths(self, capsys):
         code, _, err = _run(capsys, "homology", "--runs", "0,2", "--t", "2")
         assert code == 2
@@ -130,6 +166,27 @@ class TestVerifyCommand:
         code, out, _ = _run(capsys, "verify", "--max-n", "2", "--t-range", "2..5")
         assert code == 0
         assert "warning" in out
+
+    def test_cycle_complement_check_above_the_cap_exits_three(self, capsys, monkeypatch):
+        # t = n has no oracle check, so only the complement check meets the cap
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "4")
+        code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "5..5")
+        assert code == 3
+        assert "cap" in err
+
+    def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
+        code, _, err = _run(capsys, "verify", "--max-n", "4", "--t-range", "2..2")
+        assert code == 2
+        assert "PATHBETTI_MAX_SUBSET_BITS" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "betti_hochster", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["verify", "--max-n", "4", "--t-range", "2..2"])
 
     def test_bad_char_list(self, capsys):
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--char-list", "0,4")

@@ -72,10 +72,6 @@ class BettiTable:
         self._entries[key] = self._entries.get(key, 0) + amount
         self._methods.setdefault(key, method)
 
-    def merge(self, other: "BettiTable") -> None:
-        for (i, j), value in other._entries.items():
-            self.accumulate(i, j, value, other._methods[(i, j)])
-
     def value(self, i: int, j: int) -> int:
         return self._entries.get((i, j), 0)
 
@@ -274,7 +270,6 @@ def betti_hochster(
     delta: SimplicialComplex,
     field: FieldSpec = QQ,
     max_subset_bits: int | None = None,
-    subset_range: range | None = None,
 ) -> BettiTable:
     """Graded Betti numbers by enumeration over induced subcollections.
 
@@ -284,11 +279,6 @@ def betti_hochster(
     degree |Y|.  Subsets are streamed as bitmasks; no face lattice is
     stored.  Inputs above the vertex cap (default 22, overridable via
     the PATHBETTI_MAX_SUBSET_BITS environment variable) are refused.
-
-    ``subset_range`` restricts the scan to a sub-interval of the bitmask
-    space [0, 2^m), and a range reaching outside it is refused with
-    ValueError; disjoint chunks can be processed independently (or
-    concurrently) and combined with :meth:`BettiTable.merge`.
     """
     verts = delta.ambient
     check_vertex_cap(len(verts), max_subset_bits)
@@ -299,13 +289,8 @@ def betti_hochster(
         for v in f:
             mask |= 1 << position[v]
         facet_masks.append(mask)
-    full = range(1 << len(verts))
-    if subset_range is None:
-        subset_range = full
-    elif subset_range and not (subset_range[0] in full and subset_range[-1] in full):
-        raise ValueError(f"subset_range {subset_range} reaches outside the bitmask space {full}")
     table = BettiTable()
-    for y in subset_range:
+    for y in range(1 << len(verts)):
         picked = [fm for fm in facet_masks if fm & ~y == 0]
         if not picked:
             continue

@@ -106,6 +106,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
     try:
         spec = PathFamilySpec(args.kind, args.n, args.t)
         field = FieldSpec(args.char)
+        cap = subset_cap() if args.method in ("oracle", "both") else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -116,13 +117,10 @@ def cmd_betti(args: argparse.Namespace) -> int:
         closed = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
     if args.method in ("oracle", "both"):
         try:
-            oracle = betti_hochster(build_path_complex(spec), field)
+            oracle = betti_hochster(build_path_complex(spec), field, max_subset_bits=cap)
         except OracleCapError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     timing_ms = (time.perf_counter() - start) * 1000.0
 
     table = closed if closed is not None else oracle

@@ -2,17 +2,18 @@
 
 Homology dimensions are obtained from ranks of boundary matrices.  Over
 characteristic 0 the rank is computed by integer-preserving elimination
-(row operations never leave the integers; a Python-bigint fallback kicks
-in if entries outgrow machine words), over a prime p by modular
-elimination.  Degree -1 is handled explicitly: the irrelevant complex
-``{Ø}`` has one-dimensional homology there, every nonempty complex has
-none, and the void complex has no homology at all.
+(row operations never leave the integers; the matrix moves from int64 to
+Python ints in mid-elimination if entries outgrow machine words), over a
+prime p below 2^31 by modular elimination in int64.  Degree -1 is
+handled explicitly: the irrelevant complex ``{Ø}`` has one-dimensional
+homology there, every nonempty complex has none, and the void complex
+has no homology at all.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +21,12 @@ from .complexes import Face, SimplicialComplex, faces_of_dim
 
 HomologyVector = dict[int, int]
 
-# Entries at or above the guard trigger gcd stripping, then the bigint path.
+# Two int64 factors below the guard multiply to less than 2^62, so a row
+# update (a difference of two such products) cannot overflow.  An operand
+# at or above it moves the elimination to Python ints; a GF(p) residue is
+# always below it because p is.  When a row update leaves an entry at or
+# above _STRIP, every updated row is divided by its gcd, which keeps most
+# eliminations in int64.
 _GUARD = 1 << 31
 _STRIP = 1 << 30
 
@@ -40,12 +46,14 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: characteristic 0 for the rationals, else a prime field."""
+    """Coefficient field: characteristic 0 for the rationals, else a prime below 2^31."""
 
     characteristic: int = 0
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if c >= _GUARD:
+            raise ValueError(f"characteristic must be below 2^31, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 
@@ -72,13 +80,14 @@ class BoundaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def to_dense(self) -> list[list[int]]:
-        m, n = self.shape
-        out = [[0] * n for _ in range(m)]
-        for c, entries in enumerate(self.columns):
-            for r, sign in entries:
-                out[r][c] = sign
-        return out
+    def to_dense(self) -> np.ndarray:
+        """The matrix as a dense int64 array."""
+        dense = np.zeros(self.shape, dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.columns)), dtype=np.int64)
+        rows, signs = flat.reshape(-1, 2).T
+        cols = np.repeat(np.arange(len(self.columns)), [len(entries) for entries in self.columns])
+        dense[rows, cols] = signs
+        return dense
 
 
 def boundary_matrices(delta: SimplicialComplex) -> list[BoundaryMatrix]:
@@ -127,10 +136,7 @@ def matrix_rank(matrix: BoundaryMatrix, field: FieldSpec = QQ) -> int:
     m, n = matrix.shape
     if m == 0 or n == 0:
         return 0
-    dense = np.zeros((m, n), dtype=np.int64)
-    for c, entries in enumerate(matrix.columns):
-        for r, sign in entries:
-            dense[r, c] = sign
+    dense = matrix.to_dense()
     if field.characteristic == 0:
         return _rank_char0(dense)
     return _rank_mod_p(dense, field.characteristic)
@@ -142,10 +148,9 @@ def _rank_char0(a: np.ndarray) -> int:
     Pivot columns are chosen by current sparsity and pivot rows by
     smallest magnitude; rows are cross-multiplied (never divided except
     by their gcd), so every intermediate value is an exact integer.
-    Falls back to arbitrary-precision arithmetic when entries approach
-    the int64 limit.
+    The array switches from int64 to Python ints, and carries on from
+    the same step, once an operand of a row update reaches the guard.
     """
-    original = a
     a = a.copy()
     m, n = a.shape
     row_active = np.ones(m, dtype=bool)
@@ -163,25 +168,16 @@ def _rank_char0(a: np.ndarray) -> int:
             col_nnz[c] = 0
             continue
         pr = int(rows_nz[np.argmin(np.abs(a[rows_nz, c]))])
-        piv = int(a[pr, c])
         others = rows_nz[rows_nz != pr]
         if others.size:
             block = a[others]
-            pivot_row = a[pr]
-            biggest = max(int(np.abs(block).max()), int(np.abs(pivot_row).max()))
-            if biggest >= _GUARD:
-                return _rank_char0_bigint(original)
+            if a.dtype != object and max(np.abs(block).max(), np.abs(a[pr]).max()) >= _GUARD:
+                a, block = a.astype(object), block.astype(object)
             old_nnz = np.count_nonzero(block, axis=0)
-            block = block * piv - np.outer(block[:, c], pivot_row)
+            block = block * a[pr, c] - np.outer(block[:, c], a[pr])
             if np.abs(block).max() >= _STRIP:
-                for idx in range(block.shape[0]):
-                    row = block[idx]
-                    if np.abs(row).max() >= _STRIP:
-                        g = int(np.gcd.reduce(np.abs(row)))
-                        if g > 1:
-                            row //= g
-                if np.abs(block).max() >= _GUARD:
-                    return _rank_char0_bigint(original)
+                # a row reduced to zeros has gcd 0
+                block //= np.maximum(np.gcd.reduce(block, axis=1), 1)[:, None]
             col_nnz += np.count_nonzero(block, axis=0) - old_nnz
             a[others] = block
         col_nnz -= a[pr] != 0
@@ -190,52 +186,6 @@ def _rank_char0(a: np.ndarray) -> int:
         rank += 1
         if rank == m:
             return rank
-
-
-def _rank_char0_bigint(a: np.ndarray) -> int:
-    """Arbitrary-precision fallback for :func:`_rank_char0`; same strategy."""
-    rows: list[dict[int, int]] = []
-    for i in range(a.shape[0]):
-        row = {j: int(v) for j, v in enumerate(a[i]) if v}
-        if row:
-            rows.append(row)
-    rank = 0
-    pivoted: set[int] = set()
-    while rows:
-        counts: dict[int, int] = {}
-        for row in rows:
-            for j in row:
-                counts[j] = counts.get(j, 0) + 1
-        live = {j: k for j, k in counts.items() if j not in pivoted}
-        if not live:
-            return rank
-        c = min(live, key=lambda j: (live[j], j))
-        holders = [row for row in rows if c in row]
-        pivot_row = min(holders, key=lambda row: abs(row[c]))
-        piv = pivot_row[c]
-        rest = []
-        for row in rows:
-            if row is pivot_row:
-                continue
-            f = row.get(c)
-            if f is None:
-                rest.append(row)
-                continue
-            new = {}
-            for j, v in row.items():
-                new[j] = v * piv
-            for j, v in pivot_row.items():
-                new[j] = new.get(j, 0) - f * v
-            new = {j: v for j, v in new.items() if v}
-            if new:
-                g = math.gcd(*new.values()) if len(new) > 1 else abs(next(iter(new.values())))
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-                rest.append(new)
-        rows = rest
-        pivoted.add(c)
-        rank += 1
-    return rank
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:

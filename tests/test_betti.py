@@ -10,6 +10,7 @@ from pathbetti import (
     GF32003,
     QQ,
     BettiTable,
+    FieldSpec,
     HomologySummary,
     OracleCapError,
     PathFamilySpec,
@@ -70,12 +71,6 @@ class TestBettiTable:
         table = _table({(3, 5): 1, (1, 2): 5, (2, 3): 5})
         assert [(i, j) for i, j, _, _ in table.items()] == [(1, 2), (2, 3), (3, 5)]
 
-    def test_merge_sums_entries(self):
-        a = _table({(1, 2): 2})
-        b = _table({(1, 2): 3, (2, 3): 1})
-        a.merge(b)
-        assert a.entries == {(1, 2): 5, (2, 3): 1}
-
     def test_pd_reg_of_empty_table(self):
         assert BettiTable().pd == 0
         assert BettiTable().reg == 0
@@ -123,20 +118,12 @@ class TestHochsterOracle:
         monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "6")
         assert betti_hochster(delta).value(1, 2) == 6
 
-    def test_chunked_scan_merges_to_the_full_table(self):
-        delta = build_path_complex(PathFamilySpec("cycle", 7, 3))
-        whole = betti_hochster(delta)
-        total = 1 << len(delta.ambient)
-        merged = BettiTable()
-        for chunk in (range(0, total // 3), range(total // 3, total // 2), range(total // 2, total)):
-            merged.merge(betti_hochster(delta, subset_range=chunk))
-        assert merged == whole
-
-    @pytest.mark.parametrize("bad", [range(-2, 2**7 + 3), range(-1, 4), range(2**7 - 1, 2**7 + 1)])
-    def test_subset_range_outside_bitmask_space_rejected(self, bad):
-        delta = build_path_complex(PathFamilySpec("cycle", 7, 3))
-        with pytest.raises(ValueError):
-            betti_hochster(delta, subset_range=bad)
+    @pytest.mark.parametrize("n", [5, 7, 8])
+    def test_largest_accepted_prime_matches_the_closed_form(self, n):
+        # (p - 1)^2 is close to 2^62 here: the GF(p) elimination must not wrap
+        spec = PathFamilySpec("cycle", n, 2)
+        field = FieldSpec(2147483647)
+        assert betti_hochster(build_path_complex(spec), field) == betti_closed_cycle(spec)
 
 
 def _direct_hochster(delta, field) -> BettiTable:

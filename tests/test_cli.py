@@ -84,6 +84,33 @@ class TestBettiCommand:
         record = json.loads(out)
         assert record["diff"]
 
+    def test_characteristic_above_int64_safe_range_is_a_usage_error(self, capsys):
+        code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "9", "--t", "2",
+                            "--method", "both", "--char", "4294967311")
+        assert code == 2
+        assert "2^31" in err
+
+    def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
+        code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
+                            "--method", "oracle")
+        assert code == 2
+        assert "PATHBETTI_MAX_SUBSET_BITS" in err
+
+    def test_malformed_cap_is_ignored_by_the_closed_route(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
+        code, _, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
+                          "--method", "closed")
+        assert code == 0
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "betti_hochster", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle"])
+
 
 class TestHomologyCommand:
     def test_run_sequence_with_explicit_check(self, capsys):
@@ -191,6 +218,11 @@ class TestVerifyCommand:
     def test_bad_char_list(self, capsys):
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--char-list", "0,4")
         assert code == 2
+
+    def test_characteristic_above_int64_safe_range_is_a_usage_error(self, capsys):
+        code, _, err = _run(capsys, "verify", "--max-n", "5", "--char-list", "0,4294967311")
+        assert code == 2
+        assert "2^31" in err
 
     def test_failure_is_reported_and_exits_one(self, capsys, monkeypatch):
         wrong = BettiTable()

@@ -7,7 +7,8 @@ subcollection into connected components, reads the homology of each
 component's independence complex off boundary-matrix ranks (through
 the component's own complement when that complex is the smaller one),
 combines them by the join formula, and passes to the complement by
-Alexander duality.  The closed-form route counts eligible run placements as
+Alexander duality; ``complement_homology`` takes the same route for
+one complement.  The closed-form route counts eligible run placements as
 sequences of blocks, each a run followed by a gap of at least t empty
 facet slots, in time polynomial in n, and adds the explicit top-degree
 value.  Either route checks the other.
@@ -19,15 +20,11 @@ import os
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .homology import FieldSpec, HomologyVector, QQ, reduced_homology_dims
+from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, reduced_homology_dims
 from .paths import PathFamilySpec, RunSequence
 
 DEFAULT_MAX_SUBSET_BITS = 22
 MAX_SUBSET_BITS_ENV = "PATHBETTI_MAX_SUBSET_BITS"
-
-
-class OracleCapError(RuntimeError):
-    """The subset-enumeration oracle refused an input above its vertex cap."""
 
 
 def subset_cap() -> int:
@@ -266,6 +263,32 @@ def _complement_homology(y_mask: int, facet_masks: list[int], field: FieldSpec, 
     return {m - d - 3: dim for d, dim in ind.items()}
 
 
+def _facet_masks(delta: SimplicialComplex) -> list[int]:
+    """The facets as bitmasks: bit b stands for the b-th ambient vertex."""
+    position = {v: b for b, v in enumerate(delta.ambient)}
+    return [sum(1 << position[v] for v in f) for f in delta.facets]
+
+
+def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
+    """Reduced homology of the complement of gamma within its ambient vertices.
+
+    The same vector as ``reduced_homology_dims(complement(gamma,
+    gamma.ambient), field)``, taken through the independence complexes of
+    gamma's connected components and Alexander duality, with the oracle's
+    memo; see ``_complement_homology``.  A void gamma has a void
+    complement and a gamma whose support is not the whole ambient a cone;
+    both yield {}.
+    """
+    facet_masks = _facet_masks(gamma)
+    full = (1 << len(gamma.ambient)) - 1
+    support = 0
+    for fm in facet_masks:
+        support |= fm
+    if not facet_masks or support != full:
+        return {}
+    return _complement_homology(full, facet_masks, field, len(gamma.ambient))
+
+
 def betti_hochster(
     delta: SimplicialComplex,
     field: FieldSpec = QQ,
@@ -282,13 +305,7 @@ def betti_hochster(
     """
     verts = delta.ambient
     check_vertex_cap(len(verts), max_subset_bits)
-    position = {v: b for b, v in enumerate(verts)}
-    facet_masks = []
-    for f in delta.facets:
-        mask = 0
-        for v in f:
-            mask |= 1 << position[v]
-        facet_masks.append(mask)
+    facet_masks = _facet_masks(delta)
     table = BettiTable()
     for y in range(1 << len(verts)):
         picked = [fm for fm in facet_masks if fm & ~y == 0]

@@ -24,15 +24,15 @@ from .betti import (
     betti_closed_line,
     betti_hochster,
     check_vertex_cap,
+    complement_homology,
     homology_cycle_complement,
     homology_run_sequence,
     nonzero_criterion,
     pd_reg,
     subset_cap,
 )
-from .complexes import complement
-from .homology import FieldSpec, QQ, reduced_homology_dims
-from .paths import PathFamilySpec, RunSequence, build_path_complex, build_run_complement
+from .homology import FieldSpec
+from .paths import PathFamilySpec, RunSequence, build_path_complex, build_run_complex
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -171,7 +171,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
             record: dict = {"runs": list(seq.lengths), "t": args.t}
-            explicit_complex = build_run_complement(seq, args.t) if args.explicit else None
+            gamma = build_run_complex(seq, args.t) if args.explicit else None
         else:
             if args.n is None:
                 print("error: --kind cycle needs --n", file=sys.stderr)
@@ -179,16 +179,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             spec = PathFamilySpec("cycle", args.n, args.t)
             summary = homology_cycle_complement(spec)
             record = {"kind": "cycle", "n": spec.n, "t": spec.t}
-            if args.explicit:
-                delta = build_path_complex(spec)
-                explicit_complex = complement(delta, delta.ambient)
-            else:
-                explicit_complex = None
-        if explicit_complex is not None:
-            check_vertex_cap(len(explicit_complex.ambient), cap)
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+            gamma = build_path_complex(spec) if args.explicit else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -198,8 +189,13 @@ def cmd_homology(args: argparse.Namespace) -> int:
         "dimension": summary.dimension,
     }
     exit_code = EXIT_OK
-    if explicit_complex is not None:
-        vector = reduced_homology_dims(explicit_complex, field)
+    if gamma is not None:
+        try:
+            check_vertex_cap(len(gamma.ambient), cap)
+            vector = complement_homology(gamma, field)
+        except OracleCapError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
         record["explicit"] = [[degree, dim] for degree, dim in sorted(vector.items())]
         record["match"] = vector == summary.as_vector()
         if not record["match"]:
@@ -242,7 +238,7 @@ def run_verification(
         expected = homology_cycle_complement(spec).as_vector()
         check_vertex_cap(len(delta.ambient), cap)
         for field in fields:
-            got = reduced_homology_dims(complement(delta, delta.ambient), field)
+            got = complement_homology(delta, field)
             check(
                 got == expected,
                 f"n={n} t={t} char={field.characteristic} cycle-complement-homology",

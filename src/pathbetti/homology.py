@@ -7,7 +7,8 @@ Python ints in mid-elimination if entries outgrow machine words), over a
 prime p below 2^31 by modular elimination in int64.  Degree -1 is
 handled explicitly: the irrelevant complex ``{Ø}`` has one-dimensional
 homology there, every nonempty complex has none, and the void complex
-has no homology at all.
+has no homology at all.  A boundary matrix above ``MAX_DENSE_CELLS``
+cells is refused with OracleCapError before its dense array exists.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ HomologyVector = dict[int, int]
 # eliminations in int64.
 _GUARD = 1 << 31
 _STRIP = 1 << 30
+
+# Largest boundary matrix ranked densely, in cells: 1 GiB as int64.
+MAX_DENSE_CELLS = 1 << 27
+
+
+class OracleCapError(RuntimeError):
+    """An exact computation refused an input above one of its budgets.
+
+    The budgets are the oracle's vertex cap and the cells of a dense
+    boundary matrix (``MAX_DENSE_CELLS``).
+    """
 
 
 def _is_prime(p: int) -> bool:
@@ -81,7 +93,13 @@ class BoundaryMatrix:
         return (len(self.rows), len(self.cols))
 
     def to_dense(self) -> np.ndarray:
-        """The matrix as a dense int64 array."""
+        """The matrix as a dense int64 array.
+
+        Raises OracleCapError, before allocating, above MAX_DENSE_CELLS cells.
+        """
+        m, n = self.shape
+        if m * n > MAX_DENSE_CELLS:
+            raise OracleCapError(f"a {m}x{n} boundary matrix exceeds the dense budget of {MAX_DENSE_CELLS} cells")
         dense = np.zeros(self.shape, dtype=np.int64)
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.columns)), dtype=np.int64)
         rows, signs = flat.reshape(-1, 2).T

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .complexes import Face, SimplicialComplex, complement, connected_components, make_complex
+from .complexes import Face, SimplicialComplex, connected_components, make_complex
 
 
 class RunDecompositionError(RuntimeError):
@@ -178,11 +178,12 @@ def vertex_count_of_runs(seq: RunSequence, t: int) -> int:
     return sum(s + t - 1 for s in seq.lengths)
 
 
-def build_run_complement(seq: RunSequence, t: int) -> SimplicialComplex:
-    """Complement, within its own vertices, of a disjoint union of runs.
+def build_run_complex(seq: RunSequence, t: int) -> SimplicialComplex:
+    """A disjoint union of runs, on its own vertices.
 
     The runs are realized on fresh consecutive vertex blocks, so the
-    result depends only on the run lengths and t.
+    result depends only on the run lengths and t, and its support is its
+    whole ambient.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
@@ -192,9 +193,7 @@ def build_run_complement(seq: RunSequence, t: int) -> SimplicialComplex:
         for a in range(s):
             facets.append(tuple(range(offset + a + 1, offset + a + t + 1)))
         offset += s + t - 1
-    ambient = tuple(range(1, offset + 1))
-    gamma = make_complex(ambient, facets)
-    return complement(gamma, ambient)
+    return make_complex(range(1, offset + 1), facets)
 
 
 def enumerate_placements(spec: PathFamilySpec) -> Iterator[RunPlacement]:

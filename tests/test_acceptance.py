@@ -23,8 +23,9 @@ from pathbetti import (
     betti_hochster,
     betti_top_degree,
     build_path_complex,
-    build_run_complement,
+    build_run_complex,
     complement,
+    complement_homology,
     homology_cycle_complement,
     homology_run_sequence,
     nonzero_criterion,
@@ -117,14 +118,18 @@ def test_criterion_4_run_sequence_homology():
     for t in RUN_T_VALUES:
         for lengths in _run_sequences(t, RUN_VERTEX_BUDGET):
             seq = RunSequence(lengths)
-            explicit = reduced_homology_dims(build_run_complement(seq, t), QQ)
+            gamma = build_run_complex(seq, t)
+            explicit = reduced_homology_dims(complement(gamma, gamma.ambient), QQ)
             closed = homology_run_sequence(t, seq)
             checked += 1
             if explicit != closed.as_vector():
                 failures.append((t, lengths, explicit, closed.as_vector()))
+            dual = complement_homology(gamma, QQ)
+            if dual != explicit:
+                failures.append((t, lengths, "duality route", dual, explicit))
             if not seq.is_eligible_shaped(t) and explicit != {}:
                 failures.append((t, lengths, "expected zero vector", explicit))
-    _report(f"criterion 4: closed == explicit homology for {checked} run sequences", failures)
+    _report(f"criterion 4: closed == explicit == duality-route homology for {checked} run sequences", failures)
 
 
 def test_criterion_5_full_complement_homology():

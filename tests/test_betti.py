@@ -20,8 +20,9 @@ from pathbetti import (
     betti_hochster,
     betti_top_degree,
     build_path_complex,
-    build_run_complement,
+    build_run_complex,
     complement,
+    complement_homology,
     count_eligible,
     enumerate_placements,
     homology_cycle_complement,
@@ -204,6 +205,33 @@ class TestOracleRoute:
         assert table == betti_closed_cycle(spec)
 
 
+class TestComplementHomology:
+    """The duality route for one complement, checked against the complement built outright."""
+
+    @given(small_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_direct_complement_route(self, gamma):
+        for field in (QQ, GF2):
+            assert complement_homology(gamma, field) == \
+                reduced_homology_dims(complement(gamma, gamma.ambient), field)
+
+    @pytest.mark.parametrize("ambient,facets,vector", [
+        ((1, 2, 3), [], {}),
+        ((), [], {}),
+        ((), [()], {-1: 1}),
+        ((1, 2), [()], {}),
+        ((1, 2, 3), [(1, 2, 3)], {-1: 1}),
+        ((1, 2, 3, 4), [(1, 2), (2, 3)], {}),
+        ((1, 2, 3, 4), [(1, 2), (3, 4)], {0: 1}),
+    ], ids=["void", "void-on-no-vertices", "irrelevant", "irrelevant-with-free-vertices",
+            "facet-equal-to-ambient", "support-not-ambient", "two-disjoint-edges"])
+    def test_degenerate_complexes(self, ambient, facets, vector):
+        gamma = make_complex(ambient, facets)
+        for field in (QQ, GF2):
+            assert complement_homology(gamma, field) == vector
+            assert reduced_homology_dims(complement(gamma, ambient), field) == vector
+
+
 class TestRunSequenceHomology:
     @pytest.mark.parametrize("t,lengths,degree", [
         (4, (1,), -1),
@@ -228,7 +256,8 @@ class TestRunSequenceHomology:
     def test_matches_explicit_homology(self):
         for t, lengths in [(2, (4,)), (2, (2, 2)), (3, (1, 2)), (4, (1,))]:
             seq = RunSequence(lengths)
-            explicit = reduced_homology_dims(build_run_complement(seq, t))
+            gamma = build_run_complex(seq, t)
+            explicit = reduced_homology_dims(complement(gamma, gamma.ambient))
             assert homology_run_sequence(t, seq).as_vector() == explicit
 
 

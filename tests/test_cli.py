@@ -6,7 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from pathbetti import BettiTable, cli
+from pathbetti import BettiTable, cli, homology
+from pathbetti import betti as betti_module
 from pathbetti.cli import main
 
 
@@ -19,6 +20,13 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def tiny_dense_budget(monkeypatch):
+    """A dense-matrix budget every boundary matrix with more than one cell exceeds, and an empty memo."""
+    monkeypatch.setattr(homology, "MAX_DENSE_CELLS", 1)
+    monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
 
 
 class TestBettiCommand:
@@ -111,6 +119,11 @@ class TestBettiCommand:
         with pytest.raises(ValueError, match="internal"):
             main(["betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle"])
 
+    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_dense_budget):
+        code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle")
+        assert code == 3
+        assert "dense budget" in err
+
 
 class TestHomologyCommand:
     def test_run_sequence_with_explicit_check(self, capsys):
@@ -169,12 +182,28 @@ class TestHomologyCommand:
         assert "PATHBETTI_MAX_SUBSET_BITS" in err
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        def broken(delta, field):
+        def broken(gamma, field):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "reduced_homology_dims", broken)
+        monkeypatch.setattr(cli, "complement_homology", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["homology", "--runs", "3", "--t", "2", "--explicit"])
+
+    def test_cycle_whose_direct_complement_is_too_large_to_rank(self, capsys):
+        # ranking the complement itself needed an 18564 x 31824 int64 matrix (4.4 GiB)
+        code, out, _ = _run(capsys, "homology", "--kind", "cycle", "--n", "18", "--t", "2", "--explicit")
+        assert code == 0
+        assert json.loads(out)["match"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("--runs", "4", "--t", "2"),
+        ("--kind", "cycle", "--n", "6", "--t", "2"),
+    ], ids=["runs", "cycle"])
+    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_dense_budget, argv):
+        code, out, err = _run(capsys, "homology", *argv, "--explicit")
+        assert code == 3
+        assert "dense budget" in err
+        assert out == ""
 
     def test_bad_run_lengths(self, capsys):
         code, _, err = _run(capsys, "homology", "--runs", "0,2", "--t", "2")
@@ -200,6 +229,11 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "5..5")
         assert code == 3
         assert "cap" in err
+
+    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_dense_budget):
+        code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "2..2")
+        assert code == 3
+        assert "dense budget" in err
 
     def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")

@@ -13,6 +13,7 @@ from pathbetti import (
     GF32003,
     QQ,
     FieldSpec,
+    OracleCapError,
     PathFamilySpec,
     SimplicialComplex,
     boundary_matrices,
@@ -24,6 +25,7 @@ from pathbetti import (
     matrix_rank,
     reduced_homology_dims,
 )
+from pathbetti import homology
 from pathbetti.homology import BoundaryMatrix, _rank_char0
 
 from conftest import small_complexes
@@ -103,6 +105,21 @@ class TestMatrixRank:
     def test_hollow_triangle_edge_map_has_rank_two(self, field):
         _, d1 = boundary_matrices(HOLLOW_TRIANGLE)
         assert matrix_rank(d1, field) == 2
+
+    def test_dense_budget_bounds_the_cells(self, monkeypatch):
+        _, d1 = boundary_matrices(HOLLOW_TRIANGLE)
+        monkeypatch.setattr(homology, "MAX_DENSE_CELLS", 9)
+        assert matrix_rank(d1) == 2
+        monkeypatch.setattr(homology, "MAX_DENSE_CELLS", 8)
+        with pytest.raises(OracleCapError, match="3x3"):
+            matrix_rank(d1)
+
+    def test_matrix_over_the_dense_budget_is_refused_unbuilt(self):
+        side = 12000  # side^2 is above 2^27 cells, 1.1 GiB as int64
+        faces = tuple((v,) for v in range(side))
+        empty = BoundaryMatrix(rows=faces, cols=faces, columns=((),) * side)
+        with pytest.raises(OracleCapError, match="dense budget"):
+            empty.to_dense()
 
 
 def _rank_fraction_oracle(rows: list[list[int]]) -> int:

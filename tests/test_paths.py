@@ -10,7 +10,7 @@ from pathbetti import (
     RunPlacement,
     RunSequence,
     build_path_complex,
-    build_run_complement,
+    build_run_complex,
     complement,
     enumerate_placements,
     induced_subcollection,
@@ -133,17 +133,27 @@ class TestVertexCount:
         assert vertex_count_of_runs(RunSequence(lengths), t) == expected
 
 
+def _run_complement(seq: RunSequence, t: int):
+    gamma = build_run_complex(seq, t)
+    return complement(gamma, gamma.ambient)
+
+
 class TestBuildRunComplement:
+    def test_runs_on_fresh_consecutive_blocks(self):
+        gamma = build_run_complex(RunSequence((2, 1)), 3)
+        assert gamma.ambient == tuple(range(1, 8))
+        assert gamma.facets == ((1, 2, 3), (2, 3, 4), (5, 6, 7))
+
     def test_single_run_gives_irrelevant(self):
         for t in (2, 3, 5):
-            assert build_run_complement(RunSequence((1,)), t).is_irrelevant
+            assert _run_complement(RunSequence((1,)), t).is_irrelevant
 
     def test_run_of_two(self):
-        comp = build_run_complement(RunSequence((2,)), 2)
+        comp = _run_complement(RunSequence((2,)), 2)
         assert comp.facets == ((1,), (3,))
 
     def test_two_singles(self):
-        comp = build_run_complement(RunSequence((1, 1)), 2)
+        comp = _run_complement(RunSequence((1, 1)), 2)
         assert comp.facets == ((1, 2), (3, 4))
         assert reduced_homology_dims(comp) == {0: 1}
 
@@ -160,7 +170,7 @@ class TestBuildRunComplement:
             gamma = induced_subcollection(delta, sorted(support))
             seq, _ = run_decomposition(gamma, spec)
             placed = reduced_homology_dims(complement(gamma, gamma.ambient))
-            model = reduced_homology_dims(build_run_complement(seq, spec.t))
+            model = reduced_homology_dims(_run_complement(seq, spec.t))
             assert placed == model
 
 

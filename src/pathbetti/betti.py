@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import homology
 from .complexes import SimplicialComplex
 from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, reduced_homology_dims
 from .paths import PathFamilySpec, RunSequence
@@ -216,15 +217,21 @@ def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
     the sum of 2^(m - |F|) faces.  Otherwise the complement's homology
     is taken and moved to Ind by Alexander duality, H_k(Ind) =
     H_{m-k-3}(complement): large facets make Ind nearly a full simplex
-    boundary and the complement small.
+    boundary and the complement small.  When Ind has more than MAX_FACES
+    faces and the complement's bound is above it too, OracleCapError is
+    raised before the complement is built.
     """
     key = (shape, field.characteristic)
     cached = _IND_HOMOLOGY_CACHE.get(key)
     if cached is None:
         m = max(shape).bit_length()
-        ind = _independence_complex(shape, sum(1 << (m - fm.bit_count()) for fm in shape))
+        bound = sum(1 << (m - fm.bit_count()) for fm in shape)
+        budget = homology.MAX_FACES
+        ind = _independence_complex(shape, min(bound, budget))
         if ind is not None:
             cached = reduced_homology_dims(ind, field)
+        elif bound > budget:
+            raise OracleCapError(f"a component on {m} vertices exceeds the face budget of {budget} faces")
         else:
             outside = sorted(tuple(v + 1 for v in range(m) if not fm >> v & 1) for fm in shape)
             comp = reduced_homology_dims(SimplicialComplex(tuple(range(1, m + 1)), tuple(outside)), field)

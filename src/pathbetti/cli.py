@@ -32,7 +32,7 @@ from .betti import (
     subset_cap,
 )
 from .homology import FieldSpec
-from .paths import PathFamilySpec, RunSequence, build_path_complex, build_run_complex
+from .paths import PathFamilySpec, RunSequence, build_path_complex, build_run_complex, vertex_count_of_runs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -171,7 +171,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
             record: dict = {"runs": list(seq.lengths), "t": args.t}
-            gamma = build_run_complex(seq, args.t) if args.explicit else None
+            vertices = vertex_count_of_runs(seq, args.t)
         else:
             if args.n is None:
                 print("error: --kind cycle needs --n", file=sys.stderr)
@@ -179,7 +179,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             spec = PathFamilySpec("cycle", args.n, args.t)
             summary = homology_cycle_complement(spec)
             record = {"kind": "cycle", "n": spec.n, "t": spec.t}
-            gamma = build_path_complex(spec) if args.explicit else None
+            vertices = spec.n
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -189,9 +189,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
         "dimension": summary.dimension,
     }
     exit_code = EXIT_OK
-    if gamma is not None:
+    if args.explicit:
         try:
-            check_vertex_cap(len(gamma.ambient), cap)
+            check_vertex_cap(vertices, cap)
+            gamma = build_run_complex(seq, args.t) if args.runs is not None else build_path_complex(spec)
             vector = complement_homology(gamma, field)
         except OracleCapError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -1,45 +1,49 @@
 """Exact reduced simplicial homology over the rationals or a prime field.
 
-Homology dimensions are obtained from ranks of boundary matrices.  Over
-characteristic 0 the rank is computed by integer-preserving elimination
-(row operations never leave the integers; the matrix moves from int64 to
-Python ints in mid-elimination if entries outgrow machine words), over a
-prime p below 2^31 by modular elimination in int64.  Degree -1 is
-handled explicitly: the irrelevant complex ``{Ø}`` has one-dimensional
-homology there, every nonempty complex has none, and the void complex
-has no homology at all.  A boundary matrix above ``MAX_DENSE_CELLS``
-cells is refused with OracleCapError before its dense array exists.
+Homology dimensions come from ranks of boundary maps, found by one
+sparse column reduction: each column is a ``{row: residue}`` dict, and
+a column is reduced against the stored pivot columns until its largest
+row is new or it is empty.  The maps are reduced from the top dimension
+down with *clearing* (Chen and Kerber, "Persistent homology computation
+with a twist"): a k-face that is the pivot row of a column of the map
+above reduces to zero in its own column, so it is skipped.
+
+Over GF(p) that is the whole computation.  Over the rationals the
+reduction first runs over GF(q), q = 2^61 - 1, a prime above every
+characteristic FieldSpec accepts.  For an integer matrix rank over Q is
+at least rank over GF(q), so each Q homology dimension is at most the
+GF(q) one, and the reduced Euler characteristic is the same over both
+fields; so when the GF(q) homology lies in at most one degree it is the
+Q homology.  Otherwise the same reduction runs over exact fractions.
+No floating point is used anywhere.
+
+Degree -1 is handled explicitly: the irrelevant complex ``{Ø}`` has
+one-dimensional homology there, every nonempty complex has none, and
+the void complex has no homology at all.  A complex with more than
+``MAX_FACES`` faces is refused with OracleCapError while its faces are
+counted, before any column is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from fractions import Fraction
 
-import numpy as np
-
-from .complexes import Face, SimplicialComplex, faces_of_dim
+from .complexes import Face, SimplicialComplex
 
 HomologyVector = dict[int, int]
 
-# Two int64 factors below the guard multiply to less than 2^62, so a row
-# update (a difference of two such products) cannot overflow.  An operand
-# at or above it moves the elimination to Python ints; a GF(p) residue is
-# always below it because p is.  When a row update leaves an entry at or
-# above _STRIP, every updated row is divided by its gcd, which keeps most
-# eliminations in int64.
-_GUARD = 1 << 31
-_STRIP = 1 << 30
+# Most faces, the empty face included, one complex may have before its homology is refused.
+MAX_FACES = 1 << 20
 
-# Largest boundary matrix ranked densely, in cells: 1 GiB as int64.
-MAX_DENSE_CELLS = 1 << 27
+_CERTIFICATE_PRIME = (1 << 61) - 1
 
 
 class OracleCapError(RuntimeError):
     """An exact computation refused an input above one of its budgets.
 
-    The budgets are the oracle's vertex cap and the cells of a dense
-    boundary matrix (``MAX_DENSE_CELLS``).
+    The budgets are the oracle's vertex cap and the faces of one complex
+    (``MAX_FACES``).
     """
 
 
@@ -64,7 +68,7 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         c = self.characteristic
-        if c >= _GUARD:
+        if c >= 1 << 31:
             raise ValueError(f"characteristic must be below 2^31, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
@@ -73,6 +77,130 @@ class FieldSpec:
 QQ = FieldSpec(0)
 GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
+
+
+def _levels(delta: SimplicialComplex) -> list[list[int]]:
+    """The faces of a nonvoid complex as bitmasks, by vertex count, each level sorted.
+
+    Bit b stands for the b-th ambient vertex; levels[0] is [0], the empty
+    face.  Built from the top down, each level being the facets of its
+    size plus every face one vertex short of a face in the level above,
+    so the work follows the faces themselves, not the sum of 2^|F| over
+    facets.  Raises OracleCapError as soon as the count passes MAX_FACES.
+    """
+    position = {v: b for b, v in enumerate(delta.ambient)}
+    by_size: dict[int, set[int]] = {}
+    for f in delta.facets:
+        by_size.setdefault(len(f), set()).add(sum(1 << position[v] for v in f))
+    top = max(by_size)
+    levels: list[list[int]] = [[0]] + [[] for _ in range(top)]
+    level: set[int] = set()
+    seen = 0
+    for size in range(top, 0, -1):
+        level |= by_size.get(size, set())
+        seen += len(level)
+        levels[size] = sorted(level)
+        below: set[int] = set()
+        for face in level:
+            rest = face
+            while rest:
+                bit = rest & -rest
+                below.add(face ^ bit)
+                rest ^= bit
+            if seen + len(below) > MAX_FACES:
+                raise OracleCapError(f"a complex with more than {MAX_FACES} faces exceeds the face budget")
+        level = below
+    return levels
+
+
+def _boundary(face: int, index: dict[int, int]) -> list[tuple[int, int]]:
+    """The boundary of a face mask as (row, sign): removing its i-th lowest vertex has sign (-1)^i."""
+    out = []
+    rest, sign = face, 1
+    while rest:
+        bit = rest & -rest
+        out.append((index[face ^ bit], sign))
+        rest ^= bit
+        sign = -sign
+    return out
+
+
+def _entries(pairs, p: int) -> dict[int, int]:
+    """A column as {row: value}: residues mod p, or integers when p is 0."""
+    if not p:
+        return dict(pairs)
+    return {r: v % p for r, v in pairs if v % p}
+
+
+def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
+    """Reduce the columns over GF(p), or over the rationals when p is 0.
+
+    Each column is cleared of its largest row by the stored column with
+    that pivot row until the row is new, when the column is scaled to 1
+    there and stored, or the column is empty.  Returns the stored columns
+    by pivot row; their number is the rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                inv = pow(col[low], -1, p) if p else 1 / Fraction(col[low])
+                pivots[low] = {r: v * inv % p if p else v * inv for r, v in col.items()}
+                break
+            c = col[low]
+            for r, v in pivot.items():
+                x = col.get(r, 0) - c * v
+                if p:
+                    x %= p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return pivots
+
+
+def _homology(levels: list[list[int]], p: int) -> HomologyVector:
+    """Reduced homology of the faces over GF(p), or the rationals when p is 0.
+
+    The map from level s to level s - 1 is reduced for s from the top
+    down, skipping the faces that are pivot rows of the map above.
+    """
+    ranks = [0] * (len(levels) + 1)
+    cleared: dict = {}
+    for s in range(len(levels) - 1, 0, -1):
+        index = {f: i for i, f in enumerate(levels[s - 1])}
+        cleared = _reduce(
+            (_entries(_boundary(f, index), p) for i, f in enumerate(levels[s]) if i not in cleared), p,
+        )
+        ranks[s] = len(cleared)
+    dims: HomologyVector = {}
+    for s in range(1, len(levels)):
+        h = len(levels[s]) - ranks[s] - ranks[s + 1]
+        if h:
+            dims[s - 1] = h
+    return dims
+
+
+def reduced_homology_dims(delta: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
+    """Dimensions of the nonzero reduced homology groups, as degree -> dim.
+
+    Zero dimensions are omitted, so the void complex yields ``{}`` and
+    the irrelevant complex yields ``{-1: 1}``.  Over the rationals the
+    GF(2^61 - 1) homology is returned when it lies in at most one degree
+    (see the module docstring), else the homology over exact fractions.
+    """
+    if delta.is_void:
+        return {}
+    if delta.is_irrelevant:
+        return {-1: 1}
+    levels = _levels(delta)
+    p = field.characteristic
+    dims = _homology(levels, p or _CERTIFICATE_PRIME)
+    if not p and len(dims) > 1:
+        dims = _homology(levels, 0)
+    return dims
 
 
 @dataclass(frozen=True)
@@ -92,47 +220,27 @@ class BoundaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def to_dense(self) -> np.ndarray:
-        """The matrix as a dense int64 array.
-
-        Raises OracleCapError, before allocating, above MAX_DENSE_CELLS cells.
-        """
-        m, n = self.shape
-        if m * n > MAX_DENSE_CELLS:
-            raise OracleCapError(f"a {m}x{n} boundary matrix exceeds the dense budget of {MAX_DENSE_CELLS} cells")
-        dense = np.zeros(self.shape, dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.columns)), dtype=np.int64)
-        rows, signs = flat.reshape(-1, 2).T
-        cols = np.repeat(np.arange(len(self.columns)), [len(entries) for entries in self.columns])
-        dense[rows, cols] = signs
-        return dense
-
 
 def boundary_matrices(delta: SimplicialComplex) -> list[BoundaryMatrix]:
     """Boundary maps of the reduced chain complex, degree 0 up to dim.
 
-    The degree-0 map is the augmentation onto the empty face.  The
-    irrelevant complex has the empty face as its only face and yields an
-    empty list; the void complex is rejected.
+    The degree-0 map is the augmentation onto the empty face.  Faces are
+    those ``reduced_homology_dims`` reduces, in the same order, and obey
+    the same face budget.  The irrelevant complex has the empty face as
+    its only face and yields an empty list; the void complex is rejected.
     """
     if delta.is_void:
         raise ValueError("the void complex has no chain complex")
-    if delta.is_irrelevant:
-        return []
+    levels = _levels(delta)
+
+    def faces(level: list[int]) -> tuple[Face, ...]:
+        return tuple(tuple(v for b, v in enumerate(delta.ambient) if f >> b & 1) for f in level)
+
     out = []
-    below: list[Face] = faces_of_dim(delta, -1)
-    for k in range(delta.dim + 1):
-        here = faces_of_dim(delta, k)
-        index = {f: i for i, f in enumerate(below)}
-        columns = []
-        for face in here:
-            entries = []
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1:]
-                entries.append((index[sub], 1 if i % 2 == 0 else -1))
-            columns.append(tuple(entries))
-        out.append(BoundaryMatrix(tuple(below), tuple(here), tuple(columns)))
-        below = here
+    for s in range(1, len(levels)):
+        index = {f: i for i, f in enumerate(levels[s - 1])}
+        columns = tuple(tuple(_boundary(f, index)) for f in levels[s])
+        out.append(BoundaryMatrix(faces(levels[s - 1]), faces(levels[s]), columns))
     return out
 
 
@@ -150,102 +258,11 @@ def boundary_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, in
 
 
 def matrix_rank(matrix: BoundaryMatrix, field: FieldSpec = QQ) -> int:
-    """Exact rank of a boundary matrix over the given field."""
-    m, n = matrix.shape
-    if m == 0 or n == 0:
-        return 0
-    dense = matrix.to_dense()
-    if field.characteristic == 0:
-        return _rank_char0(dense)
-    return _rank_mod_p(dense, field.characteristic)
+    """Exact rank of a matrix given by its sparse columns, over the given field.
 
-
-def _rank_char0(a: np.ndarray) -> int:
-    """Rank over the rationals by integer row elimination.
-
-    Pivot columns are chosen by current sparsity and pivot rows by
-    smallest magnitude; rows are cross-multiplied (never divided except
-    by their gcd), so every intermediate value is an exact integer.
-    The array switches from int64 to Python ints, and carries on from
-    the same step, once an operand of a row update reaches the guard.
+    The entries may be any integers.  The reduction is the one
+    ``reduced_homology_dims`` uses, without clearing; over the rationals
+    it runs over exact fractions.
     """
-    a = a.copy()
-    m, n = a.shape
-    row_active = np.ones(m, dtype=bool)
-    col_done = np.zeros(n, dtype=bool)
-    col_nnz = np.count_nonzero(a, axis=0)
-    rank = 0
-    while True:
-        candidates = ~col_done & (col_nnz > 0)
-        if not candidates.any():
-            return rank
-        c = int(np.where(candidates, col_nnz, m + 1).argmin())
-        rows_nz = np.flatnonzero(row_active & (a[:, c] != 0))
-        if rows_nz.size == 0:
-            # stale count from retired rows
-            col_nnz[c] = 0
-            continue
-        pr = int(rows_nz[np.argmin(np.abs(a[rows_nz, c]))])
-        others = rows_nz[rows_nz != pr]
-        if others.size:
-            block = a[others]
-            if a.dtype != object and max(np.abs(block).max(), np.abs(a[pr]).max()) >= _GUARD:
-                a, block = a.astype(object), block.astype(object)
-            old_nnz = np.count_nonzero(block, axis=0)
-            block = block * a[pr, c] - np.outer(block[:, c], a[pr])
-            if np.abs(block).max() >= _STRIP:
-                # a row reduced to zeros has gcd 0
-                block //= np.maximum(np.gcd.reduce(block, axis=1), 1)[:, None]
-            col_nnz += np.count_nonzero(block, axis=0) - old_nnz
-            a[others] = block
-        col_nnz -= a[pr] != 0
-        row_active[pr] = False
-        col_done[c] = True
-        rank += 1
-        if rank == m:
-            return rank
-
-
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by modular Gaussian elimination."""
-    a = np.mod(a, p)
-    m, n = a.shape
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        nz = np.flatnonzero(a[rank:, col])
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv], :] = a[[piv, rank], :]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        below = np.flatnonzero(a[rank + 1:, col])
-        if below.size:
-            rows = below + rank + 1
-            a[rows, col:] = (a[rows, col:] - np.outer(a[rows, col], a[rank, col:])) % p
-        rank += 1
-    return rank
-
-
-def reduced_homology_dims(delta: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
-    """Dimensions of the nonzero reduced homology groups, as degree -> dim.
-
-    Zero dimensions are omitted, so the void complex yields ``{}`` and
-    the irrelevant complex yields ``{-1: 1}``.
-    """
-    if delta.is_void:
-        return {}
-    if delta.is_irrelevant:
-        return {-1: 1}
-    mats = boundary_matrices(delta)
-    ranks = [matrix_rank(mat, field) for mat in mats]
-    ranks.append(0)
-    dims: HomologyVector = {}
-    for k, mat in enumerate(mats):
-        h = (len(mat.cols) - ranks[k]) - ranks[k + 1]
-        if h:
-            dims[k] = h
-    return dims
+    p = field.characteristic
+    return len(_reduce((_entries(entries, p) for entries in matrix.columns), p))

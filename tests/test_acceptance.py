@@ -161,6 +161,8 @@ def test_criterion_6_vanishing_soundness(oracle_suite):
 
 
 def test_criterion_7_field_independence(oracle_suite):
+    # The rational side is certified over GF(2^61 - 1), a prime FieldSpec
+    # rejects, so neither GF(2) nor GF(32003) reruns the rational computation.
     tables, _ = oracle_suite
     failures = []
     for field in (GF2, GF32003):

@@ -35,6 +35,7 @@ from pathbetti import (
     vertex_count_of_runs,
 )
 from pathbetti import betti as betti_module
+from pathbetti import homology as homology_module
 from pathbetti.betti import _placement_counts
 
 from conftest import small_complexes
@@ -184,6 +185,18 @@ class TestOracleRoute:
         spec = PathFamilySpec("cycle", 12, 9)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
         assert seen and max(delta.dim for delta in seen) <= 2
+
+    def test_component_over_the_face_budget_is_refused_before_either_complex_is_built(self, monkeypatch):
+        # Ind of the 10-cycle with t = 2 has 123 faces, its complement's bound is 10 * 2^8
+        def unbuilt(delta, field):
+            raise AssertionError("a complex reached the rank layer")
+
+        monkeypatch.setattr(homology_module, "MAX_FACES", 100)
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "reduced_homology_dims", unbuilt)
+        cycle = tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10)))
+        with pytest.raises(OracleCapError, match="face budget"):
+            betti_module._ind_homology(cycle, QQ)
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
         limit = 3

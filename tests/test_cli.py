@@ -23,9 +23,12 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
 
 
 @pytest.fixture
-def tiny_dense_budget(monkeypatch):
-    """A dense-matrix budget every boundary matrix with more than one cell exceeds, and an empty memo."""
-    monkeypatch.setattr(homology, "MAX_DENSE_CELLS", 1)
+def tiny_face_budget(monkeypatch):
+    """A face budget every complex with more than one face exceeds, and an empty memo.
+
+    The tests named for the dense budget now exercise the face budget that replaced it.
+    """
+    monkeypatch.setattr(homology, "MAX_FACES", 1)
     monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
 
 
@@ -119,10 +122,10 @@ class TestBettiCommand:
         with pytest.raises(ValueError, match="internal"):
             main(["betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle"])
 
-    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_dense_budget):
+    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_face_budget):
         code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle")
         assert code == 3
-        assert "dense budget" in err
+        assert "face budget" in err
 
 
 class TestHomologyCommand:
@@ -189,6 +192,21 @@ class TestHomologyCommand:
         with pytest.raises(ValueError, match="internal"):
             main(["homology", "--runs", "3", "--t", "2", "--explicit"])
 
+    def test_cap_is_checked_before_the_run_complex_is_built(self, capsys, monkeypatch):
+        def unbuilt(seq, t):
+            raise AssertionError("the run complex was built")
+
+        monkeypatch.setattr(cli, "build_run_complex", unbuilt)
+        code, _, err = _run(capsys, "homology", "--runs", "1500", "--t", "2", "--explicit")
+        assert code == 3
+        assert "cap" in err
+
+    def test_cycle_that_went_over_the_dense_budget(self, capsys):
+        # the earlier dense rank layer refused a 13104 x 27690 matrix here after 7 s at 1.1 GiB
+        code, out, _ = _run(capsys, "homology", "--kind", "cycle", "--n", "20", "--t", "3", "--explicit")
+        assert code == 0
+        assert json.loads(out)["match"] is True
+
     def test_cycle_whose_direct_complement_is_too_large_to_rank(self, capsys):
         # ranking the complement itself needed an 18564 x 31824 int64 matrix (4.4 GiB)
         code, out, _ = _run(capsys, "homology", "--kind", "cycle", "--n", "18", "--t", "2", "--explicit")
@@ -199,10 +217,10 @@ class TestHomologyCommand:
         ("--runs", "4", "--t", "2"),
         ("--kind", "cycle", "--n", "6", "--t", "2"),
     ], ids=["runs", "cycle"])
-    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_dense_budget, argv):
+    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_face_budget, argv):
         code, out, err = _run(capsys, "homology", *argv, "--explicit")
         assert code == 3
-        assert "dense budget" in err
+        assert "face budget" in err
         assert out == ""
 
     def test_bad_run_lengths(self, capsys):
@@ -230,10 +248,10 @@ class TestVerifyCommand:
         assert code == 3
         assert "cap" in err
 
-    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_dense_budget):
+    def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_face_budget):
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "2..2")
         assert code == 3
-        assert "dense budget" in err
+        assert "face budget" in err
 
     def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,18 +23,30 @@ from pathbetti import (
     build_path_complex,
     complement,
     cone,
+    faces_of_dim,
     make_complex,
     matrix_rank,
     reduced_homology_dims,
 )
 from pathbetti import homology
-from pathbetti.homology import BoundaryMatrix, _rank_char0
+from pathbetti.homology import BoundaryMatrix
 
 from conftest import small_complexes
 
 FIELDS = [QQ, GF2, GF32003]
 
 HOLLOW_TRIANGLE = make_complex((1, 2, 3), [(1, 2), (2, 3), (1, 3)])
+
+# The six-vertex triangulation of the real projective plane: H_1 = Z/2,
+# H_2 = 0, so over GF(2) both H~_1 and H~_2 are one-dimensional and over
+# a field of any other characteristic all reduced homology vanishes.
+RP2 = make_complex(range(1, 7), [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+])
+
+# Two points beside a hollow triangle: homology in degrees 0 and 1.
+S0_SQCUP_S1 = make_complex(range(1, 6), [(1,), (2,), (3, 4), (4, 5), (3, 5)])
 
 
 class TestFieldSpec:
@@ -55,9 +69,10 @@ class TestBoundaryMatrices:
     def test_segment(self):
         delta = make_complex((1, 2), [(1, 2)])
         d0, d1 = boundary_matrices(delta)
-        assert d0.to_dense().tolist() == [[1, 1]]
+        assert d0.shape == (1, 2)
+        assert d0.columns == (((0, 1),), ((0, 1),))
         assert d1.rows == ((1,), (2,))
-        assert d1.to_dense().tolist() == [[-1], [1]]
+        assert d1.columns == (((1, 1), (0, -1)),)
 
     def test_hollow_triangle_columns(self):
         d0, d1 = boundary_matrices(HOLLOW_TRIANGLE)
@@ -106,73 +121,103 @@ class TestMatrixRank:
         _, d1 = boundary_matrices(HOLLOW_TRIANGLE)
         assert matrix_rank(d1, field) == 2
 
-    def test_dense_budget_bounds_the_cells(self, monkeypatch):
-        _, d1 = boundary_matrices(HOLLOW_TRIANGLE)
-        monkeypatch.setattr(homology, "MAX_DENSE_CELLS", 9)
-        assert matrix_rank(d1) == 2
-        monkeypatch.setattr(homology, "MAX_DENSE_CELLS", 8)
-        with pytest.raises(OracleCapError, match="3x3"):
-            matrix_rank(d1)
 
-    def test_matrix_over_the_dense_budget_is_refused_unbuilt(self):
-        side = 12000  # side^2 is above 2^27 cells, 1.1 GiB as int64
-        faces = tuple((v,) for v in range(side))
-        empty = BoundaryMatrix(rows=faces, cols=faces, columns=((),) * side)
-        with pytest.raises(OracleCapError, match="dense budget"):
-            empty.to_dense()
+class TestFaceBudget:
+    def test_face_budget_bounds_the_faces(self, monkeypatch):
+        # three vertices, three edges and the empty face
+        monkeypatch.setattr(homology, "MAX_FACES", 7)
+        assert reduced_homology_dims(HOLLOW_TRIANGLE) == {1: 1}
+        monkeypatch.setattr(homology, "MAX_FACES", 6)
+        with pytest.raises(OracleCapError, match="face budget"):
+            reduced_homology_dims(HOLLOW_TRIANGLE)
+        with pytest.raises(OracleCapError, match="face budget"):
+            boundary_matrices(HOLLOW_TRIANGLE)
+
+    def test_complex_over_the_face_budget_is_refused_unbuilt(self, monkeypatch):
+        # a simplex on 40 vertices has 2^40 faces: counting them all would
+        # not end, so the count stops just past the budget
+        def no_columns(*args):
+            raise AssertionError("a column was reduced")
+
+        monkeypatch.setattr(homology, "_reduce", no_columns)
+        monkeypatch.setattr(homology, "MAX_FACES", 1000)
+        simplex = make_complex(range(1, 41), [range(1, 41)])
+        with pytest.raises(OracleCapError, match="face budget"):
+            reduced_homology_dims(simplex)
 
 
-def _rank_fraction_oracle(rows: list[list[int]]) -> int:
-    """Plain Gaussian elimination over exact fractions."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def _rank_fraction_oracle(rows: list[list[int]], p: int = 0) -> int:
+    """Plain Gauss-Jordan elimination over exact fractions, or over GF(p) when p is given."""
+    m = [[Fraction(v % p if p else v) for v in row] for row in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
+        inv = pow(int(m[rank][col]), -1, p) if p else 1 / m[rank][col]
+        m[rank] = [v * inv % p if p else v * inv for v in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                m[r] = [(a - f * b) % p if p else a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def _reference_homology(delta: SimplicialComplex, p: int) -> dict[int, int]:
+    """Reduced homology from dense boundary matrices over faces_of_dim, ranked by the oracle above."""
+    if delta.is_void:
+        return {}
+    top = delta.dim
+    faces = {k: faces_of_dim(delta, k) for k in range(-1, top + 1)}
+    ranks = {k: 0 for k in range(-1, top + 2)}
+    for k in range(0, top + 1):
+        index = {f: i for i, f in enumerate(faces[k - 1])}
+        dense = [[0] * len(faces[k]) for _ in faces[k - 1]]
+        for c, face in enumerate(faces[k]):
+            for i in range(len(face)):
+                dense[index[face[:i] + face[i + 1:]]][c] = (-1) ** i
+        ranks[k] = _rank_fraction_oracle(dense, p)
+    dims = {k: len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)}
+    return {k: h for k, h in dims.items() if h}
+
+
+def _matrix(rows: list[list[int]]) -> BoundaryMatrix:
+    """A dense integer matrix as sparse (row, value) columns."""
+    width = len(rows[0])
+    columns = tuple(tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(width))
+    return BoundaryMatrix(tuple((r,) for r in range(len(rows))), tuple((c,) for c in range(width)), columns)
 
 
 class TestRankEngines:
     def test_char0_agrees_with_fraction_elimination_on_random_matrices(self):
         rng = random.Random(20240813)
-        for scale in (4, 1 << 40, 1 << 61):
-            for _ in range(60):
-                m = rng.randint(1, 8)
-                n = rng.randint(1, 8)
-                rows = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(m)]
-                dense = np.array(rows, dtype=np.int64)
-                assert _rank_char0(dense) == _rank_fraction_oracle(rows), scale
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            n = rng.randint(1, 8)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            assert matrix_rank(_matrix(rows), QQ) == _rank_fraction_oracle(rows)
 
-    def test_entry_growth_moves_to_python_ints_mid_elimination(self):
-        # Every entry starts below 2^26, but cross-multiplication pushes
-        # them past int64 before the rank-3 structure is found.
-        rng = np.random.default_rng(20261018)
-        for _ in range(50):
-            left = rng.integers(-4000, 4001, size=(10, 3))
-            right = rng.integers(-4000, 4001, size=(3, 10))
-            dense = left @ right
-            assert _rank_char0(dense) == _rank_fraction_oracle(dense.tolist()) == 3
+    @pytest.mark.parametrize("field", [GF2, GF32003])
+    def test_modular_rank_agrees_with_modular_elimination_on_random_matrices(self, field):
+        rng = random.Random(20261018)
+        p = field.characteristic
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            n = rng.randint(1, 8)
+            rows = [[rng.choice((-p, 0, 1, -1, 2, p + 1)) for _ in range(n)] for _ in range(m)]
+            assert matrix_rank(_matrix(rows), field) == _rank_fraction_oracle(rows, p)
 
     def test_bigint_fallback_on_huge_entries(self):
         big = 1 << 40
         rows = [[big, big + 1], [big - 1, big]]
-        dense = np.array(rows, dtype=np.int64)
-        assert _rank_char0(dense) == _rank_fraction_oracle(rows) == 2
+        assert matrix_rank(_matrix(rows)) == _rank_fraction_oracle(rows) == 2
 
     def test_singular_matrix_with_large_entries(self):
         big = (1 << 35) + 7
         rows = [[big, 2 * big], [3 * big, 6 * big]]
-        dense = np.array(rows, dtype=np.int64)
-        assert _rank_char0(dense) == 1
+        assert matrix_rank(_matrix(rows)) == 1
 
 
 class TestReducedHomology:
@@ -213,8 +258,6 @@ class TestReducedHomology:
     @given(small_complexes(allow_void=False))
     @settings(max_examples=40, deadline=None)
     def test_reduced_euler_poincare(self, delta: SimplicialComplex):
-        from pathbetti import faces_of_dim
-
         for field in FIELDS:
             hom = reduced_homology_dims(delta, field)
             euler = sum(
@@ -227,6 +270,82 @@ class TestReducedHomology:
     @settings(max_examples=30, deadline=None)
     def test_field_independence_on_small_complexes(self, delta: SimplicialComplex):
         # not true for arbitrary complexes, but no torsion of order 32003
-        # fits on six vertices, so this flags rank-engine disagreements
+        # fits on six vertices, so this flags rank-engine disagreements;
+        # QQ is certified over GF(2^61 - 1), never over GF(32003)
         base = reduced_homology_dims(delta, QQ)
         assert reduced_homology_dims(delta, GF32003) == base
+
+
+class TestSparseEngine:
+    """The one column reduction, its rational certificate and its fraction fallback."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @given(delta=small_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, field, delta: SimplicialComplex):
+        assert reduced_homology_dims(delta, field) == _reference_homology(delta, field.characteristic)
+
+    @given(small_complexes(allow_void=False))
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_path_matches_dense_reference(self, delta: SimplicialComplex):
+        if delta.is_irrelevant:
+            return
+        assert homology._homology(homology._levels(delta), 0) == _reference_homology(delta, 0)
+
+    @pytest.mark.parametrize("field, expected", [(GF2, {1: 1, 2: 1}), (QQ, {}), (FieldSpec(3), {})],
+                             ids=["gf2", "qq", "gf3"])
+    def test_real_projective_plane(self, field, expected):
+        assert reduced_homology_dims(RP2, field) == expected
+
+    def test_rationals_over_two_degrees_take_the_fraction_path(self, monkeypatch):
+        calls = []
+        real = homology._homology
+
+        def spy(levels, p):
+            calls.append(p)
+            return real(levels, p)
+
+        monkeypatch.setattr(homology, "_homology", spy)
+        assert reduced_homology_dims(S0_SQCUP_S1, QQ) == {0: 2, 1: 1}
+        assert calls == [homology._CERTIFICATE_PRIME, 0]
+
+    @pytest.mark.parametrize("delta", [HOLLOW_TRIANGLE, RP2, make_complex((1, 2, 3), [(1,), (2,), (3,)])],
+                             ids=["circle", "rp2", "three-points"])
+    def test_rationals_in_one_degree_are_certified_over_the_large_prime(self, monkeypatch, delta):
+        calls = []
+        real = homology._homology
+
+        def spy(levels, p):
+            calls.append(p)
+            return real(levels, p)
+
+        monkeypatch.setattr(homology, "_homology", spy)
+        reduced_homology_dims(delta, QQ)
+        assert calls == [homology._CERTIFICATE_PRIME]
+
+    def test_clearing_skips_the_pivot_rows_of_the_map_above(self, monkeypatch):
+        # the 3-sphere bounding a 4-simplex: 5 tetrahedra, 10 triangles, 10
+        # edges, 5 vertices; the maps from them have ranks 4, 6, 4 and 1, so
+        # 5 + (10 - 4) + (10 - 6) + (5 - 4) columns are reduced, not all 30
+        reduced = []
+        real = homology._reduce
+
+        def counting(columns, p):
+            columns = list(columns)
+            reduced.append(len(columns))
+            return real(columns, p)
+
+        monkeypatch.setattr(homology, "_reduce", counting)
+        sphere = make_complex(range(1, 6), [[v for v in range(1, 6) if v != skip] for skip in range(1, 6)])
+        assert reduced_homology_dims(sphere, GF32003) == {3: 1}
+        assert reduced == [5, 6, 4, 1]
+
+    def test_certificate_prime_is_no_user_field(self):
+        with pytest.raises(ValueError):
+            FieldSpec(homology._CERTIFICATE_PRIME)
+
+
+def test_package_imports_without_numpy():
+    code = "import sys, pathbetti.cli; assert 'numpy' not in sys.modules, 'numpy was imported'"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

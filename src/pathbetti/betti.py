@@ -1,17 +1,19 @@
 """Graded Betti numbers of path ideals, by two independent routes.
 
-The brute-force route enumerates every vertex subset and keeps the
-induced subcollections whose support is the whole subset (the others
-complement to cones and contribute nothing).  It splits each kept
-subcollection into connected components, reads the homology of each
-component's independence complex off boundary-matrix ranks (through
-the component's own complement when that complex is the smaller one),
-combines them by the join formula, and passes to the complement by
-Alexander duality; ``complement_homology`` takes the same route for
-one complement.  The closed-form route counts eligible run placements as
-sequences of blocks, each a run followed by a gap of at least t empty
-facet slots, in time polynomial in n, and adds the explicit top-degree
-value.  Either route checks the other.
+The brute-force route generates the unions of facets, the only vertex
+subsets whose induced subcollection has the whole subset as support
+(the others complement to cones and contribute nothing).  It splits
+each such subcollection into connected components, reads the homology
+of each component's independence complex off boundary-matrix ranks,
+with Ind's faces enumerated as bitmasks and handed to the rank layer
+as they are (or through the component's own complement when that
+complex is the smaller one), combines them by the join formula, and
+passes to the complement by Alexander duality.  A component is looked
+up once per scan by its vertex mask.  ``complement_homology`` takes
+the same route for one complement.  The closed-form route counts
+eligible run placements as sequences of blocks, each a run followed by
+a gap of at least t empty facet slots, in time polynomial in n, and
+adds the explicit top-degree value.  Either route checks the other.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from . import homology
 from .complexes import SimplicialComplex
-from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, reduced_homology_dims
+from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, facet_masks, levels_homology
 from .paths import PathFamilySpec, RunSequence
 
 DEFAULT_MAX_SUBSET_BITS = 22
@@ -151,14 +153,14 @@ _IND_CACHE_LIMIT = 4096
 _IND_HOMOLOGY_CACHE: dict[tuple, HomologyVector] = {}
 
 
-def _components(facet_masks: list[int]) -> list[tuple[int, list[int]]]:
+def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     """Connected components of the facets, as (vertex mask, facet masks).
 
     The bitmask twin of ``complexes.connected_components``: converting
     each kept support to faces and back made the oracle about 20 % slower.
     """
     components: list[tuple[int, list[int]]] = []
-    for fm in facet_masks:
+    for fm in masks:
         verts, members, rest = fm, [fm], []
         for comp_verts, comp_members in components:
             if comp_verts & verts:
@@ -188,25 +190,26 @@ def _relabelled(verts: int, members: list[int], frame: int) -> tuple[int, ...]:
     ))
 
 
-def _independence_complex(shape: tuple[int, ...], budget: int) -> SimplicialComplex | None:
-    """Ind of the facet masks: facets are the maximal subsets containing no facet.
+def _ind_levels(shape: tuple[int, ...], budget: int) -> list[list[int]] | None:
+    """Ind of the facet masks as levels: the subsets containing no facet, by size.
 
-    None once the independent sets outnumber ``budget``.
+    The independent sets are generated in increasing order, so each level
+    comes out sorted.  None once they outnumber ``budget``.
     """
     m = max(shape).bit_length()
     independent = [0]
     for v in range(m):
-        through = [fm for fm in shape if fm >> v & 1]
-        independent += [s | 1 << v for s in independent if all(fm & ~(s | 1 << v) for fm in through)]
+        bit = 1 << v
+        through = [fm ^ bit for fm in shape if fm & bit]
+        independent += [s | bit for s in independent if all(rest & ~s for rest in through)]
         if len(independent) > budget:
             return None
-    found = set(independent)
-    facets = sorted(
-        tuple(v + 1 for v in range(m) if s >> v & 1)
-        for s in independent
-        if all(s >> v & 1 or s | 1 << v not in found for v in range(m))
-    )
-    return SimplicialComplex(tuple(range(1, m + 1)), tuple(facets))
+    levels: list[list[int]] = [[] for _ in range(m + 1)]
+    for s in independent:
+        levels[s.bit_count()].append(s)
+    while not levels[-1]:
+        levels.pop()
+    return levels
 
 
 def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
@@ -227,14 +230,14 @@ def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
         m = max(shape).bit_length()
         bound = sum(1 << (m - fm.bit_count()) for fm in shape)
         budget = homology.MAX_FACES
-        ind = _independence_complex(shape, min(bound, budget))
+        ind = _ind_levels(shape, min(bound, budget))
         if ind is not None:
-            cached = reduced_homology_dims(ind, field)
+            cached = levels_homology(ind, field)
         elif bound > budget:
             raise OracleCapError(f"a component on {m} vertices exceeds the face budget of {budget} faces")
         else:
-            outside = sorted(tuple(v + 1 for v in range(m) if not fm >> v & 1) for fm in shape)
-            comp = reduced_homology_dims(SimplicialComplex(tuple(range(1, m + 1)), tuple(outside)), field)
+            full = (1 << m) - 1
+            comp = levels_homology(homology._levels([full ^ fm for fm in shape]), field)
             cached = {m - d - 3: dim for d, dim in comp.items()}
         if len(_IND_HOMOLOGY_CACHE) >= _IND_CACHE_LIMIT:
             del _IND_HOMOLOGY_CACHE[next(iter(_IND_HOMOLOGY_CACHE))]
@@ -251,7 +254,25 @@ def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:
     return out
 
 
-def _complement_homology(y_mask: int, facet_masks: list[int], field: FieldSpec, frame: int) -> HomologyVector:
+def _component_homology(
+    verts: int, members: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
+) -> HomologyVector:
+    """Ind homology of one connected component, looked up in the scan's memo first.
+
+    Within one complex a component of an induced subcollection is fixed
+    by its vertex mask, its members being exactly the facets inside it,
+    so the memo is keyed by that mask and ``_relabelled`` runs once per
+    component; the memo lives as long as the scan.
+    """
+    ind = memo.get(verts)
+    if ind is None:
+        ind = memo[verts] = _ind_homology(_relabelled(verts, members, frame), field)
+    return ind
+
+
+def _complement_homology(
+    y_mask: int, masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
+) -> HomologyVector:
     """Reduced homology of the complement within Y of facets with support Y.
 
     Alexander duality gives H_k(complement) = H_{|Y|-k-3}(Ind), and Ind is
@@ -259,21 +280,15 @@ def _complement_homology(y_mask: int, facet_masks: list[int], field: FieldSpec, 
     Duality does not cover a facet Ø: the complement is then the full
     simplex on Y, which is {Ø} when Y = Ø.
     """
-    if 0 in facet_masks:
+    if 0 in masks:
         return {} if y_mask else {-1: 1}
     ind: HomologyVector = {-1: 1}
-    for verts, members in _components(facet_masks):
-        ind = _join(ind, _ind_homology(_relabelled(verts, members, frame), field))
+    for verts, members in _components(masks):
+        ind = _join(ind, _component_homology(verts, members, field, frame, memo))
         if not ind:
             return {}
     m = y_mask.bit_count()
     return {m - d - 3: dim for d, dim in ind.items()}
-
-
-def _facet_masks(delta: SimplicialComplex) -> list[int]:
-    """The facets as bitmasks: bit b stands for the b-th ambient vertex."""
-    position = {v: b for b, v in enumerate(delta.ambient)}
-    return [sum(1 << position[v] for v in f) for f in delta.facets]
 
 
 def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
@@ -286,14 +301,29 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
     complement and a gamma whose support is not the whole ambient a cone;
     both yield {}.
     """
-    facet_masks = _facet_masks(gamma)
+    masks = facet_masks(gamma)
     full = (1 << len(gamma.ambient)) - 1
     support = 0
-    for fm in facet_masks:
+    for fm in masks:
         support |= fm
-    if not facet_masks or support != full:
+    if not masks or support != full:
         return {}
-    return _complement_homology(full, facet_masks, field, len(gamma.ambient))
+    return _complement_homology(full, masks, field, len(gamma.ambient), {})
+
+
+def _supports(masks: list[int]) -> set[int]:
+    """The unions of the facets: the vertex masks Y whose induced subcollection has support Y.
+
+    Y = Ø is one only when Ø is a facet.  The whole set is held at once,
+    so memory grows with the number of unions: up to 2^n of them when
+    every vertex is a facet, about 236k for the 22-cycle with t = 2.
+    """
+    unions = {0}
+    for fm in masks:
+        unions |= {u | fm for u in unions}
+    if 0 not in masks:
+        unions.discard(0)
+    return unions
 
 
 def betti_hochster(
@@ -303,28 +333,32 @@ def betti_hochster(
 ) -> BettiTable:
     """Graded Betti numbers by enumeration over induced subcollections.
 
-    For every vertex subset Y whose induced subcollection has support
-    exactly Y, the reduced homology of the complement within Y goes into
-    the table at homological degree (homology degree + 2) and internal
-    degree |Y|.  Subsets are streamed as bitmasks; no face lattice is
-    stored.  Inputs above the vertex cap (default 22, overridable via
-    the PATHBETTI_MAX_SUBSET_BITS environment variable) are refused.
+    Only a vertex subset Y that is a union of facets has an induced
+    subcollection with support exactly Y; every other subset complements
+    to a cone and contributes nothing.  So the unions of facets are
+    generated (Y = Ø only when Ø is a facet), and for each the reduced
+    homology of the complement within Y goes into the table at
+    homological degree (homology degree + 2) and internal degree |Y|.
+    The components of delta itself are looked up first: every component
+    met later lies inside one of them and has no more faces on either
+    route, so an input over the face budget is refused before the scan.
+    Inputs above the vertex cap (default 22, overridable via the
+    PATHBETTI_MAX_SUBSET_BITS environment variable) are refused.  The
+    unions are held in memory together, so memory grows with their
+    number (see ``_supports``).
     """
-    verts = delta.ambient
-    check_vertex_cap(len(verts), max_subset_bits)
-    facet_masks = _facet_masks(delta)
+    frame = len(delta.ambient)
+    check_vertex_cap(frame, max_subset_bits)
+    masks = facet_masks(delta)
+    memo: dict[int, HomologyVector] = {}
+    if 0 not in masks:
+        for verts, members in _components(masks):
+            _component_homology(verts, members, field, frame, memo)
     table = BettiTable()
-    for y in range(1 << len(verts)):
-        picked = [fm for fm in facet_masks if fm & ~y == 0]
-        if not picked:
-            continue
-        support = 0
-        for fm in picked:
-            support |= fm
-        if support != y:
-            continue
+    for y in _supports(masks):
+        picked = [fm for fm in masks if fm & ~y == 0]
         weight = y.bit_count()
-        for degree, dim in _complement_homology(y, picked, field, len(verts)).items():
+        for degree, dim in _complement_homology(y, picked, field, frame, memo).items():
             table.accumulate(degree + 2, weight, dim, "oracle")
     return table
 

@@ -210,7 +210,9 @@ def run_verification(
 ) -> tuple[list[str], int]:
     """Cross-check matrix; returns (report lines, number of failures).
 
-    ``cap`` is the oracle's vertex cap, read from the environment when None.
+    ``cap`` is the oracle's vertex cap, read from the environment when
+    None; the largest n is checked against it before the first cell, so
+    a range over the cap raises OracleCapError before any work is done.
     """
     lines: list[str] = []
     failures = 0
@@ -232,12 +234,12 @@ def run_verification(
     if not cells:
         lines.append("warning: empty verification range, nothing to do")
         return lines, 0
+    check_vertex_cap(max(n for n, _ in cells), cap)
 
     for n, t in cells:
         spec = PathFamilySpec("cycle", n, t)
         delta = build_path_complex(spec)
         expected = homology_cycle_complement(spec).as_vector()
-        check_vertex_cap(len(delta.ambient), cap)
         for field in fields:
             got = complement_homology(delta, field)
             check(

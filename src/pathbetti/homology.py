@@ -17,11 +17,17 @@ fields; so when the GF(q) homology lies in at most one degree it is the
 Q homology.  Otherwise the same reduction runs over exact fractions.
 No floating point is used anywhere.
 
-Degree -1 is handled explicitly: the irrelevant complex ``{Ø}`` has
-one-dimensional homology there, every nonempty complex has none, and
-the void complex has no homology at all.  A complex with more than
-``MAX_FACES`` faces is refused with OracleCapError while its faces are
-counted, before any column is built.
+Faces are bitmasks, held level by level: ``levels[s]`` is the sorted
+faces of s vertices.  ``levels_homology`` takes such levels as they
+are, so a caller that enumerates a complex's faces as bitmasks (the
+oracle does, for independence complexes) hands them over directly;
+``reduced_homology_dims`` builds them from the facets with ``_levels``.
+The empty face is level 0, so degree -1 needs no special case: the
+irrelevant complex ``{Ø}`` has one-dimensional homology there, every
+nonempty complex has none.  The void complex has no faces and no
+homology at all.  A complex with more than ``MAX_FACES`` faces is
+refused with OracleCapError while its faces are counted, before any
+column is built.
 """
 
 from __future__ import annotations
@@ -79,19 +85,24 @@ GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
 
 
-def _levels(delta: SimplicialComplex) -> list[list[int]]:
-    """The faces of a nonvoid complex as bitmasks, by vertex count, each level sorted.
-
-    Bit b stands for the b-th ambient vertex; levels[0] is [0], the empty
-    face.  Built from the top down, each level being the facets of its
-    size plus every face one vertex short of a face in the level above,
-    so the work follows the faces themselves, not the sum of 2^|F| over
-    facets.  Raises OracleCapError as soon as the count passes MAX_FACES.
-    """
+def facet_masks(delta: SimplicialComplex) -> list[int]:
+    """The facets as bitmasks: bit b stands for the b-th ambient vertex."""
     position = {v: b for b, v in enumerate(delta.ambient)}
+    return [sum(1 << position[v] for v in f) for f in delta.facets]
+
+
+def _levels(facets: list[int]) -> list[list[int]]:
+    """The faces generated by a nonempty list of facet masks, by vertex count, each level sorted.
+
+    levels[0] is [0], the empty face.  Built from the top down, each
+    level being the facets of its size plus every face one vertex short
+    of a face in the level above, so the work follows the faces
+    themselves, not the sum of 2^|F| over facets.  Raises OracleCapError
+    as soon as the count passes MAX_FACES.
+    """
     by_size: dict[int, set[int]] = {}
-    for f in delta.facets:
-        by_size.setdefault(len(f), set()).add(sum(1 << position[v] for v in f))
+    for fm in facets:
+        by_size.setdefault(fm.bit_count(), set()).add(fm)
     top = max(by_size)
     levels: list[list[int]] = [[0]] + [[] for _ in range(top)]
     level: set[int] = set()
@@ -176,10 +187,27 @@ def _homology(levels: list[list[int]], p: int) -> HomologyVector:
         )
         ranks[s] = len(cleared)
     dims: HomologyVector = {}
-    for s in range(1, len(levels)):
+    for s in range(len(levels)):
         h = len(levels[s]) - ranks[s] - ranks[s + 1]
         if h:
             dims[s - 1] = h
+    return dims
+
+
+def levels_homology(levels: list[list[int]], field: FieldSpec = QQ) -> HomologyVector:
+    """Reduced homology of a nonvoid complex given by its faces, as degree -> dim.
+
+    ``levels[s]`` holds the faces of s vertices as bitmasks, sorted, and
+    ``levels[0]`` is ``[0]``, the empty face, so ``[[0]]`` is the
+    irrelevant complex, with homology ``{-1: 1}``; ``_levels`` builds
+    them from facet masks.  Over the rationals the GF(2^61 - 1) homology
+    is returned when it lies in at most one degree (see the module
+    docstring), else the homology over exact fractions.
+    """
+    p = field.characteristic
+    dims = _homology(levels, p or _CERTIFICATE_PRIME)
+    if not p and len(dims) > 1:
+        dims = _homology(levels, 0)
     return dims
 
 
@@ -187,20 +215,12 @@ def reduced_homology_dims(delta: SimplicialComplex, field: FieldSpec = QQ) -> Ho
     """Dimensions of the nonzero reduced homology groups, as degree -> dim.
 
     Zero dimensions are omitted, so the void complex yields ``{}`` and
-    the irrelevant complex yields ``{-1: 1}``.  Over the rationals the
-    GF(2^61 - 1) homology is returned when it lies in at most one degree
-    (see the module docstring), else the homology over exact fractions.
+    the irrelevant complex yields ``{-1: 1}``.  The faces go to
+    ``levels_homology``.
     """
     if delta.is_void:
         return {}
-    if delta.is_irrelevant:
-        return {-1: 1}
-    levels = _levels(delta)
-    p = field.characteristic
-    dims = _homology(levels, p or _CERTIFICATE_PRIME)
-    if not p and len(dims) > 1:
-        dims = _homology(levels, 0)
-    return dims
+    return levels_homology(_levels(facet_masks(delta)), field)
 
 
 @dataclass(frozen=True)
@@ -231,7 +251,7 @@ def boundary_matrices(delta: SimplicialComplex) -> list[BoundaryMatrix]:
     """
     if delta.is_void:
         raise ValueError("the void complex has no chain complex")
-    levels = _levels(delta)
+    levels = _levels(facet_masks(delta))
 
     def faces(level: list[int]) -> tuple[Face, ...]:
         return tuple(tuple(v for b, v in enumerate(delta.ambient) if f >> b & 1) for f in level)

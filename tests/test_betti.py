@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from pathbetti import (
     GF2,
@@ -174,48 +174,145 @@ class TestOracleRoute:
         # Ind of the 12-cycle with t = 9 holds every subset of at most 8
         # vertices; the complements of its facets have 3 vertices each.
         seen = []
-        homology = betti_module.reduced_homology_dims
+        homology = betti_module.levels_homology
 
-        def recording(delta, field):
-            seen.append(delta)
-            return homology(delta, field)
+        def recording(levels, field):
+            seen.append(levels)
+            return homology(levels, field)
 
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
-        monkeypatch.setattr(betti_module, "reduced_homology_dims", recording)
+        monkeypatch.setattr(betti_module, "levels_homology", recording)
         spec = PathFamilySpec("cycle", 12, 9)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
-        assert seen and max(delta.dim for delta in seen) <= 2
+        assert seen and max(len(levels) - 2 for levels in seen) <= 2
 
     def test_component_over_the_face_budget_is_refused_before_either_complex_is_built(self, monkeypatch):
         # Ind of the 10-cycle with t = 2 has 123 faces, its complement's bound is 10 * 2^8
-        def unbuilt(delta, field):
-            raise AssertionError("a complex reached the rank layer")
+        def unbuilt(*args):
+            raise AssertionError("a complex was built")
 
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
-        monkeypatch.setattr(betti_module, "reduced_homology_dims", unbuilt)
+        monkeypatch.setattr(betti_module, "levels_homology", unbuilt)
+        monkeypatch.setattr(homology_module, "_levels", unbuilt)
         cycle = tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10)))
-        with pytest.raises(OracleCapError, match="face budget"):
+        with pytest.raises(OracleCapError, match="a component on 10 vertices"):
             betti_module._ind_homology(cycle, QQ)
+
+    def test_component_over_the_face_budget_is_refused_before_the_scan(self, monkeypatch):
+        # The path on vertices 1..4 has a contractible Ind, so every support
+        # holding it has zero homology and its join returns before the other
+        # components are looked up; the 10-cycle on 5..14 is over the budget.
+        def scanned(*args):
+            raise AssertionError("a support's homology was taken")
+
+        path = [(1, 2), (2, 3), (3, 4)]
+        cycle = [(5 + v, 5 + (v + 1) % 10) for v in range(10)]
+        delta = make_complex(range(1, 15), path + cycle)
+        monkeypatch.setattr(homology_module, "MAX_FACES", 100)
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_complement_homology", scanned)
+        monkeypatch.setattr(homology_module, "_levels", scanned)
+        with pytest.raises(OracleCapError, match="a component on 10 vertices"):
+            betti_hochster(delta)
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
         limit = 3
         cache: dict = {}
         sizes = []
-        homology = betti_module.reduced_homology_dims
+        homology = betti_module.levels_homology
 
-        def counting(delta, field):
+        def counting(levels, field):
             sizes.append(len(cache))
-            return homology(delta, field)
+            return homology(levels, field)
 
         monkeypatch.setattr(betti_module, "_IND_CACHE_LIMIT", limit)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
-        monkeypatch.setattr(betti_module, "reduced_homology_dims", counting)
+        monkeypatch.setattr(betti_module, "levels_homology", counting)
         spec = PathFamilySpec("cycle", 9, 2)
         table = betti_hochster(build_path_complex(spec))
         assert len(sizes) > limit
         assert max(sizes) <= limit and len(cache) <= limit
         assert table == betti_closed_cycle(spec)
+
+    def test_each_component_is_relabelled_once_per_scan(self, monkeypatch):
+        relabelled = []
+        real = betti_module._relabelled
+
+        def counting(verts, members, frame):
+            relabelled.append(verts)
+            return real(verts, members, frame)
+
+        monkeypatch.setattr(betti_module, "_relabelled", counting)
+        delta = build_path_complex(PathFamilySpec("cycle", 9, 2))
+        masks = homology_module.facet_masks(delta)
+        components = {
+            verts
+            for y in betti_module._supports(masks)
+            for verts, _ in betti_module._components([fm for fm in masks if fm & ~y == 0])
+        }
+        betti_hochster(delta)
+        assert sorted(relabelled) == sorted(components)
+
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_sixteen_vertices_match_the_closed_form(self, kind):
+        spec = PathFamilySpec(kind, 16, 2)
+        closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        assert betti_hochster(build_path_complex(spec), GF32003) == closed
+
+
+def _kept_by_filter(masks: list[int], n: int) -> set[int]:
+    """The 2^n scan the oracle used to make: every subset Y whose induced subcollection has support Y."""
+    kept = set()
+    for y in range(1 << n):
+        picked = [fm for fm in masks if fm & ~y == 0]
+        support = 0
+        for fm in picked:
+            support |= fm
+        if picked and support == y:
+            kept.add(y)
+    return kept
+
+
+def _ind_by_brute_force(shape: tuple[int, ...]) -> list[list[int]]:
+    """Every subset containing no facet, level by level, up to the largest nonempty level."""
+    m = max(shape).bit_length()
+    levels = [
+        [s for s in range(1 << m) if s.bit_count() == size and all(fm & ~s for fm in shape)]
+        for size in range(m + 1)
+    ]
+    while not levels[-1]:
+        levels.pop()
+    return levels
+
+
+class TestOracleScan:
+    """The unions of facets and Ind's levels, against the brute force they replace."""
+
+    @given(small_complexes())
+    @example(make_complex((1, 2, 3), []))
+    @example(make_complex((1, 2), [()]))
+    @settings(max_examples=100, deadline=None)
+    def test_unions_of_facets_are_the_kept_supports(self, delta):
+        masks = homology_module.facet_masks(delta)
+        assert betti_module._supports(masks) == _kept_by_filter(masks, len(delta.ambient))
+
+    @given(small_complexes(allow_void=False))
+    @settings(max_examples=100, deadline=None)
+    def test_ind_levels_are_the_subsets_containing_no_facet(self, delta):
+        shape = tuple(homology_module.facet_masks(delta))
+        assert betti_module._ind_levels(shape, 1 << 20) == _ind_by_brute_force(shape)
+
+    def test_every_vertex_a_facet_leaves_only_the_empty_face(self):
+        levels = betti_module._ind_levels((0b1, 0b10, 0b100), 1 << 20)
+        assert levels == [[0]]
+        for field in (QQ, GF2):
+            assert betti_module.levels_homology(levels, field) == {-1: 1}
+
+    def test_ind_over_the_budget_is_not_built(self):
+        shape = (0b011, 0b110)  # Ind of the path 0-1-2: Ø, 0, 1, 2 and {0, 2}
+        assert betti_module._ind_levels(shape, 4) is None
+        assert betti_module._ind_levels(shape, 5) == [[0], [1, 2, 4], [5]]
 
 
 class TestComplementHomology:

@@ -126,6 +126,7 @@ class TestBettiCommand:
         code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle")
         assert code == 3
         assert "face budget" in err
+        assert "a component on" in err
 
 
 class TestHomologyCommand:
@@ -221,6 +222,7 @@ class TestHomologyCommand:
         code, out, err = _run(capsys, "homology", *argv, "--explicit")
         assert code == 3
         assert "face budget" in err
+        assert "a component on" in err
         assert out == ""
 
     def test_bad_run_lengths(self, capsys):
@@ -248,10 +250,23 @@ class TestVerifyCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_cap_is_checked_before_the_first_cell(self, capsys, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("a cell was checked")
+
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "5")
+        monkeypatch.setattr(cli, "betti_hochster", unreached)
+        monkeypatch.setattr(cli, "complement_homology", unreached)
+        code, out, err = _run(capsys, "verify", "--max-n", "6", "--t-range", "2..3")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
     def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_face_budget):
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "2..2")
         assert code == 3
         assert "face budget" in err
+        assert "a component on" in err
 
     def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")

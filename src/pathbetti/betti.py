@@ -41,12 +41,15 @@ def subset_cap() -> int:
         raise ValueError(f"{MAX_SUBSET_BITS_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_vertex_cap(count: int, cap: int | None = None) -> None:
+def check_vertex_cap(count: int) -> None:
     """Refuse a complex on more vertices than the cap with OracleCapError.
 
-    The cap defaults to 22, overridable via PATHBETTI_MAX_SUBSET_BITS.
+    The cap is ``subset_cap()``: 22, or PATHBETTI_MAX_SUBSET_BITS when
+    set, which is the one way to change it.  A malformed PATHBETTI_MAX_SUBSET_BITS raises ValueError here, so a
+    caller that checks the cap while validating its arguments reports it
+    as a usage error.
     """
-    cap = cap if cap is not None else subset_cap()
+    cap = subset_cap()
     if count > cap:
         raise OracleCapError(f"{count} ambient vertices exceeds the subset-enumeration cap of {cap}")
 
@@ -326,11 +329,7 @@ def _supports(masks: list[int]) -> set[int]:
     return unions
 
 
-def betti_hochster(
-    delta: SimplicialComplex,
-    field: FieldSpec = QQ,
-    max_subset_bits: int | None = None,
-) -> BettiTable:
+def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTable:
     """Graded Betti numbers by enumeration over induced subcollections.
 
     Only a vertex subset Y that is a union of facets has an induced
@@ -342,13 +341,13 @@ def betti_hochster(
     The components of delta itself are looked up first: every component
     met later lies inside one of them and has no more faces on either
     route, so an input over the face budget is refused before the scan.
-    Inputs above the vertex cap (default 22, overridable via the
-    PATHBETTI_MAX_SUBSET_BITS environment variable) are refused.  The
+    Inputs above the vertex cap are refused first, by
+    ``check_vertex_cap``, as they are by the command line.  The
     unions are held in memory together, so memory grows with their
     number (see ``_supports``).
     """
     frame = len(delta.ambient)
-    check_vertex_cap(frame, max_subset_bits)
+    check_vertex_cap(frame)
     masks = facet_masks(delta)
     memo: dict[int, HomologyVector] = {}
     if 0 not in masks:
@@ -469,22 +468,21 @@ def count_eligible(spec: PathFamilySpec, i: int, j: int) -> int:
 
 
 def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
-    """Necessary conditions for a nonzero Betti number in bidegree (i, j), j < n.
+    """Whether the Betti number of the cycle in bidegree (i, j), i >= 1, is nonzero.
 
-    False guarantees the Betti number vanishes; True promises nothing.
+    Exact in both directions.  Below n, with u = (j - i)/(t - 1): it is
+    nonzero iff t - 1 divides j - i, i <= 2u and max(1, 2u - i) <= min(u,
+    n - j).  These solve the constraints of the placement count: r runs,
+    b of them of residue 2, with quotients summing to P, give
+    u = P + r and 2u - i = r - b.  In degree n only the top-degree entry
+    (``betti_top_degree``) is nonzero, and above n none is.
     """
     if spec.kind != "cycle":
         raise ValueError("the vanishing criterion is defined for cycles")
-    p, d, t = spec.p, spec.d, spec.t
-    if j > i * t:
-        return False
-    if j - i > (t - 1) * p:
-        return False
-    if d == 0 and not i < 2 * p:
-        return False
-    if d != 0 and not i <= 2 * p + 1:
-        return False
-    return True
+    if j >= spec.n:
+        return j == spec.n and i == betti_top_degree(spec)[0]
+    u, rest = divmod(j - i, spec.t - 1)
+    return rest == 0 and i <= 2 * u and max(1, 2 * u - i) <= min(u, spec.n - j)
 
 
 def betti_closed_cycle(spec: PathFamilySpec) -> BettiTable:

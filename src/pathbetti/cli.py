@@ -6,12 +6,15 @@ or of the full cycle complement, and ``verify`` runs the cross-check
 matrix between the closed forms and the brute-force enumeration.
 
 Exit codes are stable API: 0 success, 1 verification failure, 2 usage
-error, 3 resource limit.
+error, 3 resource limit.  Each command returns 0, 1 or 2 itself;
+``main`` alone turns an OracleCapError, from the vertex cap or the face
+budget, into 3, with the error on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -40,6 +43,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathbetti",
@@ -106,7 +110,8 @@ def cmd_betti(args: argparse.Namespace) -> int:
     try:
         spec = PathFamilySpec(args.kind, args.n, args.t)
         field = FieldSpec(args.char)
-        cap = subset_cap() if args.method in ("oracle", "both") else None
+        if args.method in ("oracle", "both"):
+            check_vertex_cap(spec.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -116,11 +121,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         closed = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
     if args.method in ("oracle", "both"):
-        try:
-            oracle = betti_hochster(build_path_complex(spec), field, max_subset_bits=cap)
-        except OracleCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        oracle = betti_hochster(build_path_complex(spec), field)
     timing_ms = (time.perf_counter() - start) * 1000.0
 
     table = closed if closed is not None else oracle
@@ -166,12 +167,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         field = FieldSpec(args.char)
-        cap = subset_cap()
         if args.runs is not None:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
             record: dict = {"runs": list(seq.lengths), "t": args.t}
-            vertices = vertex_count_of_runs(seq, args.t)
         else:
             if args.n is None:
                 print("error: --kind cycle needs --n", file=sys.stderr)
@@ -179,7 +178,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
             spec = PathFamilySpec("cycle", args.n, args.t)
             summary = homology_cycle_complement(spec)
             record = {"kind": "cycle", "n": spec.n, "t": spec.t}
-            vertices = spec.n
+        if args.explicit:
+            check_vertex_cap(vertex_count_of_runs(seq, args.t) if args.runs is not None else spec.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -190,13 +190,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
     }
     exit_code = EXIT_OK
     if args.explicit:
-        try:
-            check_vertex_cap(vertices, cap)
-            gamma = build_run_complex(seq, args.t) if args.runs is not None else build_path_complex(spec)
-            vector = complement_homology(gamma, field)
-        except OracleCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        gamma = build_run_complex(seq, args.t) if args.runs is not None else build_path_complex(spec)
+        vector = complement_homology(gamma, field)
         record["explicit"] = [[degree, dim] for degree, dim in sorted(vector.items())]
         record["match"] = vector == summary.as_vector()
         if not record["match"]:
@@ -206,17 +201,15 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 
 def run_verification(
-    max_n: int, t_lo: int, t_hi: int, characteristics: Sequence[int], cap: int | None = None,
+    cells: Sequence[tuple[int, int]], fields: Sequence[FieldSpec],
 ) -> tuple[list[str], int]:
-    """Cross-check matrix; returns (report lines, number of failures).
+    """Cross-check matrix over the cycle cells (n, t); returns (report lines, number of failures).
 
-    ``cap`` is the oracle's vertex cap, read from the environment when
-    None; the largest n is checked against it before the first cell, so
-    a range over the cap raises OracleCapError before any work is done.
+    The oracle's vertex cap is not checked here; ``cmd_verify`` checks
+    the largest n against it before calling.
     """
     lines: list[str] = []
     failures = 0
-    fields = [FieldSpec(c) for c in characteristics]
 
     def check(ok: bool, label: str, detail: str = "") -> None:
         nonlocal failures
@@ -226,15 +219,15 @@ def run_verification(
             failures += 1
             lines.append(f"FAIL {label}{': ' + detail if detail else ''}")
 
-    cells = [
-        (n, t)
-        for n in range(3, max_n + 1)
-        for t in range(max(2, t_lo), min(t_hi, n) + 1)
-    ]
+    def check_tables(closed: BettiTable, oracle: BettiTable, label: str) -> None:
+        diff = closed.diff(oracle)
+        bad = next(iter(diff), None)
+        detail = f"first mismatch at (i,j)={bad}: closed={diff[bad][0]} oracle={diff[bad][1]}" if diff else ""
+        check(not diff, label, detail)
+
     if not cells:
         lines.append("warning: empty verification range, nothing to do")
         return lines, 0
-    check_vertex_cap(max(n for n, _ in cells), cap)
 
     for n, t in cells:
         spec = PathFamilySpec("cycle", n, t)
@@ -252,14 +245,8 @@ def run_verification(
         closed = betti_closed_cycle(spec)
         reference: BettiTable | None = None
         for field in fields:
-            oracle = betti_hochster(delta, field, cap)
-            diff = closed.diff(oracle)
-            bad = next(iter(diff)) if diff else None
-            check(
-                not diff,
-                f"n={n} t={t} char={field.characteristic} cycle-closed-vs-oracle",
-                f"first mismatch at (i,j)={bad}: closed={diff[bad][0]} oracle={diff[bad][1]}" if bad else "",
-            )
+            oracle = betti_hochster(delta, field)
+            check_tables(closed, oracle, f"n={n} t={t} char={field.characteristic} cycle-closed-vs-oracle")
             if reference is None:
                 reference = oracle
             else:
@@ -272,12 +259,21 @@ def run_verification(
         assert reference is not None
         violations = [
             (i, j) for (i, j) in reference.entries
-            if j > i * t or (j < n and not nonzero_criterion(spec, i, j))
+            if j > i * t or not nonzero_criterion(spec, i, j)
         ]
         check(
             not violations,
             f"n={n} t={t} vanishing-soundness",
             f"entries {violations} violate the criterion",
+        )
+        missing = [
+            (i, j) for j in range(1, n + 1) for i in range(1, j + 1)
+            if nonzero_criterion(spec, i, j) and not reference.value(i, j)
+        ]
+        check(
+            not missing,
+            f"n={n} t={t} nonzero-completeness",
+            f"the criterion accepts {missing}, where the oracle has zero",
         )
         check(
             pd_reg(spec) == (reference.pd, reference.reg),
@@ -285,15 +281,8 @@ def run_verification(
             f"formula={pd_reg(spec)} oracle={(reference.pd, reference.reg)}",
         )
         line_spec = PathFamilySpec("line", n, t)
-        line_oracle = betti_hochster(build_path_complex(line_spec), fields[0], cap)
-        line_closed = betti_closed_line(line_spec)
-        diff = line_closed.diff(line_oracle)
-        bad = next(iter(diff)) if diff else None
-        check(
-            not diff,
-            f"n={n} t={t} line-closed-vs-oracle",
-            f"first mismatch at (i,j)={bad}: closed={diff[bad][0]} oracle={diff[bad][1]}" if bad else "",
-        )
+        line_oracle = betti_hochster(build_path_complex(line_spec), fields[0])
+        check_tables(betti_closed_line(line_spec), line_oracle, f"n={n} t={t} line-closed-vs-oracle")
     return lines, failures
 
 
@@ -301,20 +290,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         lo, _, hi = args.t_range.partition("..")
         t_lo, t_hi = int(lo), int(hi if hi else lo)
-        characteristics = [int(c) for c in args.char_list.split(",") if c != ""]
-        for c in characteristics:
-            FieldSpec(c)
-        if not characteristics:
+        fields = [FieldSpec(int(c)) for c in args.char_list.split(",") if c != ""]
+        if not fields:
             raise ValueError("empty characteristic list")
-        cap = subset_cap()
+        cells = [
+            (n, t)
+            for n in range(3, args.max_n + 1)
+            for t in range(max(2, t_lo), min(t_hi, n) + 1)
+        ]
+        if cells:
+            check_vertex_cap(cells[-1][0])
+        else:
+            subset_cap()  # nothing to check, but a malformed cap stays a usage error
     except ValueError as exc:
         print(f"error: invalid verify arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        lines, failures = run_verification(args.max_n, t_lo, t_hi, characteristics, cap)
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    lines, failures = run_verification(cells, fields)
     for line in lines:
         print(line)
     checked = sum(1 for line in lines if not line.startswith("warning"))
@@ -322,14 +313,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+_COMMANDS = {"betti": cmd_betti, "homology": cmd_homology, "verify": cmd_verify}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "betti":
-        return cmd_betti(args)
-    if args.command == "homology":
-        return cmd_homology(args)
-    return cmd_verify(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except OracleCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def entrypoint() -> None:

@@ -124,23 +124,21 @@ def _levels(facets: list[int]) -> list[list[int]]:
     return levels
 
 
-def _boundary(face: int, index: dict[int, int]) -> list[tuple[int, int]]:
-    """The boundary of a face mask as (row, sign): removing its i-th lowest vertex has sign (-1)^i."""
-    out = []
-    rest, sign = face, 1
+def _boundary(face: int, index: dict[int, int], p: int) -> dict[int, int]:
+    """The boundary column of a face mask as {row: sign} over GF(p), or the integers when p is 0.
+
+    Removing the face's i-th lowest vertex has sign (-1)^i, and -1 is
+    p - 1 over GF(p).
+    """
+    out = {}
+    signs = (1, p - 1 if p else -1)
+    rest, k = face, 0
     while rest:
         bit = rest & -rest
-        out.append((index[face ^ bit], sign))
+        out[index[face ^ bit]] = signs[k]
         rest ^= bit
-        sign = -sign
+        k ^= 1
     return out
-
-
-def _entries(pairs, p: int) -> dict[int, int]:
-    """A column as {row: value}: residues mod p, or integers when p is 0."""
-    if not p:
-        return dict(pairs)
-    return {r: v % p for r, v in pairs if v % p}
 
 
 def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
@@ -148,8 +146,8 @@ def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
 
     Each column is cleared of its largest row by the stored column with
     that pivot row until the row is new, when the column is scaled to 1
-    there and stored, or the column is empty.  Returns the stored columns
-    by pivot row; their number is the rank.
+    there (unless it is 1 already) and stored, or the column is empty.
+    Returns the stored columns by pivot row; their number is the rank.
     """
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -157,8 +155,10 @@ def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
             low = max(col)
             pivot = pivots.get(low)
             if pivot is None:
-                inv = pow(col[low], -1, p) if p else 1 / Fraction(col[low])
-                pivots[low] = {r: v * inv % p if p else v * inv for r, v in col.items()}
+                if col[low] != 1:
+                    inv = pow(col[low], -1, p) if p else 1 / Fraction(col[low])
+                    col = {r: v * inv % p if p else v * inv for r, v in col.items()}
+                pivots[low] = col
                 break
             c = col[low]
             for r, v in pivot.items():
@@ -183,7 +183,7 @@ def _homology(levels: list[list[int]], p: int) -> HomologyVector:
     for s in range(len(levels) - 1, 0, -1):
         index = {f: i for i, f in enumerate(levels[s - 1])}
         cleared = _reduce(
-            (_entries(_boundary(f, index), p) for i, f in enumerate(levels[s]) if i not in cleared), p,
+            (_boundary(f, index, p) for i, f in enumerate(levels[s]) if i not in cleared), p,
         )
         ranks[s] = len(cleared)
     dims: HomologyVector = {}
@@ -259,7 +259,7 @@ def boundary_matrices(delta: SimplicialComplex) -> list[BoundaryMatrix]:
     out = []
     for s in range(1, len(levels)):
         index = {f: i for i, f in enumerate(levels[s - 1])}
-        columns = tuple(tuple(_boundary(f, index)) for f in levels[s])
+        columns = tuple(tuple(_boundary(f, index, 0).items()) for f in levels[s])
         out.append(BoundaryMatrix(faces(levels[s - 1]), faces(levels[s]), columns))
     return out
 
@@ -280,9 +280,10 @@ def boundary_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, in
 def matrix_rank(matrix: BoundaryMatrix, field: FieldSpec = QQ) -> int:
     """Exact rank of a matrix given by its sparse columns, over the given field.
 
-    The entries may be any integers.  The reduction is the one
-    ``reduced_homology_dims`` uses, without clearing; over the rationals
-    it runs over exact fractions.
+    The entries may be any integers, zero included.  The reduction is
+    the one ``reduced_homology_dims`` uses, without clearing; over the
+    rationals it runs over exact fractions.
     """
     p = field.characteristic
-    return len(_reduce((_entries(entries, p) for entries in matrix.columns), p))
+    columns = ({r: x for r, v in entries if (x := v % p if p else v)} for entries in matrix.columns)
+    return len(_reduce(columns, p))

@@ -155,9 +155,13 @@ def test_criterion_6_vanishing_soundness(oracle_suite):
         for (i, j), value in oracle.entries.items():
             if j > i * t:
                 failures.append((n, t, i, j, "degree bound"))
-            if j < n and not nonzero_criterion(spec, i, j):
-                failures.append((n, t, i, j, "necessary conditions"))
-    _report("criterion 6: no oracle entry violates the vanishing criteria", failures)
+            if not nonzero_criterion(spec, i, j):
+                failures.append((n, t, i, j, "criterion rejects a nonzero entry"))
+        for j in range(1, n + 1):
+            for i in range(1, j + 1):
+                if nonzero_criterion(spec, i, j) and not oracle.value(i, j):
+                    failures.append((n, t, i, j, "criterion accepts a zero entry"))
+    _report("criterion 6: the nonzero criterion holds exactly on every oracle table", failures)
 
 
 def test_criterion_7_field_independence(oracle_suite):

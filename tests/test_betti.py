@@ -107,11 +107,6 @@ class TestHochsterOracle:
         with pytest.raises(OracleCapError):
             betti_hochster(delta)
 
-    def test_explicit_cap_argument(self):
-        delta = build_path_complex(PathFamilySpec("cycle", 6, 2))
-        with pytest.raises(OracleCapError):
-            betti_hochster(delta, max_subset_bits=5)
-
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "5")
         delta = build_path_complex(PathFamilySpec("cycle", 6, 2))
@@ -463,6 +458,20 @@ class TestNonzeroCriterion:
 
     def test_internal_degree_bound(self):
         assert not nonzero_criterion(PathFamilySpec("cycle", 9, 2), 1, 3)
+
+    def test_exact_against_the_closed_form(self):
+        # every cell 1 <= i <= n + 1, 0 <= j <= n + 2 of the cycles with n <= 30, in both directions
+        wrong = []
+        for n in range(3, 31):
+            for t in range(2, n + 1):
+                spec = PathFamilySpec("cycle", n, t)
+                table = betti_closed_cycle(spec)
+                wrong += [
+                    (n, t, i, j)
+                    for j in range(n + 3) for i in range(1, n + 2)
+                    if nonzero_criterion(spec, i, j) != (table.value(i, j) != 0)
+                ]
+        assert wrong == []
 
 
 class TestClosedCycle:

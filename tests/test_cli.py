@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from importlib import resources
 
@@ -30,6 +31,31 @@ def tiny_face_budget(monkeypatch):
     """
     monkeypatch.setattr(homology, "MAX_FACES", 1)
     monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+
+
+class TestParser:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "pathbetti":
+                builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
+                            "--method", "closed", "--format", "csv")
+        assert code == 0
+        assert out.startswith("kind,n,t,i,j,beta,method")
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--kind", "square"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2")
+        assert code == 0
+        assert json.loads(out)["method"] == "both"
+        assert len(builds) <= 1
 
 
 class TestBettiCommand:
@@ -114,6 +140,16 @@ class TestBettiCommand:
                           "--method", "closed")
         assert code == 0
 
+    def test_cap_is_checked_before_the_closed_route(self, capsys, monkeypatch):
+        def unreached(spec):
+            raise AssertionError("the closed form was computed")
+
+        monkeypatch.setattr(cli, "betti_closed_cycle", unreached)
+        code, out, err = _run(capsys, "betti", "--kind", "cycle", "--n", "23", "--t", "2", "--method", "both")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal")
@@ -184,6 +220,16 @@ class TestHomologyCommand:
         code, _, err = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
         assert code == 2
         assert "PATHBETTI_MAX_SUBSET_BITS" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--runs", "3", "--t", "2"),
+        ("--kind", "cycle", "--n", "6", "--t", "2"),
+    ], ids=["runs", "cycle"])
+    def test_malformed_cap_is_ignored_without_explicit(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
+        code, out, _ = _run(capsys, "homology", *argv)
+        assert code == 0
+        assert "explicit" not in json.loads(out)
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(gamma, field):

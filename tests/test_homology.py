@@ -184,9 +184,9 @@ def _reference_homology(delta: SimplicialComplex, p: int) -> dict[int, int]:
 
 
 def _matrix(rows: list[list[int]]) -> BoundaryMatrix:
-    """A dense integer matrix as sparse (row, value) columns."""
+    """A dense integer matrix as (row, value) columns, its zero entries included."""
     width = len(rows[0])
-    columns = tuple(tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(width))
+    columns = tuple(tuple((r, row[c]) for r, row in enumerate(rows)) for c in range(width))
     return BoundaryMatrix(tuple((r,) for r in range(len(rows))), tuple((c,) for c in range(width)), columns)
 
 

@@ -11,15 +11,17 @@ complex is the smaller one), combines them by the join formula, and
 passes to the complement by Alexander duality.  A component is looked
 up once per scan by its vertex mask.  ``complement_homology`` takes
 the same route for one complement.  The closed-form route counts
-eligible run placements as sequences of blocks, each a run followed by
-a gap of at least t empty facet slots, in time polynomial in n, and
-adds the explicit top-degree value.  Either route checks the other.
+eligible run placements by one binomial term per number of runs r,
+number b of them of residue 2 and total quotient P, in time polynomial
+in n, and adds the explicit top-degree value.  Either route checks the
+other.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import comb
 
 from . import homology
 from .complexes import SimplicialComplex
@@ -197,13 +199,14 @@ def _ind_levels(shape: tuple[int, ...], budget: int) -> list[list[int]] | None:
     """Ind of the facet masks as levels: the subsets containing no facet, by size.
 
     The independent sets are generated in increasing order, so each level
-    comes out sorted.  None once they outnumber ``budget``.
+    comes out sorted, and adding vertex v can complete only a facet whose
+    highest vertex is v.  None once they outnumber ``budget``.
     """
     m = max(shape).bit_length()
     independent = [0]
     for v in range(m):
         bit = 1 << v
-        through = [fm ^ bit for fm in shape if fm & bit]
+        through = [fm ^ bit for fm in shape if fm.bit_length() == v + 1]
         independent += [s | bit for s in independent if all(rest & ~s for rest in through)]
         if len(independent) > budget:
             return None
@@ -405,48 +408,41 @@ def betti_top_degree(spec: PathFamilySpec) -> tuple[int, int]:
     return 2 * spec.p + 1, 1
 
 
-def _add_shifted(into: dict, counts: dict, di: int, dj: int, factor: int = 1) -> None:
-    for (i, j), c in counts.items():
-        key = (i + di, j + dj)
-        into[key] = into.get(key, 0) + factor * c
-
-
 def _placement_counts(kind: str, n: int, t: int) -> dict[tuple[int, int], int]:
     """Eligible run placements on the cycle or line of n vertices, counted by (i, j).
 
-    A placement is read as a sequence of blocks.  A block is an eligible
-    run of length s = (t+1)p + d with d in {1, 2}, weighing
-    (i, j) = (2p + d, s + t - 1), followed by a gap of at least t empty
-    facet slots.  seq[k] is the weighted count of block sequences that
-    fill exactly k slots.  On the cycle, slot 1 lies at one of the s + g
-    offsets of exactly one block.  The line has n - t + 1 facet slots;
-    t virtual empty slots after them let its last run end a block too.
+    Each eligible run has length (t+1)p + d with d in {1, 2}.  Placements
+    of r runs, b of them with d = 2, whose quotients p sum to P, are
+    counted by one binomial term: the runs cover S = (t+1)P + r + b facet
+    slots and weigh (i, j) = (2P + r + b, S + r(t - 1)).  C(r, b) picks
+    the residues in run order and C(P + r - 1, r - 1) spreads P over the
+    runs.  On the cycle, r gaps of at least t slots, one after each run,
+    share the free slots beyond S + rt.  Starting such a sequence of runs
+    and gaps at each of the n slots yields every placement r times, once
+    from each of its runs: hence the factor n/r, whose division is exact.
+    On the line, n - t + 1 slots hold r - 1 inner gaps of at least t
+    slots and two end gaps that may be empty, so r + 1 gaps share the
+    free slots.
     """
-    slots = n if kind == "cycle" else n + 1
-    weights = {
-        s: (2 * (s // (t + 1)) + s % (t + 1), s + t - 1)
-        for s in range(1, slots - t + 1)
-        if s % (t + 1) in (1, 2)
-    }
-    seq = [{(0, 0): 1}]
-    gapped = [{} for _ in range(t)]  # gapped[r]: the sum of seq[m] over m <= r - t
-    for k in range(1, slots + 1):
-        gapped.append(dict(gapped[-1]))
-        _add_shifted(gapped[-1], seq[k - 1], 0, 0)
-        counts: dict[tuple[int, int], int] = {}
-        for s, (di, dj) in weights.items():
-            if s <= k - t:
-                _add_shifted(counts, gapped[k - s], di, dj)
-        seq.append(counts)
-    total: dict[tuple[int, int], int] = {}
-    if kind == "line":
-        for k in range(1, slots + 1):
-            _add_shifted(total, seq[k], 0, 0)
-        return total
-    for s, (di, dj) in weights.items():
-        for m in range(n - s - t + 1):
-            _add_shifted(total, seq[m], di, dj, n - m)
-    return total
+    cycle = kind == "cycle"
+    slots = n if cycle else n - t + 1
+    counts: dict[tuple[int, int], int] = {}
+    for r in range(1, n // (t + 1) + 2):
+        for b in range(r + 1):
+            residues = comb(r, b)
+            for p_total in range(slots // (t + 1) + 1):
+                covered = (t + 1) * p_total + r + b
+                free = slots - covered - (r if cycle else r - 1) * t
+                if free < 0:
+                    break
+                runs = residues * comb(p_total + r - 1, r - 1)
+                if cycle:
+                    term = n * runs * comb(free + r - 1, r - 1) // r
+                else:
+                    term = runs * comb(free + r, r)
+                key = (2 * p_total + r + b, covered + r * (t - 1))
+                counts[key] = counts.get(key, 0) + term
+    return counts
 
 
 def count_eligible(spec: PathFamilySpec, i: int, j: int) -> int:
@@ -454,8 +450,8 @@ def count_eligible(spec: PathFamilySpec, i: int, j: int) -> int:
 
     A placement counts when every run length s = (t+1)p + d has d in
     {1, 2}; its runs sum to i = sum of 2p + d and j = sum of s + t - 1.
-    Placements are counted as sequences of blocks, each a run followed by
-    a gap of at least t empty facet slots; see ``_placement_counts``.
+    Placements are counted by a binomial sum over the number of runs,
+    their residues and their total quotient; see ``_placement_counts``.
     This equals the Betti number in bidegree (i, j) for every j < n.
     """
     if spec.kind != "cycle":
@@ -472,9 +468,12 @@ def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
 
     Exact in both directions.  Below n, with u = (j - i)/(t - 1): it is
     nonzero iff t - 1 divides j - i, i <= 2u and max(1, 2u - i) <= min(u,
-    n - j).  These solve the constraints of the placement count: r runs,
-    b of them of residue 2, with quotients summing to P, give
-    u = P + r and 2u - i = r - b.  In degree n only the top-degree entry
+    n - j).  These are the indices of the binomial sum in
+    ``_placement_counts`` solved for (i, j): r runs, b of them of residue
+    2, with quotients summing to P, give u = P + r and 2u - i = r - b and
+    leave n - j - r free slots, and a term is positive iff r >= 1,
+    0 <= b <= r, P >= 0 and n - j - r >= 0.  The bounds ask for such an
+    r.  In degree n only the top-degree entry
     (``betti_top_degree``) is nonzero, and above n none is.
     """
     if spec.kind != "cycle":

@@ -203,7 +203,7 @@ def enumerate_placements(spec: PathFamilySpec) -> Iterator[RunPlacement]:
     which is exactly the condition for the union to be an induced
     subcollection.  Each placement is yielded once.  Their number grows
     exponentially in n; this enumerator is the reference that the
-    polynomial block count in :mod:`pathbetti.betti` is tested against.
+    binomial placement sum in :mod:`pathbetti.betti` is tested against.
     """
     if spec.kind != "cycle":
         raise ValueError("placements are enumerated on cycles only")

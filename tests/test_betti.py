@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -435,6 +436,8 @@ class TestPlacementCounts:
 class TestClosedCycleBeyondTheOracle:
     @pytest.mark.parametrize("n,t", [
         (n, t) for n in (30, 45, 60) for t in (2, 3, 4, 5)
+    ] + [
+        (n, t) for n in (120, 200, 300) for t in (2, 3, 5)
     ])
     def test_independent_invariants(self, n, t):
         spec = PathFamilySpec("cycle", n, t)
@@ -442,7 +445,65 @@ class TestClosedCycleBeyondTheOracle:
         assert (table.pd, table.reg) == pd_reg(spec)
         i_top, value = betti_top_degree(spec)
         assert {i: v for i, j, v, _ in table.items() if j == n} == {i_top: value}
-        assert all(nonzero_criterion(spec, i, j) for i, j in table.entries if j < n)
+        accepted = {
+            (i, j) for j in range(1, n) for i in range(1, j + 1) if nonzero_criterion(spec, i, j)
+        }
+        assert {(i, j) for i, j in table.entries if j < n} == accepted
+
+
+def _height(kind: str, n: int, t: int) -> int:
+    """Height of the path ideal: the fewest vertices meeting every t-path."""
+    return -(-n // t) if kind == "cycle" else n // t
+
+
+def _numerator_derivatives(table: BettiTable, n: int, order: int) -> list[int]:
+    """The Taylor coefficients at x = 1 of K(x), up to (x - 1)^order.
+
+    With K(x) = Σ_j a_j x^j = 1 + Σ (-1)^i β_{i,j} x^j, the coefficient
+    of (x - 1)^k is Σ_j a_j C(j, k).
+    """
+    a = [1] + [0] * n
+    for i, j, value, _ in table.items():
+        a[j] += (-1) ** i * value
+    return [sum(a_j * comb(j, k) for j, a_j in enumerate(a)) for k in range(order + 1)]
+
+
+class TestHilbertNumerator:
+    """K(x), the numerator of the Hilbert series of R/I, vanishes at x = 1 to order exactly height(I).
+
+    At that order its coefficient has sign (-1)^height, because the
+    multiplicity is positive.  Nothing here counts placements, so the
+    closed forms are checked past the oracle's reach.
+    """
+
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_height_is_the_minimum_vertex_cover(self, kind):
+        for n in range(3, 11):
+            for t in range(2, n + 1):
+                masks = homology_module.facet_masks(build_path_complex(PathFamilySpec(kind, n, t)))
+                cover = min(c.bit_count() for c in range(1 << n) if all(c & fm for fm in masks))
+                assert _height(kind, n, t) == cover, (n, t)
+
+    @staticmethod
+    def _check(kind: str, n: int, t: int) -> None:
+        spec = PathFamilySpec(kind, n, t)
+        table = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        height = _height(kind, n, t)
+        *below, at = _numerator_derivatives(table, n, height)
+        assert below == [0] * height, (kind, n, t)
+        assert (-1) ** height * at > 0, (kind, n, t)
+
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_order_is_the_height_up_to_n_40(self, kind):
+        for n in range(3, 41):
+            for t in range(2, n + 1):
+                self._check(kind, n, t)
+
+    @pytest.mark.parametrize("kind,n,t", [
+        ("cycle", 300, 2), ("line", 300, 2), ("cycle", 300, 5), ("cycle", 200, 3),
+    ])
+    def test_order_is_the_height_past_the_oracle(self, kind, n, t):
+        self._check(kind, n, t)
 
 
 class TestNonzeroCriterion:

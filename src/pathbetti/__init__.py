@@ -10,7 +10,6 @@ from .complexes import (
     Face,
     SimplicialComplex,
     VertexSet,
-    as_face,
     as_vertex_set,
     complement,
     cone,
@@ -23,13 +22,9 @@ from .homology import (
     GF2,
     GF32003,
     QQ,
-    BoundaryMatrix,
     FieldSpec,
     HomologyVector,
     OracleCapError,
-    boundary_matrices,
-    boundary_product,
-    matrix_rank,
     reduced_homology_dims,
 )
 from .paths import (
@@ -44,8 +39,6 @@ from .paths import (
     vertex_count_of_runs,
 )
 from .betti import (
-    DEFAULT_MAX_SUBSET_BITS,
-    MAX_SUBSET_BITS_ENV,
     BettiTable,
     HomologySummary,
     betti_closed_cycle,
@@ -64,15 +57,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable",
-    "BoundaryMatrix",
-    "DEFAULT_MAX_SUBSET_BITS",
     "Face",
     "FieldSpec",
     "GF2",
     "GF32003",
     "HomologySummary",
     "HomologyVector",
-    "MAX_SUBSET_BITS_ENV",
     "OracleCapError",
     "PathFamilySpec",
     "QQ",
@@ -81,14 +71,11 @@ __all__ = [
     "RunSequence",
     "SimplicialComplex",
     "VertexSet",
-    "as_face",
     "as_vertex_set",
     "betti_closed_cycle",
     "betti_closed_line",
     "betti_hochster",
     "betti_top_degree",
-    "boundary_matrices",
-    "boundary_product",
     "build_path_complex",
     "build_run_complex",
     "complement",
@@ -102,7 +89,6 @@ __all__ = [
     "homology_run_sequence",
     "induced_subcollection",
     "make_complex",
-    "matrix_rank",
     "nonzero_criterion",
     "pd_reg",
     "reduced_homology_dims",

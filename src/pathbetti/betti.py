@@ -19,7 +19,6 @@ other.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 
@@ -28,32 +27,20 @@ from .complexes import SimplicialComplex
 from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, facet_masks, levels_homology
 from .paths import PathFamilySpec, RunSequence
 
-DEFAULT_MAX_SUBSET_BITS = 22
-MAX_SUBSET_BITS_ENV = "PATHBETTI_MAX_SUBSET_BITS"
-
-
-def subset_cap() -> int:
-    """The vertex cap: PATHBETTI_MAX_SUBSET_BITS, or 22 when unset."""
-    raw = os.environ.get(MAX_SUBSET_BITS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SUBSET_BITS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_SUBSET_BITS_ENV} must be an integer, got {raw!r}") from None
+# Most ambient vertices the oracle and the explicit complements accept;
+# the face budget is homology.MAX_FACES.
+MAX_VERTICES = 22
 
 
 def check_vertex_cap(count: int) -> None:
-    """Refuse a complex on more vertices than the cap with OracleCapError.
+    """Refuse a complex on more than MAX_VERTICES ambient vertices with OracleCapError.
 
-    The cap is ``subset_cap()``: 22, or PATHBETTI_MAX_SUBSET_BITS when
-    set, which is the one way to change it.  A malformed PATHBETTI_MAX_SUBSET_BITS raises ValueError here, so a
-    caller that checks the cap while validating its arguments reports it
-    as a usage error.
+    ``betti_hochster`` checks it first, and the command line checks it
+    before any work on each route that reaches the oracle or an explicit
+    complement.
     """
-    cap = subset_cap()
-    if count > cap:
-        raise OracleCapError(f"{count} ambient vertices exceeds the subset-enumeration cap of {cap}")
+    if count > MAX_VERTICES:
+        raise OracleCapError(f"{count} ambient vertices exceeds the subset-enumeration cap of {MAX_VERTICES}")
 
 
 class BettiTable:

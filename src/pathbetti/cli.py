@@ -32,7 +32,6 @@ from .betti import (
     homology_run_sequence,
     nonzero_criterion,
     pd_reg,
-    subset_cap,
 )
 from .homology import FieldSpec
 from .paths import PathFamilySpec, RunSequence, build_path_complex, build_run_complex, vertex_count_of_runs
@@ -62,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("homology", help="homology of run complements or the full cycle complement")
     hom.add_argument("--runs", help="comma-separated run lengths, e.g. 4,2,1")
     hom.add_argument("--kind", choices=("cycle",), help="full-complement mode")
-    hom.add_argument("--n", type=int)
+    hom.add_argument("--n", type=int, help="number of vertices, with --kind cycle")
     hom.add_argument("--t", type=int, required=True)
     hom.add_argument("--explicit", action="store_true", help="also compute boundary-matrix homology and compare")
     hom.add_argument("--char", type=int, default=0)
@@ -164,6 +163,9 @@ def cmd_betti(args: argparse.Namespace) -> int:
 def cmd_homology(args: argparse.Namespace) -> int:
     if (args.runs is None) == (args.kind is None):
         print("error: give exactly one of --runs or --kind cycle", file=sys.stderr)
+        return EXIT_USAGE
+    if args.runs is not None and args.n is not None:
+        print("error: --n goes with --kind cycle, not with --runs", file=sys.stderr)
         return EXIT_USAGE
     try:
         field = FieldSpec(args.char)
@@ -300,8 +302,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
         if cells:
             check_vertex_cap(cells[-1][0])
-        else:
-            subset_cap()  # nothing to check, but a malformed cap stays a usage error
     except ValueError as exc:
         print(f"error: invalid verify arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

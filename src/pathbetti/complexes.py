@@ -26,11 +26,6 @@ def as_vertex_set(vertices: Iterable[Vertex]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
-def as_face(vertices: Iterable[Vertex]) -> Face:
-    """Canonicalize an iterable of vertices into a face tuple."""
-    return tuple(sorted(set(vertices)))
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A simplicial complex given by ambient vertices and maximal facets.
@@ -75,7 +70,7 @@ def make_complex(ambient: Iterable[Vertex], facets: Iterable[Iterable[Vertex]]) 
     amb_set = set(amb)
     canonical = set()
     for f in facets:
-        face = as_face(f)
+        face = as_vertex_set(f)
         if not set(face) <= amb_set:
             raise ValueError(f"facet {face} is not contained in the ambient vertex set {amb}")
         canonical.add(face)
@@ -119,7 +114,7 @@ def cone(delta: SimplicialComplex, apex: Vertex) -> SimplicialComplex:
     amb = as_vertex_set(delta.ambient + (apex,))
     if delta.is_void:
         return SimplicialComplex(amb, ((apex,),))
-    facets = tuple(sorted(as_face(f + (apex,)) for f in delta.facets))
+    facets = tuple(sorted(as_vertex_set(f + (apex,)) for f in delta.facets))
     return SimplicialComplex(amb, facets)
 
 

@@ -1,12 +1,14 @@
 """Exact reduced simplicial homology over the rationals or a prime field.
 
 Homology dimensions come from ranks of boundary maps, found by one
-sparse column reduction: each column is a ``{row: residue}`` dict, and
-a column is reduced against the stored pivot columns until its largest
-row is new or it is empty.  The maps are reduced from the top dimension
-down with *clearing* (Chen and Kerber, "Persistent homology computation
-with a twist"): a k-face that is the pivot row of a column of the map
-above reduces to zero in its own column, so it is skipped.
+sparse column reduction.  The columns are built one map at a time
+inside the reduction and never leave it: each is a ``{row: residue}``
+dict, and a column is reduced against the stored pivot columns until
+its largest row is new or it is empty.  The maps are reduced from the
+top dimension down with *clearing* (Chen and Kerber, "Persistent
+homology computation with a twist"): a k-face that is the pivot row of
+a column of the map above reduces to zero in its own column, so it is
+skipped.
 
 Over GF(p) that is the whole computation.  Over the rationals the
 reduction first runs over GF(q), q = 2^61 - 1, a prime above every
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Face, SimplicialComplex
+from .complexes import SimplicialComplex
 
 HomologyVector = dict[int, int]
 
@@ -221,69 +223,3 @@ def reduced_homology_dims(delta: SimplicialComplex, field: FieldSpec = QQ) -> Ho
     if delta.is_void:
         return {}
     return levels_homology(_levels(facet_masks(delta)), field)
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Signed incidence matrix from k-faces (columns) to (k-1)-faces (rows).
-
-    Column ``c`` holds the boundary of ``cols[c]`` as pairs
-    ``(row_index, sign)`` with the alternating-sign rule on the ascending
-    vertex order of the face.
-    """
-
-    rows: tuple[Face, ...]
-    cols: tuple[Face, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-
-def boundary_matrices(delta: SimplicialComplex) -> list[BoundaryMatrix]:
-    """Boundary maps of the reduced chain complex, degree 0 up to dim.
-
-    The degree-0 map is the augmentation onto the empty face.  Faces are
-    those ``reduced_homology_dims`` reduces, in the same order, and obey
-    the same face budget.  The irrelevant complex has the empty face as
-    its only face and yields an empty list; the void complex is rejected.
-    """
-    if delta.is_void:
-        raise ValueError("the void complex has no chain complex")
-    levels = _levels(facet_masks(delta))
-
-    def faces(level: list[int]) -> tuple[Face, ...]:
-        return tuple(tuple(v for b, v in enumerate(delta.ambient) if f >> b & 1) for f in level)
-
-    out = []
-    for s in range(1, len(levels)):
-        index = {f: i for i, f in enumerate(levels[s - 1])}
-        columns = tuple(tuple(_boundary(f, index, 0).items()) for f in levels[s])
-        out.append(BoundaryMatrix(faces(levels[s - 1]), faces(levels[s]), columns))
-    return out
-
-
-def boundary_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, int], int]:
-    """Sparse product a·b; identically empty for consecutive boundary maps."""
-    if a.cols != b.rows:
-        raise ValueError("inner face lists do not match")
-    acc: dict[tuple[int, int], int] = {}
-    for c, entries in enumerate(b.columns):
-        for mid, s in entries:
-            for r, s2 in a.columns[mid]:
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + s * s2
-    return {k: v for k, v in acc.items() if v}
-
-
-def matrix_rank(matrix: BoundaryMatrix, field: FieldSpec = QQ) -> int:
-    """Exact rank of a matrix given by its sparse columns, over the given field.
-
-    The entries may be any integers, zero included.  The reduction is
-    the one ``reduced_homology_dims`` uses, without clearing; over the
-    rationals it runs over exact fractions.
-    """
-    p = field.characteristic
-    columns = ({r: x for r, v in entries if (x := v % p if p else v)} for entries in matrix.columns)
-    return len(_reduce(columns, p))

@@ -108,12 +108,12 @@ class TestHochsterOracle:
         with pytest.raises(OracleCapError):
             betti_hochster(delta)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "5")
+    def test_cap_is_max_vertices(self, monkeypatch):
+        monkeypatch.setattr(betti_module, "MAX_VERTICES", 5)
         delta = build_path_complex(PathFamilySpec("cycle", 6, 2))
-        with pytest.raises(OracleCapError):
+        with pytest.raises(OracleCapError, match="cap of 5"):
             betti_hochster(delta)
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "6")
+        monkeypatch.setattr(betti_module, "MAX_VERTICES", 6)
         assert betti_hochster(delta).value(1, 2) == 6
 
     @pytest.mark.parametrize("n", [5, 7, 8])
@@ -255,6 +255,25 @@ class TestOracleRoute:
         spec = PathFamilySpec(kind, 16, 2)
         closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
         assert betti_hochster(build_path_complex(spec), GF32003) == closed
+
+    @pytest.mark.parametrize("kind, n, t", [
+        ("cycle", 22, 12), ("line", 22, 12), ("cycle", 22, 17), ("cycle", 21, 8),
+    ])
+    def test_complement_side_near_the_cap_matches_the_closed_form(self, monkeypatch, kind, n, t):
+        # large t makes Ind the larger complex, so components go through their complements
+        complements = []
+        real = homology_module._levels
+
+        def recording(facets):
+            complements.append(facets)
+            return real(facets)
+
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(homology_module, "_levels", recording)
+        spec = PathFamilySpec(kind, n, t)
+        closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        assert betti_hochster(build_path_complex(spec), GF32003) == closed
+        assert complements
 
 
 def _kept_by_filter(masks: list[int], n: int) -> set[int]:

@@ -127,18 +127,15 @@ class TestBettiCommand:
         assert code == 2
         assert "2^31" in err
 
-    def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
-        code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
-                            "--method", "oracle")
-        assert code == 2
-        assert "PATHBETTI_MAX_SUBSET_BITS" in err
-
-    def test_malformed_cap_is_ignored_by_the_closed_route(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
-        code, _, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
-                          "--method", "closed")
+    @pytest.mark.parametrize("value", ["many", "3"])
+    def test_environment_does_not_move_the_cap(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", value)
+        code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle")
         assert code == 0
+        assert json.loads(out)["entries"]
+        code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "23", "--t", "2", "--method", "both")
+        assert code == 3
+        assert "cap of 22" in err
 
     def test_cap_is_checked_before_the_closed_route(self, capsys, monkeypatch):
         def unreached(spec):
@@ -193,6 +190,12 @@ class TestHomologyCommand:
         code, _, err = _run(capsys, "homology", "--runs", "2", "--kind", "cycle", "--n", "5", "--t", "2")
         assert code == 2
 
+    def test_n_without_kind_cycle_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, "homology", "--runs", "3", "--n", "5", "--t", "2")
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
     @pytest.mark.parametrize("argv", [
         ("--runs", "40", "--t", "2"),
         ("--kind", "cycle", "--n", "40", "--t", "2"),
@@ -207,29 +210,13 @@ class TestHomologyCommand:
 
     def test_explicit_cap_follows_the_environment(self, capsys, monkeypatch):
         # runs 3 with t = 2 cover 4 vertices
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "3")
+        monkeypatch.setattr(betti_module, "MAX_VERTICES", 3)
         code, _, _ = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
         assert code == 3
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "4")
+        monkeypatch.setattr(betti_module, "MAX_VERTICES", 4)
         code, out, _ = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
         assert code == 0
         assert json.loads(out)["match"] is True
-
-    def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
-        code, _, err = _run(capsys, "homology", "--runs", "3", "--t", "2", "--explicit")
-        assert code == 2
-        assert "PATHBETTI_MAX_SUBSET_BITS" in err
-
-    @pytest.mark.parametrize("argv", [
-        ("--runs", "3", "--t", "2"),
-        ("--kind", "cycle", "--n", "6", "--t", "2"),
-    ], ids=["runs", "cycle"])
-    def test_malformed_cap_is_ignored_without_explicit(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
-        code, out, _ = _run(capsys, "homology", *argv)
-        assert code == 0
-        assert "explicit" not in json.loads(out)
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(gamma, field):
@@ -291,7 +278,7 @@ class TestVerifyCommand:
 
     def test_cycle_complement_check_above_the_cap_exits_three(self, capsys, monkeypatch):
         # t = n has no oracle check, so only the complement check meets the cap
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "4")
+        monkeypatch.setattr(betti_module, "MAX_VERTICES", 4)
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "5..5")
         assert code == 3
         assert "cap" in err
@@ -300,7 +287,7 @@ class TestVerifyCommand:
         def unreached(*args):
             raise AssertionError("a cell was checked")
 
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "5")
+        monkeypatch.setattr(betti_module, "MAX_VERTICES", 5)
         monkeypatch.setattr(cli, "betti_hochster", unreached)
         monkeypatch.setattr(cli, "complement_homology", unreached)
         code, out, err = _run(capsys, "verify", "--max-n", "6", "--t-range", "2..3")
@@ -313,12 +300,6 @@ class TestVerifyCommand:
         assert code == 3
         assert "face budget" in err
         assert "a component on" in err
-
-    def test_malformed_cap_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHBETTI_MAX_SUBSET_BITS", "many")
-        code, _, err = _run(capsys, "verify", "--max-n", "4", "--t-range", "2..2")
-        assert code == 2
-        assert "PATHBETTI_MAX_SUBSET_BITS" in err
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,20 +15,13 @@ from pathbetti import (
     QQ,
     FieldSpec,
     OracleCapError,
-    PathFamilySpec,
     SimplicialComplex,
-    boundary_matrices,
-    boundary_product,
-    build_path_complex,
-    complement,
     cone,
     faces_of_dim,
     make_complex,
-    matrix_rank,
     reduced_homology_dims,
 )
 from pathbetti import homology
-from pathbetti.homology import BoundaryMatrix
 
 from conftest import small_complexes
 
@@ -65,63 +57,6 @@ class TestFieldSpec:
             FieldSpec(c)
 
 
-class TestBoundaryMatrices:
-    def test_segment(self):
-        delta = make_complex((1, 2), [(1, 2)])
-        d0, d1 = boundary_matrices(delta)
-        assert d0.shape == (1, 2)
-        assert d0.columns == (((0, 1),), ((0, 1),))
-        assert d1.rows == ((1,), (2,))
-        assert d1.columns == (((1, 1), (0, -1)),)
-
-    def test_hollow_triangle_columns(self):
-        d0, d1 = boundary_matrices(HOLLOW_TRIANGLE)
-        assert d0.shape == (1, 3)
-        assert d1.shape == (3, 3)
-        for column in d1.columns:
-            assert sorted(sign for _, sign in column) == [-1, 1]
-
-    def test_irrelevant_has_no_matrices(self):
-        assert boundary_matrices(make_complex((), [()])) == []
-
-    def test_void_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_matrices(make_complex((1,), []))
-
-    def test_consecutive_maps_compose_to_zero_on_cycle_complement(self):
-        delta = build_path_complex(PathFamilySpec("cycle", 7, 4))
-        comp = complement(delta, delta.ambient)
-        mats = boundary_matrices(comp)
-        for a, b in zip(mats, mats[1:]):
-            assert boundary_product(a, b) == {}
-
-    @given(small_complexes(allow_void=False))
-    @settings(max_examples=50, deadline=None)
-    def test_consecutive_maps_compose_to_zero(self, delta: SimplicialComplex):
-        if delta.is_irrelevant:
-            return
-        mats = boundary_matrices(delta)
-        for a, b in zip(mats, mats[1:]):
-            assert boundary_product(a, b) == {}
-
-
-class TestMatrixRank:
-    def test_zero_matrix(self):
-        zero = BoundaryMatrix(rows=((1,), (2,)), cols=((3,),), columns=((),))
-        for field in FIELDS:
-            assert matrix_rank(zero, field) == 0
-
-    def test_all_ones_row_over_gf2(self):
-        d0 = boundary_matrices(make_complex((1, 2), [(1,), (2,)]))[0]
-        assert d0.shape == (1, 2)
-        assert matrix_rank(d0, GF2) == 1
-
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_hollow_triangle_edge_map_has_rank_two(self, field):
-        _, d1 = boundary_matrices(HOLLOW_TRIANGLE)
-        assert matrix_rank(d1, field) == 2
-
-
 class TestFaceBudget:
     def test_face_budget_bounds_the_faces(self, monkeypatch):
         # three vertices, three edges and the empty face
@@ -130,8 +65,6 @@ class TestFaceBudget:
         monkeypatch.setattr(homology, "MAX_FACES", 6)
         with pytest.raises(OracleCapError, match="face budget"):
             reduced_homology_dims(HOLLOW_TRIANGLE)
-        with pytest.raises(OracleCapError, match="face budget"):
-            boundary_matrices(HOLLOW_TRIANGLE)
 
     def test_complex_over_the_face_budget_is_refused_unbuilt(self, monkeypatch):
         # a simplex on 40 vertices has 2^40 faces: counting them all would
@@ -181,43 +114,6 @@ def _reference_homology(delta: SimplicialComplex, p: int) -> dict[int, int]:
         ranks[k] = _rank_fraction_oracle(dense, p)
     dims = {k: len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)}
     return {k: h for k, h in dims.items() if h}
-
-
-def _matrix(rows: list[list[int]]) -> BoundaryMatrix:
-    """A dense integer matrix as (row, value) columns, its zero entries included."""
-    width = len(rows[0])
-    columns = tuple(tuple((r, row[c]) for r, row in enumerate(rows)) for c in range(width))
-    return BoundaryMatrix(tuple((r,) for r in range(len(rows))), tuple((c,) for c in range(width)), columns)
-
-
-class TestRankEngines:
-    def test_char0_agrees_with_fraction_elimination_on_random_matrices(self):
-        rng = random.Random(20240813)
-        for _ in range(60):
-            m = rng.randint(1, 8)
-            n = rng.randint(1, 8)
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-            assert matrix_rank(_matrix(rows), QQ) == _rank_fraction_oracle(rows)
-
-    @pytest.mark.parametrize("field", [GF2, GF32003])
-    def test_modular_rank_agrees_with_modular_elimination_on_random_matrices(self, field):
-        rng = random.Random(20261018)
-        p = field.characteristic
-        for _ in range(60):
-            m = rng.randint(1, 8)
-            n = rng.randint(1, 8)
-            rows = [[rng.choice((-p, 0, 1, -1, 2, p + 1)) for _ in range(n)] for _ in range(m)]
-            assert matrix_rank(_matrix(rows), field) == _rank_fraction_oracle(rows, p)
-
-    def test_bigint_fallback_on_huge_entries(self):
-        big = 1 << 40
-        rows = [[big, big + 1], [big - 1, big]]
-        assert matrix_rank(_matrix(rows)) == _rank_fraction_oracle(rows) == 2
-
-    def test_singular_matrix_with_large_entries(self):
-        big = (1 << 35) + 7
-        rows = [[big, 2 * big], [3 * big, 6 * big]]
-        assert matrix_rank(_matrix(rows)) == 1
 
 
 class TestReducedHomology:

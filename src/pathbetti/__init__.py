@@ -2,8 +2,10 @@
 
 The package computes the N-graded Betti numbers of path ideals of
 cycles and lines two ways: closed-form/combinatorial counting, and a
-brute-force Hochster-style enumeration whose homology ranks come from
-exact boundary-matrix elimination.  Each route validates the other.
+brute-force Hochster-style enumeration whose homology comes from
+link/deletion splitting of independence complexes, with exact
+boundary-matrix elimination as the fallback.  Each route validates the
+other.
 """
 
 from .complexes import (

@@ -3,18 +3,20 @@
 The brute-force route generates the unions of facets, the only vertex
 subsets whose induced subcollection has the whole subset as support
 (the others complement to cones and contribute nothing).  It splits
-each such subcollection into connected components, reads the homology
-of each component's independence complex off boundary-matrix ranks,
-with Ind's faces enumerated as bitmasks and handed to the rank layer
-as they are (or through the component's own complement when that
-complex is the smaller one), combines them by the join formula, and
-passes to the complement by Alexander duality.  A component is looked
-up once per scan by its vertex mask.  ``complement_homology`` takes
-the same route for one complement.  The closed-form route counts
-eligible run placements by one binomial term per number of runs r,
-number b of them of residue 2 and total quotient P, in time polynomial
-in n, and adds the explicit top-degree value.  Either route checks the
-other.
+each such subcollection into connected components and takes the
+homology of each component's independence complex Ind by link/deletion
+splitting on a vertex, which recurses on smaller shapes through one
+bounded memo.  A shape whose complement is small, or on which no vertex
+splits, has its homology read off boundary-matrix ranks instead, with
+Ind's faces enumerated as bitmasks and handed to the rank layer as they
+are (or through the shape's own complement when that complex is the
+smaller one).  The join formula combines the components, and Alexander
+duality passes to the complement.  A component is looked up once per
+scan by its vertex mask.  ``complement_homology`` takes the same route
+for one complement.  The closed-form route counts eligible run
+placements by one binomial term per number of runs r, number b of them
+of residue 2 and total quotient P, in time polynomial in n, and adds the
+explicit top-degree value.  Either route checks the other.
 """
 
 from __future__ import annotations
@@ -139,8 +141,9 @@ class HomologySummary:
 
 
 # Independence-complex homology memo, keyed by a connected component's
-# facet masks relabelled onto bits 0..m-1 (see ``_relabelled``) and the
-# characteristic.  Bounded: the oldest entry goes once it is full.
+# facet masks relabelled onto bits 0..m-1 (see ``_relabelled``, and
+# ``_onto`` for the sub-shapes of the splitting) and the characteristic.
+# Bounded: the oldest entry goes once it is full.
 _IND_CACHE_LIMIT = 4096
 _IND_HOMOLOGY_CACHE: dict[tuple, HomologyVector] = {}
 
@@ -175,11 +178,21 @@ def _relabelled(verts: int, members: list[int], frame: int) -> tuple[int, ...]:
     """
     bits = [b for b in range(verts.bit_length()) if verts >> b & 1]
     start = max(range(len(bits)), key=lambda k: (bits[k] - bits[k - 1]) % frame)
-    order = bits[start:] + bits[:start]
-    return tuple(sorted(
-        sum(1 << k for k, b in enumerate(order) if fm >> b & 1)
-        for fm in members
-    ))
+    return _onto(bits[start:] + bits[:start], members)
+
+
+def _onto(order: list[int], members: list[int]) -> tuple[int, ...]:
+    """The facets moved onto bits 0..len(order)-1, vertex order[k] to bit k, sorted."""
+    moved = {1 << b: 1 << k for k, b in enumerate(order)}
+    out = []
+    for fm in members:
+        image = 0
+        while fm:
+            low = fm & -fm
+            image |= moved[low]
+            fm ^= low
+        out.append(image)
+    return tuple(sorted(out))
 
 
 def _ind_levels(shape: tuple[int, ...], budget: int) -> list[list[int]] | None:
@@ -205,33 +218,131 @@ def _ind_levels(shape: tuple[int, ...], budget: int) -> list[list[int]] | None:
     return levels
 
 
-def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
-    """Reduced homology of Ind of one connected component's facet masks.
+def _complement_bound(shape: tuple[int, ...], m: int) -> int:
+    """Most faces the complement of Ind can have: the sum of 2^(m - |F|) over the facets F."""
+    return sum(1 << (m - fm.bit_count()) for fm in shape)
 
-    Ind is used while it has no more faces than the complement, whose
-    facets are the complements of the facets and which holds at most
-    the sum of 2^(m - |F|) faces.  Otherwise the complement's homology
-    is taken and moved to Ind by Alexander duality, H_k(Ind) =
+
+def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
+    """Reduced homology of Ind of the facet masks from boundary-matrix ranks.
+
+    The route of ``_ind_homology`` for a shape whose complement is small
+    or on which no vertex splits.  Ind is used while it has no more faces
+    than the complement, whose facets are the complements of the facets
+    (see ``_complement_bound``).  Otherwise the complement's homology is
+    taken and moved to Ind by Alexander duality, H_k(Ind) =
     H_{m-k-3}(complement): large facets make Ind nearly a full simplex
     boundary and the complement small.  When Ind has more than MAX_FACES
     faces and the complement's bound is above it too, OracleCapError is
     raised before the complement is built.
     """
+    m = max(shape).bit_length()
+    bound = _complement_bound(shape, m)
+    budget = homology.MAX_FACES
+    ind = _ind_levels(shape, min(bound, budget))
+    if ind is not None:
+        return levels_homology(ind, field)
+    if bound > budget:
+        raise OracleCapError(f"a component on {m} vertices exceeds the face budget of {budget} faces")
+    full = (1 << m) - 1
+    comp = levels_homology(homology._levels([full ^ fm for fm in shape]), field)
+    return {m - d - 3: dim for d, dim in comp.items()}
+
+
+def _drop(mask: int, v: int) -> int:
+    """The mask without bit v, the bits above v moved down one."""
+    low = (1 << v) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
+
+
+def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
+    """Reduced homology of Ind of the facet masks on the vertices 0..m-1.
+
+    A vertex in no facet is a cone point of Ind, giving {}; no vertex at
+    all gives {-1: 1}.  Otherwise Ind is the join of the independence
+    complexes of the connected components, each looked up with its
+    vertices moved onto the lowest bits in order (a component on every
+    vertex is there already).
+    """
+    covered = 0
+    for fm in masks:
+        covered |= fm
+    if covered != (1 << m) - 1:
+        return {}
+    out: HomologyVector = {-1: 1}
+    for verts, members in _components(masks):
+        if verts == covered:
+            shape = tuple(sorted(members))
+        else:
+            shape = _onto([b for b in range(m) if verts >> b & 1], members)
+        out = _join(out, _ind_homology(shape, field))
+        if not out:
+            break
+    return out
+
+
+def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector | None:
+    """Reduced homology of Ind of one connected shape by splitting on a vertex, or None.
+
+    For a vertex v, the deletion del = Ind(H - v) is Ind of the facets
+    avoiding v, and the link lk of v in Ind is Ind of the minimal sets
+    among F minus v over the facets F through v and the facets avoiding
+    v, both on the other vertices.  Ind = del ∪ (v * lk) with del ∩
+    (v * lk) = lk and v * lk a cone, so Mayer-Vietoris gives H_k(Ind) =
+    H_k(del) ⊕ H_{k-1}(lk) whenever no degree k has both H_k(lk) and
+    H_k(del) nonzero: the maps H_k(lk) -> H_k(del) are then zero
+    (Engström, "Independence complexes of claw-free graphs"; Adamaszek,
+    "Splittings of independence complexes and the powers of cycles").
+    The vertices are tried by the number of facets through them, fewest
+    first, and None means that none splits.  A singleton facet is a
+    component of its own, whose Ind {Ø} has homology {-1: 1} and drops
+    out of the join, so neither complex has an empty facet.
+
+    None also when the complement's bound allows at most m faces per
+    facet.  Long facets make Ind nearly a full simplex boundary, whose
+    splitting multiplies sub-shapes (the 16-cycle with t = 14 made 1695
+    of them, and the 22-cycle with t = 20 ran for minutes), while the
+    complement's ranks in ``_matrix_homology`` cost next to nothing.
+    """
+    m = max(shape).bit_length()
+    if _complement_bound(shape, m) <= m * len(shape):
+        return None
+    degree = [0] * m
+    for fm in shape:
+        while fm:
+            low = fm & -fm
+            degree[low.bit_length() - 1] += 1
+            fm ^= low
+    for v in sorted(range(m), key=degree.__getitem__):
+        bit = 1 << v
+        deleted = [_drop(fm, v) for fm in shape if not fm & bit]
+        cut = [_drop(fm ^ bit, v) for fm in shape if fm & bit]
+        linked = cut + [fm for fm in deleted if all(c & ~fm for c in cut)]
+        del_h = _sub_homology(deleted, m - 1, field)
+        lk_h = _sub_homology(linked, m - 1, field)
+        if not del_h.keys() & lk_h.keys():
+            out = dict(del_h)
+            for k, dim in lk_h.items():
+                out[k + 1] = out.get(k + 1, 0) + dim
+            return out
+    return None
+
+
+def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
+    """Reduced homology of Ind of one connected component's facet masks, memoised.
+
+    The facets cover the bits 0..m-1.  ``_split_homology`` recurses on
+    the deletion and the link of a vertex, whose components come back
+    here, so every sub-shape shares the memo.  The boundary-matrix route
+    ``_matrix_homology``, with its face budget, is taken for a shape
+    whose complement is small or on which no vertex splits.
+    """
     key = (shape, field.characteristic)
     cached = _IND_HOMOLOGY_CACHE.get(key)
     if cached is None:
-        m = max(shape).bit_length()
-        bound = sum(1 << (m - fm.bit_count()) for fm in shape)
-        budget = homology.MAX_FACES
-        ind = _ind_levels(shape, min(bound, budget))
-        if ind is not None:
-            cached = levels_homology(ind, field)
-        elif bound > budget:
-            raise OracleCapError(f"a component on {m} vertices exceeds the face budget of {budget} faces")
-        else:
-            full = (1 << m) - 1
-            comp = levels_homology(homology._levels([full ^ fm for fm in shape]), field)
-            cached = {m - d - 3: dim for d, dim in comp.items()}
+        cached = _split_homology(shape, field)
+        if cached is None:
+            cached = _matrix_homology(shape, field)
         if len(_IND_HOMOLOGY_CACHE) >= _IND_CACHE_LIMIT:
             del _IND_HOMOLOGY_CACHE[next(iter(_IND_HOMOLOGY_CACHE))]
         _IND_HOMOLOGY_CACHE[key] = cached
@@ -328,13 +439,13 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     generated (Y = Ø only when Ø is a facet), and for each the reduced
     homology of the complement within Y goes into the table at
     homological degree (homology degree + 2) and internal degree |Y|.
-    The components of delta itself are looked up first: every component
-    met later lies inside one of them and has no more faces on either
-    route, so an input over the face budget is refused before the scan.
-    Inputs above the vertex cap are refused first, by
-    ``check_vertex_cap``, as they are by the command line.  The
-    unions are held in memory together, so memory grows with their
-    number (see ``_supports``).
+    The components of delta itself are looked up first, so a component
+    that the matrix route refuses for the face budget is refused before
+    the scan, and the memo holds their sub-shapes for the components met
+    later.  Inputs above the vertex cap are refused first, by
+    ``check_vertex_cap``, as they are by the command line.  The unions
+    are held in memory together, so memory grows with their number (see
+    ``_supports``).
     """
     frame = len(delta.ambient)
     check_vertex_cap(frame)
@@ -395,6 +506,17 @@ def betti_top_degree(spec: PathFamilySpec) -> tuple[int, int]:
     return 2 * spec.p + 1, 1
 
 
+def _spreads(parts: int, most: int) -> list[int]:
+    """C(s + parts - 1, parts - 1) for s = 0..most: the ways to spread s over ``parts`` parts.
+
+    Each comes from the one before by the exact ratio (s + parts - 1)/s.
+    """
+    out = [1]
+    for s in range(1, most + 1):
+        out.append(out[-1] * (s + parts - 1) // s)
+    return out
+
+
 def _placement_counts(kind: str, n: int, t: int) -> dict[tuple[int, int], int]:
     """Eligible run placements on the cycle or line of n vertices, counted by (i, j).
 
@@ -409,24 +531,28 @@ def _placement_counts(kind: str, n: int, t: int) -> dict[tuple[int, int], int]:
     from each of its runs: hence the factor n/r, whose division is exact.
     On the line, n - t + 1 slots hold r - 1 inner gaps of at least t
     slots and two end gaps that may be empty, so r + 1 gaps share the
-    free slots.
+    free slots.  Both spreading binomials are read from ``_spreads``
+    tables, one pair per r, not computed afresh in every term.
     """
     cycle = kind == "cycle"
     slots = n if cycle else n - t + 1
     counts: dict[tuple[int, int], int] = {}
     for r in range(1, n // (t + 1) + 2):
+        most = slots - r - (r if cycle else r - 1) * t  # the free slots when b = P = 0
+        if most < 0:
+            break
+        spreads = _spreads(r, most // (t + 1))
+        gaps = _spreads(r if cycle else r + 1, most)
         for b in range(r + 1):
             residues = comb(r, b)
-            for p_total in range(slots // (t + 1) + 1):
-                covered = (t + 1) * p_total + r + b
-                free = slots - covered - (r if cycle else r - 1) * t
+            for p_total, spread in enumerate(spreads):
+                free = most - b - (t + 1) * p_total
                 if free < 0:
                     break
-                runs = residues * comb(p_total + r - 1, r - 1)
+                covered = (t + 1) * p_total + r + b
+                term = residues * spread * gaps[free]
                 if cycle:
-                    term = n * runs * comb(free + r - 1, r - 1) // r
-                else:
-                    term = runs * comb(free + r, r)
+                    term = n * term // r
                 key = (2 * p_total + r + b, covered + r * (t - 1))
                 counts[key] = counts.get(key, 0) + term
     return counts

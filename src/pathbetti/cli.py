@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--kind", choices=("cycle",), help="full-complement mode")
     hom.add_argument("--n", type=int, help="number of vertices, with --kind cycle")
     hom.add_argument("--t", type=int, required=True)
-    hom.add_argument("--explicit", action="store_true", help="also compute boundary-matrix homology and compare")
+    hom.add_argument("--explicit", action="store_true", help="also compute the homology by the oracle's route and compare")
     hom.add_argument("--char", type=int, default=0)
 
     verify = sub.add_parser("verify", help="run the oracle/closed-form cross-check matrix")

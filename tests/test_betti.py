@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathbetti import (
     GF2,
@@ -38,6 +39,7 @@ from pathbetti import (
 from pathbetti import betti as betti_module
 from pathbetti import homology as homology_module
 from pathbetti.betti import _placement_counts
+from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
 
@@ -137,6 +139,11 @@ def _direct_hochster(delta, field) -> BettiTable:
     return table
 
 
+def _no_split(shape, field):
+    """A split search that finds no vertex, so ``_ind_homology`` takes the matrix route."""
+    return None
+
+
 class TestOracleRoute:
     """The oracle passes through Alexander duality and components; the direct sum checks it."""
 
@@ -167,8 +174,9 @@ class TestOracleRoute:
             betti_module._relabelled(0b1111, unwrapped, 10)
 
     def test_large_facets_take_the_complement_route(self, monkeypatch):
-        # Ind of the 12-cycle with t = 9 holds every subset of at most 8
-        # vertices; the complements of its facets have 3 vertices each.
+        # With no vertex splitting, the matrix route sees Ind of the 12-cycle
+        # with t = 9, which holds every subset of at most 8 vertices; the
+        # complements of its facets have 3 vertices each.
         seen = []
         homology = betti_module.levels_homology
 
@@ -177,18 +185,21 @@ class TestOracleRoute:
             return homology(levels, field)
 
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "levels_homology", recording)
         spec = PathFamilySpec("cycle", 12, 9)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
         assert seen and max(len(levels) - 2 for levels in seen) <= 2
 
     def test_component_over_the_face_budget_is_refused_before_either_complex_is_built(self, monkeypatch):
-        # Ind of the 10-cycle with t = 2 has 123 faces, its complement's bound is 10 * 2^8
+        # With no vertex splitting, the matrix route sees Ind of the 10-cycle
+        # with t = 2, which has 123 faces; its complement's bound is 10 * 2^8
         def unbuilt(*args):
             raise AssertionError("a complex was built")
 
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "levels_homology", unbuilt)
         monkeypatch.setattr(homology_module, "_levels", unbuilt)
         cycle = tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10)))
@@ -198,7 +209,8 @@ class TestOracleRoute:
     def test_component_over_the_face_budget_is_refused_before_the_scan(self, monkeypatch):
         # The path on vertices 1..4 has a contractible Ind, so every support
         # holding it has zero homology and its join returns before the other
-        # components are looked up; the 10-cycle on 5..14 is over the budget.
+        # components are looked up; with no vertex splitting, the 10-cycle on
+        # 5..14 is over the budget.
         def scanned(*args):
             raise AssertionError("a support's homology was taken")
 
@@ -207,24 +219,26 @@ class TestOracleRoute:
         delta = make_complex(range(1, 15), path + cycle)
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "_complement_homology", scanned)
         monkeypatch.setattr(homology_module, "_levels", scanned)
         with pytest.raises(OracleCapError, match="a component on 10 vertices"):
             betti_hochster(delta)
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
+        # the size is read at every miss, nested misses of the splitting included
         limit = 3
         cache: dict = {}
         sizes = []
-        homology = betti_module.levels_homology
+        split = betti_module._split_homology
 
-        def counting(levels, field):
+        def counting(shape, field):
             sizes.append(len(cache))
-            return homology(levels, field)
+            return split(shape, field)
 
         monkeypatch.setattr(betti_module, "_IND_CACHE_LIMIT", limit)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
-        monkeypatch.setattr(betti_module, "levels_homology", counting)
+        monkeypatch.setattr(betti_module, "_split_homology", counting)
         spec = PathFamilySpec("cycle", 9, 2)
         table = betti_hochster(build_path_complex(spec))
         assert len(sizes) > limit
@@ -260,7 +274,8 @@ class TestOracleRoute:
         ("cycle", 22, 12), ("line", 22, 12), ("cycle", 22, 17), ("cycle", 21, 8),
     ])
     def test_complement_side_near_the_cap_matches_the_closed_form(self, monkeypatch, kind, n, t):
-        # large t makes Ind the larger complex, so components go through their complements
+        # with no vertex splitting, large t makes Ind the larger complex, so
+        # components go through their complements
         complements = []
         real = homology_module._levels
 
@@ -269,11 +284,23 @@ class TestOracleRoute:
             return real(facets)
 
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(homology_module, "_levels", recording)
         spec = PathFamilySpec(kind, n, t)
         closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
         assert betti_hochster(build_path_complex(spec), GF32003) == closed
         assert complements
+
+    @pytest.mark.parametrize("kind, n, t", [
+        ("cycle", 21, 5), ("cycle", 22, 4), ("cycle", 22, 5), ("cycle", 22, 6), ("line", 21, 4), ("line", 22, 4),
+    ])
+    def test_points_over_the_face_budget_match_the_closed_form(self, monkeypatch, kind, n, t):
+        # the matrix route alone refused these: some component's Ind and its
+        # complement both have more than MAX_FACES faces
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        spec = PathFamilySpec(kind, n, t)
+        closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        assert betti_hochster(build_path_complex(spec), GF32003) == closed
 
 
 def _kept_by_filter(masks: list[int], n: int) -> set[int]:
@@ -328,6 +355,80 @@ class TestOracleScan:
         shape = (0b011, 0b110)  # Ind of the path 0-1-2: Ø, 0, 1, 2 and {0, 2}
         assert betti_module._ind_levels(shape, 4) is None
         assert betti_module._ind_levels(shape, 5) == [[0], [1, 2, 4], [5]]
+
+
+@st.composite
+def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
+    """The largest component of a random antichain of vertex sets, as sorted masks on bits 0..m-1.
+
+    At least m sets of 2 or 3 vertices, so that Ind is large enough for
+    the shape and its first sub-shapes to be split rather than ranked;
+    the examples of ``TestIndSplitting`` add the smallest shapes.
+    """
+    m = draw(st.integers(min_value=5, max_value=max_vertices))
+    sets = draw(st.lists(
+        st.sets(st.integers(0, m - 1), min_size=2, max_size=3), min_size=m, max_size=2 * m,
+    ))
+    masks = {sum(1 << v for v in vs) for vs in sets}
+    antichain = [fm for fm in masks if not any(o != fm and o & ~fm == 0 for o in masks)]
+    verts, members = max(betti_module._components(antichain), key=lambda c: (c[0].bit_count(), c[0]))
+    return betti_module._onto([b for b in range(m) if verts >> b & 1], members)
+
+
+class TestIndSplitting:
+    """Ind homology by link/deletion splitting, against Ind's faces taken outright."""
+
+    @given(connected_antichains())
+    @example((0b1,))
+    @example((0b011, 0b110, 0b101))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_matrix_route(self, shape):
+        levels = _ind_by_brute_force(shape)
+        for field in (QQ, GF2, GF32003):
+            want = levels_homology(levels, field)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+                assert betti_module._ind_homology(shape, field) == want
+                split = betti_module._split_homology(shape, field)
+                assert split is None or split == want
+
+    def test_small_complements_are_ranked_without_splitting(self, monkeypatch):
+        # splitting alone made thousands of sub-shapes for t = n - 2 and ran for minutes at n = 22
+        searches = []
+        split = betti_module._split_homology
+
+        def counting(shape, field):
+            searches.append(shape)
+            return split(shape, field)
+
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_split_homology", counting)
+        spec = PathFamilySpec("cycle", 22, 20)
+        assert betti_hochster(build_path_complex(spec), GF32003) == betti_closed_cycle(spec)
+        assert len(searches) < 10
+
+    def test_no_vertex_splitting_falls_back_to_the_matrix_route(self, monkeypatch):
+        taken = []
+        matrix = betti_module._matrix_homology
+
+        def recording(shape, field):
+            taken.append(shape)
+            return matrix(shape, field)
+
+        monkeypatch.setattr(betti_module, "_split_homology", _no_split)
+        monkeypatch.setattr(betti_module, "_matrix_homology", recording)
+        shapes = [
+            tuple(sorted(1 << v | 1 << (v + 1) % 9 for v in range(9))),  # the 9-cycle, t = 2
+            tuple(0b111 << v for v in range(6)),  # the line on 8 vertices, t = 3
+            (0b0011, 0b0110, 0b1100, 0b1001, 0b0101),  # a square with one diagonal
+        ]
+        for shape in shapes:
+            for field in (QQ, GF2):
+                monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+                taken.clear()
+                assert betti_module._ind_homology(shape, field) == \
+                    levels_homology(_ind_by_brute_force(shape), field)
+                assert taken == [shape]
 
 
 class TestComplementHomology:

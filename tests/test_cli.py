@@ -25,12 +25,15 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
 
 @pytest.fixture
 def tiny_face_budget(monkeypatch):
-    """A face budget every complex with more than one face exceeds, and an empty memo.
+    """A face budget every complex with more than one face exceeds, an empty memo, and no vertex splitting.
 
-    The tests named for the dense budget now exercise the face budget that replaced it.
+    The tests named for the dense budget now exercise the face budget that
+    replaced it, on the matrix route that Ind homology falls back to when
+    no vertex splits.
     """
     monkeypatch.setattr(homology, "MAX_FACES", 1)
     monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+    monkeypatch.setattr(betti_module, "_split_homology", lambda shape, field: None)
 
 
 class TestParser:

@@ -1,28 +1,31 @@
 """Graded Betti numbers of path ideals, by two independent routes.
 
-The brute-force route generates the unions of facets, the only vertex
+The brute-force route reaches the unions of facets, the only vertex
 subsets whose induced subcollection has the whole subset as support
-(the others complement to cones and contribute nothing).  It splits
-each such subcollection into connected components and takes the
-homology of each component's independence complex Ind by link/deletion
+(the others complement to cones and contribute nothing), in one
+depth-first search over the facets.  The search carries the connected
+components of each union's facets, and a component no later facet meets
+is finished: the homology of its independence complex Ind is looked up
+once per scan by its vertex mask, and a component whose Ind is acyclic
+drops its whole branch.  Ind's homology comes from link/deletion
 splitting on a vertex, which recurses on smaller shapes through one
 bounded memo.  A shape whose complement is small, or on which no vertex
 splits, has its homology read off boundary-matrix ranks instead, with
 Ind's faces enumerated as bitmasks and handed to the rank layer as they
 are (or through the shape's own complement when that complex is the
 smaller one).  The join formula combines the components, and Alexander
-duality passes to the complement.  A component is looked up once per
-scan by its vertex mask.  ``complement_homology`` takes the same route
-for one complement.  The closed-form route counts eligible run
-placements by one binomial term per number of runs r, number b of them
-of residue 2 and total quotient P, in time polynomial in n, and adds the
-explicit top-degree value.  Either route checks the other.
+duality passes to the complement.  ``complement_homology`` takes the
+same route for one complement.  The closed-form route counts eligible
+run placements by one binomial term per number of runs r, number b of
+them of residue 2 and total quotient P, in time polynomial in n, and
+adds the explicit top-degree value.  Either route checks the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from . import homology
 from .complexes import SimplicialComplex
@@ -174,8 +177,20 @@ def _relabelled(verts: int, members: list[int], frame: int) -> tuple[int, ...]:
     Vertices keep the cyclic order of the frame of ``frame`` bits and
     start just after the widest gap between consecutive vertices (the
     wrap-around gap wins a tie), so a run wrapping past the last bit
-    gets the key of the same run placed without wrapping.
+    gets the key of the same run placed without wrapping.  Vertices that
+    fill one arc of the frame, as a run's do, are moved by shifts alone.
     """
+    low = (verts & -verts).bit_length() - 1
+    block = verts >> low
+    if not block & (block + 1):
+        return tuple(sorted(fm >> low for fm in members))
+    full = (1 << frame) - 1
+    gap = full ^ verts
+    arc = gap >> (gap & -gap).bit_length() - 1
+    if not arc & (arc + 1):
+        # the vertices wrap past the last bit; the first comes just after the gap
+        start = gap.bit_length()
+        return tuple(sorted((fm >> start | fm << frame - start) & full for fm in members))
     bits = [b for b in range(verts.bit_length()) if verts >> b & 1]
     start = max(range(len(bits)), key=lambda k: (bits[k] - bits[k - 1]) % frame)
     return _onto(bits[start:] + bits[:start], members)
@@ -359,17 +374,19 @@ def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:
 
 
 def _component_homology(
-    verts: int, members: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
+    verts: int, masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
 ) -> HomologyVector:
     """Ind homology of one connected component, looked up in the scan's memo first.
 
     Within one complex a component of an induced subcollection is fixed
     by its vertex mask, its members being exactly the facets inside it,
-    so the memo is keyed by that mask and ``_relabelled`` runs once per
-    component; the memo lives as long as the scan.
+    so the memo is keyed by that mask, and only a miss picks the members
+    out of ``masks`` and runs ``_relabelled``; the memo lives as long as
+    the scan.
     """
     ind = memo.get(verts)
     if ind is None:
+        members = [fm for fm in masks if fm & ~verts == 0]
         ind = memo[verts] = _ind_homology(_relabelled(verts, members, frame), field)
     return ind
 
@@ -387,8 +404,8 @@ def _complement_homology(
     if 0 in masks:
         return {} if y_mask else {-1: 1}
     ind: HomologyVector = {-1: 1}
-    for verts, members in _components(masks):
-        ind = _join(ind, _component_homology(verts, members, field, frame, memo))
+    for verts, _ in _components(masks):
+        ind = _join(ind, _component_homology(verts, masks, field, frame, memo))
         if not ind:
             return {}
     m = y_mask.bit_count()
@@ -415,19 +432,77 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
     return _complement_homology(full, masks, field, len(gamma.ambient), {})
 
 
-def _supports(masks: list[int]) -> set[int]:
-    """The unions of the facets: the vertex masks Y whose induced subcollection has support Y.
+def _union_search(
+    masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
+) -> Iterator[tuple[int, HomologyVector]]:
+    """Each nonempty union of the facets Y whose Ind is not acyclic, with that Ind's homology.
 
-    Y = Ø is one only when Ø is a facet.  The whole set is held at once,
-    so memory grows with the number of unions: up to 2^n of them when
-    every vertex is a facet, about 236k for the 22-cycle with t = 2.
+    A depth-first search includes or excludes the facets in their order.
+    A facet already inside the union is forced in, and an include that
+    would cover an excluded facet is cut, so each union is reached once,
+    with exactly the facets inside it included.  The vertex masks of the
+    components of the included facets are carried along.  Once no later
+    facet meets a component, it is finished: it is looked up through
+    ``_component_homology`` and joined into the branch's Ind.  A join
+    that comes out acyclic stays so for every union below, so the branch
+    is dropped there.  The search keeps its own stack, which holds at
+    most one entry per facet plus one, not Python recursion.  Ø must not
+    be a facet.
     """
-    unions = {0}
-    for fm in masks:
-        unions |= {u | fm for u in unions}
-    if 0 not in masks:
-        unions.discard(0)
-    return unions
+    count = len(masks)
+    after = [0] * count  # after[i]: the vertices of the facets past the i-th
+    for i in range(count - 1, 0, -1):
+        after[i - 1] = after[i] | masks[i]
+    steps = [(fm, after[i], [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
+    stack: list[tuple[int, int, tuple[int, ...], HomologyVector]] = [(0, 0, (), {-1: 1})]
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, union, comps, ind = pop()
+        if i == count:
+            if union:
+                yield union, ind
+            continue
+        fm, later, earlier = steps[i]
+        i += 1
+        merged = fm
+        if comps:
+            untouched, still_open, finished = [], [], []
+            for verts in comps:
+                if not verts & fm:
+                    untouched.append(verts)
+                elif verts & later:
+                    merged |= verts
+                    still_open.append(verts)
+                else:
+                    merged |= verts
+                    finished.append(verts)
+        else:
+            untouched = still_open = finished = ()
+        grown = union | fm
+        if grown != union:
+            # exclude the facet: a component it was the last to meet is finished
+            out = ind
+            for verts in finished:
+                out = _join(out, _component_homology(verts, masks, field, frame, memo))
+                if not out:
+                    break
+            if out:
+                push((i, union, (*untouched, *still_open), out))
+            # an include covering an excluded facet would reach a union twice
+            cut = False
+            for e in earlier:
+                if e & ~union and not e & ~grown:
+                    cut = True
+                    break
+            if cut:
+                continue
+        # include the facet, merging the components it meets
+        if merged & later:
+            push((i, grown, (*untouched, merged), ind))
+        else:
+            ind = _join(ind, _component_homology(merged, masks, field, frame, memo))
+            if ind:
+                push((i, grown, tuple(untouched), ind))
 
 
 def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTable:
@@ -435,31 +510,36 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
 
     Only a vertex subset Y that is a union of facets has an induced
     subcollection with support exactly Y; every other subset complements
-    to a cone and contributes nothing.  So the unions of facets are
-    generated (Y = Ø only when Ø is a facet), and for each the reduced
-    homology of the complement within Y goes into the table at
-    homological degree (homology degree + 2) and internal degree |Y|.
-    The components of delta itself are looked up first, so a component
-    that the matrix route refuses for the face budget is refused before
-    the scan, and the memo holds their sub-shapes for the components met
+    to a cone and contributes nothing.  ``_union_search`` reaches each
+    union once, in a depth-first search that carries the components of
+    its facets and drops a branch once a finished component has an
+    acyclic Ind, since every union below then contributes nothing too.
+    Alexander duality turns each Ind left into the reduced homology of
+    the complement within Y, which goes into the table at homological
+    degree (homology degree + 2) and internal degree |Y|.  A facet Ø
+    makes delta the irrelevant complex, whose only entry is (1, 0).  The
+    components of delta itself are looked up first, so a component that
+    the matrix route refuses for the face budget is refused before the
+    search, and the memo holds their sub-shapes for the components met
     later.  Inputs above the vertex cap are refused first, by
-    ``check_vertex_cap``, as they are by the command line.  The unions
-    are held in memory together, so memory grows with their number (see
-    ``_supports``).
+    ``check_vertex_cap``, as they are by the command line.  Memory
+    follows the search's depth and the memo, not the number of unions.
     """
     frame = len(delta.ambient)
     check_vertex_cap(frame)
     masks = facet_masks(delta)
-    memo: dict[int, HomologyVector] = {}
-    if 0 not in masks:
-        for verts, members in _components(masks):
-            _component_homology(verts, members, field, frame, memo)
     table = BettiTable()
-    for y in _supports(masks):
-        picked = [fm for fm in masks if fm & ~y == 0]
+    if 0 in masks:
+        table.accumulate(1, 0, 1, "oracle")
+        return table
+    memo: dict[int, HomologyVector] = {}
+    for verts, _ in _components(masks):
+        _component_homology(verts, masks, field, frame, memo)
+    for y, ind in _union_search(masks, field, frame, memo):
         weight = y.bit_count()
-        for degree, dim in _complement_homology(y, picked, field, frame, memo).items():
-            table.accumulate(degree + 2, weight, dim, "oracle")
+        for d, dim in ind.items():
+            # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
+            table.accumulate(weight - d - 1, weight, dim, "oracle")
     return table
 
 

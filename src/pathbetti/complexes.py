@@ -67,17 +67,16 @@ def make_complex(ambient: Iterable[Vertex], facets: Iterable[Iterable[Vertex]]) 
     is not contained in the ambient vertex set.
     """
     amb = as_vertex_set(ambient)
-    amb_set = set(amb)
-    canonical = set()
+    amb_set = frozenset(amb)
+    canonical: dict[Face, frozenset[Vertex]] = {}
     for f in facets:
-        face = as_vertex_set(f)
-        if not set(face) <= amb_set:
+        vertices = frozenset(f)
+        face = tuple(sorted(vertices))
+        if not vertices <= amb_set:
             raise ValueError(f"facet {face} is not contained in the ambient vertex set {amb}")
-        canonical.add(face)
-    maximal = [
-        f for f in canonical
-        if not any(f != g and set(f) <= set(g) for g in canonical)
-    ]
+        canonical[face] = vertices
+    sets = list(canonical.values())
+    maximal = [face for face, vertices in canonical.items() if not any(vertices < other for other in sets)]
     return SimplicialComplex(amb, tuple(sorted(maximal)))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+import sys
 from itertools import combinations
 from math import comb
 
@@ -144,6 +146,20 @@ def _no_split(shape, field):
     return None
 
 
+@st.composite
+def framed_vertex_sets(draw, max_frame: int = 12) -> tuple[int, int, list[int]]:
+    """(frame, vertex mask, facet masks inside it): half the masks fill one arc of the frame."""
+    frame = draw(st.integers(min_value=1, max_value=max_frame))
+    full = (1 << frame) - 1
+    if draw(st.booleans()):
+        length, start = draw(st.integers(1, frame)), draw(st.integers(0, frame - 1))
+        verts = ((full >> frame - length) << start | (full >> frame - length) >> frame - start) & full
+    else:
+        verts = draw(st.integers(1, full))
+    members = draw(st.lists(st.integers(1, full).map(lambda fm: fm & verts).filter(bool), min_size=1, max_size=5))
+    return frame, verts, members
+
+
 class TestOracleRoute:
     """The oracle passes through Alexander duality and components; the direct sum checks it."""
 
@@ -172,6 +188,17 @@ class TestOracleRoute:
         unwrapped = [0b0111, 0b1110]
         assert betti_module._relabelled(0b1100000011, wrapped, 10) == \
             betti_module._relabelled(0b1111, unwrapped, 10)
+
+    @given(framed_vertex_sets())
+    @example((5, 0b11111, [0b00111, 0b11100]))
+    @example((10, 0b1100000011, [0b1000000011, 0b1100000001]))
+    @settings(max_examples=200, deadline=None)
+    def test_relabelling_by_shifts_keeps_the_widest_gap_order(self, case):
+        frame, verts, members = case
+        bits = [b for b in range(frame) if verts >> b & 1]
+        start = max(range(len(bits)), key=lambda k: (bits[k] - bits[k - 1]) % frame)
+        assert betti_module._relabelled(verts, members, frame) == \
+            betti_module._onto(bits[start:] + bits[:start], members)
 
     def test_large_facets_take_the_complement_route(self, monkeypatch):
         # With no vertex splitting, the matrix route sees Ind of the 12-cycle
@@ -207,12 +234,12 @@ class TestOracleRoute:
             betti_module._ind_homology(cycle, QQ)
 
     def test_component_over_the_face_budget_is_refused_before_the_scan(self, monkeypatch):
-        # The path on vertices 1..4 has a contractible Ind, so every support
-        # holding it has zero homology and its join returns before the other
-        # components are looked up; with no vertex splitting, the 10-cycle on
-        # 5..14 is over the budget.
+        # The path on vertices 1..4 has a contractible Ind, so the search would
+        # drop every union holding it before the other components are looked
+        # up; with no vertex splitting, the 10-cycle on 5..14 is over the
+        # budget, and the look-up of delta's own components refuses it.
         def scanned(*args):
-            raise AssertionError("a support's homology was taken")
+            raise AssertionError("the union search was started")
 
         path = [(1, 2), (2, 3), (3, 4)]
         cycle = [(5 + v, 5 + (v + 1) % 10) for v in range(10)]
@@ -220,7 +247,7 @@ class TestOracleRoute:
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
-        monkeypatch.setattr(betti_module, "_complement_homology", scanned)
+        monkeypatch.setattr(betti_module, "_union_search", scanned)
         monkeypatch.setattr(homology_module, "_levels", scanned)
         with pytest.raises(OracleCapError, match="a component on 10 vertices"):
             betti_hochster(delta)
@@ -246,6 +273,17 @@ class TestOracleRoute:
         assert table == betti_closed_cycle(spec)
 
     def test_each_component_is_relabelled_once_per_scan(self, monkeypatch):
+        # every component of a contributing union is looked up, and no
+        # component of another union is looked up twice
+        delta = build_path_complex(PathFamilySpec("cycle", 9, 2))
+        masks = homology_module.facet_masks(delta)
+        unions = _kept_by_filter(masks, 9)
+        components = {y: [verts for verts, _ in betti_module._components(_inside(masks, y))] for y in unions}
+        needed = {
+            verts
+            for y in unions if betti_module._complement_homology(y, _inside(masks, y), QQ, 9, {})
+            for verts in components[y]
+        }
         relabelled = []
         real = betti_module._relabelled
 
@@ -254,15 +292,9 @@ class TestOracleRoute:
             return real(verts, members, frame)
 
         monkeypatch.setattr(betti_module, "_relabelled", counting)
-        delta = build_path_complex(PathFamilySpec("cycle", 9, 2))
-        masks = homology_module.facet_masks(delta)
-        components = {
-            verts
-            for y in betti_module._supports(masks)
-            for verts, _ in betti_module._components([fm for fm in masks if fm & ~y == 0])
-        }
         betti_hochster(delta)
-        assert sorted(relabelled) == sorted(components)
+        assert len(set(relabelled)) == len(relabelled)
+        assert needed <= set(relabelled) <= {verts for found in components.values() for verts in found}
 
     @pytest.mark.parametrize("kind", ["cycle", "line"])
     def test_sixteen_vertices_match_the_closed_form(self, kind):
@@ -303,11 +335,16 @@ class TestOracleRoute:
         assert betti_hochster(build_path_complex(spec), GF32003) == closed
 
 
+def _inside(masks: list[int], y: int) -> list[int]:
+    """The facets inside the vertex mask y: its induced subcollection."""
+    return [fm for fm in masks if fm & ~y == 0]
+
+
 def _kept_by_filter(masks: list[int], n: int) -> set[int]:
     """The 2^n scan the oracle used to make: every subset Y whose induced subcollection has support Y."""
     kept = set()
     for y in range(1 << n):
-        picked = [fm for fm in masks if fm & ~y == 0]
+        picked = _inside(masks, y)
         support = 0
         for fm in picked:
             support |= fm
@@ -333,11 +370,20 @@ class TestOracleScan:
 
     @given(small_complexes())
     @example(make_complex((1, 2, 3), []))
-    @example(make_complex((1, 2), [()]))
     @settings(max_examples=100, deadline=None)
     def test_unions_of_facets_are_the_kept_supports(self, delta):
+        # the search reaches exactly the unions with nonzero complement
+        # homology, each once, and hands over the Ind that duality needs
         masks = homology_module.facet_masks(delta)
-        assert betti_module._supports(masks) == _kept_by_filter(masks, len(delta.ambient))
+        n = len(delta.ambient)
+        kept = _kept_by_filter(masks, n)
+        reached = list(betti_module._union_search(masks, QQ, n, {}))
+        unions = [y for y, _ in reached]
+        assert len(set(unions)) == len(unions)
+        assert set(unions) <= kept
+        dual = {y: {y.bit_count() - d - 3: dim for d, dim in ind.items()} for y, ind in reached}
+        nonzero = {y: h for y in kept if (h := betti_module._complement_homology(y, _inside(masks, y), QQ, n, {}))}
+        assert dual == nonzero
 
     @given(small_complexes(allow_void=False))
     @settings(max_examples=100, deadline=None)
@@ -350,6 +396,56 @@ class TestOracleScan:
         assert levels == [[0]]
         for field in (QQ, GF2):
             assert betti_module.levels_homology(levels, field) == {-1: 1}
+
+    def test_a_union_holding_an_acyclic_component_is_skipped_as_a_branch(self, monkeypatch):
+        # The path on vertices 1..4 has a contractible Ind and its facets come
+        # first.  Of their seven closed choices (none, 12, 23, 34, 123, 234 and
+        # 1234) only the last finishes the path as one component, whose Ind is
+        # acyclic, so the 5-cycle's components are looked up under the other
+        # six alone, and no union holding the path reaches the table.
+        path = [(1, 2), (2, 3), (3, 4)]
+        cycle = [(5 + v, 5 + (v + 1) % 5) for v in range(5)]
+        delta = make_complex(range(1, 10), path + cycle)
+        masks = homology_module.facet_masks(delta)
+        lookups, leaves = [], []
+        lookup, search = betti_module._component_homology, betti_module._union_search
+
+        def looking(verts, *args):
+            lookups.append(verts)
+            return lookup(verts, *args)
+
+        def cycle_lookups(facets):
+            lookups.clear()
+            for _ in search(facets, QQ, 9, {}):
+                pass
+            return sum(1 for verts in lookups if not verts & 0b1111)
+
+        def searching(*args):
+            for y, ind in search(*args):
+                leaves.append(y)
+                yield y, ind
+
+        monkeypatch.setattr(betti_module, "_component_homology", looking)
+        assert cycle_lookups(masks) == 6 * cycle_lookups(masks[3:]) > 0
+        monkeypatch.setattr(betti_module, "_union_search", searching)
+        for field in (QQ, GF2):
+            leaves.clear()
+            assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+            assert leaves and all(y & 0b1111 != 0b1111 for y in leaves)
+
+    def test_the_search_keeps_its_own_stack(self, monkeypatch):
+        # 120 facets, the 3-subsets of 10 vertices: a Python frame per facet
+        # would pass a recursion limit 60 frames above the caller
+        delta = make_complex(range(1, 11), combinations(range(1, 11), 3))
+        want = _direct_hochster(delta, QQ)
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            got = betti_hochster(delta, QQ)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_ind_over_the_budget_is_not_built(self):
         shape = (0b011, 0b110)  # Ind of the path 0-1-2: Ø, 0, 1, 2 and {0, 2}

@@ -14,11 +14,14 @@ splits, has its homology read off boundary-matrix ranks instead, with
 Ind's faces enumerated as bitmasks and handed to the rank layer as they
 are (or through the shape's own complement when that complex is the
 smaller one).  The join formula combines the components, and Alexander
-duality passes to the complement.  ``complement_homology`` takes the
-same route for one complement.  The closed-form route counts eligible
-run placements by one binomial term per number of runs r, number b of
-them of residue 2 and total quotient P, in time polynomial in n, and
-adds the explicit top-degree value.  Either route checks the other.
+duality passes to the complement.  One join over the components,
+``_ind_join``, serves the splitting's sub-shapes and
+``complement_homology``, and every component, the search's too, is
+keyed in the memo by ``_relabelled``.  The closed-form route counts
+eligible run placements by one binomial term per number of runs r,
+number b of them of residue 2 and total quotient P, in time polynomial
+in n, and adds the explicit top-degree value.  Either route checks the
+other.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def check_vertex_cap(count: int) -> None:
     complement.
     """
     if count > MAX_VERTICES:
-        raise OracleCapError(f"{count} ambient vertices exceeds the subset-enumeration cap of {MAX_VERTICES}")
+        raise OracleCapError(f"{count} ambient vertices exceeds the oracle's vertex cap of {MAX_VERTICES}")
 
 
 class BettiTable:
@@ -144,29 +147,27 @@ class HomologySummary:
 
 
 # Independence-complex homology memo, keyed by a connected component's
-# facet masks relabelled onto bits 0..m-1 (see ``_relabelled``, and
-# ``_onto`` for the sub-shapes of the splitting) and the characteristic.
-# Bounded: the oldest entry goes once it is full.
+# facet masks as ``_relabelled`` moves them onto bits 0..m-1, and the
+# characteristic.  Bounded: the oldest entry goes once it is full.
 _IND_CACHE_LIMIT = 4096
 _IND_HOMOLOGY_CACHE: dict[tuple, HomologyVector] = {}
 
 
-def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
-    """Connected components of the facets, as (vertex mask, facet masks).
+def _components(masks: list[int]) -> list[int]:
+    """Connected components of the facets, as vertex masks.
 
     The bitmask twin of ``complexes.connected_components``: converting
     each kept support to faces and back made the oracle about 20 % slower.
     """
-    components: list[tuple[int, list[int]]] = []
+    components: list[int] = []
     for fm in masks:
-        verts, members, rest = fm, [fm], []
-        for comp_verts, comp_members in components:
-            if comp_verts & verts:
-                verts |= comp_verts
-                members += comp_members
+        verts, rest = fm, []
+        for comp in components:
+            if comp & verts:
+                verts |= comp
             else:
-                rest.append((comp_verts, comp_members))
-        rest.append((verts, members))
+                rest.append(comp)
+        rest.append(verts)
         components = rest
     return components
 
@@ -274,26 +275,16 @@ def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
     """Reduced homology of Ind of the facet masks on the vertices 0..m-1.
 
     A vertex in no facet is a cone point of Ind, giving {}; no vertex at
-    all gives {-1: 1}.  Otherwise Ind is the join of the independence
-    complexes of the connected components, each looked up with its
-    vertices moved onto the lowest bits in order (a component on every
-    vertex is there already).
+    all gives {-1: 1}.  Otherwise ``_ind_join`` takes the join over the
+    connected components, whose keys ``_relabelled`` makes in the frame
+    of the m vertices, as it does for the oracle's components.
     """
     covered = 0
     for fm in masks:
         covered |= fm
     if covered != (1 << m) - 1:
         return {}
-    out: HomologyVector = {-1: 1}
-    for verts, members in _components(masks):
-        if verts == covered:
-            shape = tuple(sorted(members))
-        else:
-            shape = _onto([b for b in range(m) if verts >> b & 1], members)
-        out = _join(out, _ind_homology(shape, field))
-        if not out:
-            break
-    return out
+    return _ind_join(masks, field, m, {})
 
 
 def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector | None:
@@ -391,45 +382,43 @@ def _component_homology(
     return ind
 
 
-def _complement_homology(
-    y_mask: int, masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
-) -> HomologyVector:
-    """Reduced homology of the complement within Y of facets with support Y.
+def _ind_join(masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector]) -> HomologyVector:
+    """Reduced homology of Ind of facets that cover their vertices, none of them Ø.
 
-    Alexander duality gives H_k(complement) = H_{|Y|-k-3}(Ind), and Ind is
-    the join of the independence complexes of the connected components.
-    Duality does not cover a facet Ø: the complement is then the full
-    simplex on Y, which is {Ø} when Y = Ø.
+    Ind is the join of the independence complexes of the connected
+    components, each looked up through ``_component_homology``; the join
+    stops at the first acyclic one.
     """
-    if 0 in masks:
-        return {} if y_mask else {-1: 1}
-    ind: HomologyVector = {-1: 1}
-    for verts, _ in _components(masks):
-        ind = _join(ind, _component_homology(verts, masks, field, frame, memo))
-        if not ind:
-            return {}
-    m = y_mask.bit_count()
-    return {m - d - 3: dim for d, dim in ind.items()}
+    out: HomologyVector = {-1: 1}
+    for verts in _components(masks):
+        out = _join(out, _component_homology(verts, masks, field, frame, memo))
+        if not out:
+            break
+    return out
 
 
 def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
     """Reduced homology of the complement of gamma within its ambient vertices.
 
     The same vector as ``reduced_homology_dims(complement(gamma,
-    gamma.ambient), field)``, taken through the independence complexes of
-    gamma's connected components and Alexander duality, with the oracle's
-    memo; see ``_complement_homology``.  A void gamma has a void
-    complement and a gamma whose support is not the whole ambient a cone;
-    both yield {}.
+    gamma.ambient), field)``: Alexander duality gives H_k(complement) =
+    H_{m-k-3}(Ind) on m vertices, with Ind from ``_ind_join`` and the
+    oracle's memo.  A void gamma has a void complement and a gamma whose
+    support is not the whole ambient a cone; both yield {}.  Duality does
+    not cover a facet Ø, which is gamma's only one when the ambient is
+    empty, and the complement is then the irrelevant complex {Ø}.
     """
     masks = facet_masks(gamma)
-    full = (1 << len(gamma.ambient)) - 1
+    m = len(gamma.ambient)
+    full = (1 << m) - 1
     support = 0
     for fm in masks:
         support |= fm
     if not masks or support != full:
         return {}
-    return _complement_homology(full, masks, field, len(gamma.ambient), {})
+    if not m:
+        return {-1: 1}
+    return {m - d - 3: dim for d, dim in _ind_join(masks, field, m, {}).items()}
 
 
 def _union_search(
@@ -533,7 +522,7 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
         table.accumulate(1, 0, 1, "oracle")
         return table
     memo: dict[int, HomologyVector] = {}
-    for verts, _ in _components(masks):
+    for verts in _components(masks):
         _component_homology(verts, masks, field, frame, memo)
     for y, ind in _union_search(masks, field, frame, memo):
         weight = y.bit_count()
@@ -581,9 +570,8 @@ def betti_top_degree(spec: PathFamilySpec) -> tuple[int, int]:
     """
     if spec.kind != "cycle":
         raise ValueError("the top-degree formula is defined for cycles")
-    if spec.d == 0:
-        return 2 * spec.p, spec.t
-    return 2 * spec.p + 1, 1
+    top = homology_cycle_complement(spec)
+    return top.nonzero_degree + 2, top.dimension
 
 
 def _spreads(parts: int, most: int) -> list[int]:

@@ -53,11 +53,6 @@ class SimplicialComplex:
             return None
         return max(len(f) for f in self.facets) - 1
 
-    @property
-    def support(self) -> VertexSet:
-        """Vertices that occur in at least one facet."""
-        return as_vertex_set(v for f in self.facets for v in f)
-
 
 def make_complex(ambient: Iterable[Vertex], facets: Iterable[Iterable[Vertex]]) -> SimplicialComplex:
     """Build a complex, dropping duplicate and non-maximal facets.

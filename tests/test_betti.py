@@ -189,6 +189,15 @@ class TestOracleRoute:
         assert betti_module._relabelled(0b1100000011, wrapped, 10) == \
             betti_module._relabelled(0b1111, unwrapped, 10)
 
+    def test_the_splitting_shares_the_keys_of_the_scan(self, monkeypatch):
+        # facets {5, 6}, {6, 0}, {0, 1}, {2, 3} and {3, 4} on 7 vertices: the
+        # path 5-6-0-1 wraps past the last bit, and the splitting keys it as
+        # the scan keys the unwrapped path on 4 vertices
+        cache: dict = {}
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
+        assert betti_module._sub_homology([0b1100000, 0b1000001, 0b0000011, 0b0001100, 0b0011000], 7, QQ) == {}
+        assert ((0b0011, 0b0110, 0b1100), 0) in cache
+
     @given(framed_vertex_sets())
     @example((5, 0b11111, [0b00111, 0b11100]))
     @example((10, 0b1100000011, [0b1000000011, 0b1100000001]))
@@ -274,21 +283,19 @@ class TestOracleRoute:
 
     def test_each_component_is_relabelled_once_per_scan(self, monkeypatch):
         # every component of a contributing union is looked up, and no
-        # component of another union is looked up twice
+        # component of another union is looked up twice; the splitting's
+        # sub-shapes are relabelled in frames of fewer than 9 vertices
         delta = build_path_complex(PathFamilySpec("cycle", 9, 2))
         masks = homology_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
-        components = {y: [verts for verts, _ in betti_module._components(_inside(masks, y))] for y in unions}
-        needed = {
-            verts
-            for y in unions if betti_module._complement_homology(y, _inside(masks, y), QQ, 9, {})
-            for verts in components[y]
-        }
+        components = {y: betti_module._components(_inside(masks, y)) for y in unions}
+        needed = {verts for y in unions if _complement_outright(delta, y) for verts in components[y]}
         relabelled = []
         real = betti_module._relabelled
 
         def counting(verts, members, frame):
-            relabelled.append(verts)
+            if frame == 9:
+                relabelled.append(verts)
             return real(verts, members, frame)
 
         monkeypatch.setattr(betti_module, "_relabelled", counting)
@@ -340,6 +347,12 @@ def _inside(masks: list[int], y: int) -> list[int]:
     return [fm for fm in masks if fm & ~y == 0]
 
 
+def _complement_outright(delta, y: int) -> dict:
+    """Reduced homology over QQ of the complement within y of delta's induced subcollection on y, built outright."""
+    vertices = [v for b, v in enumerate(delta.ambient) if y >> b & 1]
+    return reduced_homology_dims(complement(induced_subcollection(delta, vertices), vertices), QQ)
+
+
 def _kept_by_filter(masks: list[int], n: int) -> set[int]:
     """The 2^n scan the oracle used to make: every subset Y whose induced subcollection has support Y."""
     kept = set()
@@ -382,7 +395,7 @@ class TestOracleScan:
         assert len(set(unions)) == len(unions)
         assert set(unions) <= kept
         dual = {y: {y.bit_count() - d - 3: dim for d, dim in ind.items()} for y, ind in reached}
-        nonzero = {y: h for y in kept if (h := betti_module._complement_homology(y, _inside(masks, y), QQ, n, {}))}
+        nonzero = {y: h for y in kept if (h := _complement_outright(delta, y))}
         assert dual == nonzero
 
     @given(small_complexes(allow_void=False))
@@ -467,8 +480,8 @@ def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
     ))
     masks = {sum(1 << v for v in vs) for vs in sets}
     antichain = [fm for fm in masks if not any(o != fm and o & ~fm == 0 for o in masks)]
-    verts, members = max(betti_module._components(antichain), key=lambda c: (c[0].bit_count(), c[0]))
-    return betti_module._onto([b for b in range(m) if verts >> b & 1], members)
+    verts = max(betti_module._components(antichain), key=lambda c: (c.bit_count(), c))
+    return betti_module._onto([b for b in range(m) if verts >> b & 1], _inside(antichain, verts))
 
 
 class TestIndSplitting:

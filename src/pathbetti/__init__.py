@@ -15,7 +15,6 @@ from .complexes import (
     as_vertex_set,
     complement,
     cone,
-    connected_components,
     faces_of_dim,
     induced_subcollection,
     make_complex,
@@ -31,13 +30,11 @@ from .homology import (
 )
 from .paths import (
     PathFamilySpec,
-    RunDecompositionError,
     RunPlacement,
     RunSequence,
     build_path_complex,
     build_run_complex,
     enumerate_placements,
-    run_decomposition,
     vertex_count_of_runs,
 )
 from .betti import (
@@ -68,7 +65,6 @@ __all__ = [
     "OracleCapError",
     "PathFamilySpec",
     "QQ",
-    "RunDecompositionError",
     "RunPlacement",
     "RunSequence",
     "SimplicialComplex",
@@ -83,7 +79,6 @@ __all__ = [
     "complement",
     "complement_homology",
     "cone",
-    "connected_components",
     "count_eligible",
     "enumerate_placements",
     "faces_of_dim",
@@ -94,6 +89,5 @@ __all__ = [
     "nonzero_criterion",
     "pd_reg",
     "reduced_homology_dims",
-    "run_decomposition",
     "vertex_count_of_runs",
 ]

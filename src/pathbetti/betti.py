@@ -10,18 +10,16 @@ once per scan by its vertex mask, and a component whose Ind is acyclic
 drops its whole branch.  Ind's homology comes from link/deletion
 splitting on a vertex, which recurses on smaller shapes through one
 bounded memo.  A shape whose complement is small, or on which no vertex
-splits, has its homology read off boundary-matrix ranks instead, with
-Ind's faces enumerated as bitmasks and handed to the rank layer as they
-are (or through the shape's own complement when that complex is the
-smaller one).  The join formula combines the components, and Alexander
-duality passes to the complement.  One join over the components,
-``_ind_join``, serves the splitting's sub-shapes and
-``complement_homology``, and every component, the search's too, is
-keyed in the memo by ``_relabelled``.  The closed-form route counts
-eligible run placements by one binomial term per number of runs r,
-number b of them of residue 2 and total quotient P, in time polynomial
-in n, and adds the explicit top-degree value.  Either route checks the
-other.
+splits, has its homology read off the boundary-matrix ranks of its own
+complement instead, moved to Ind by Alexander duality.  The join
+formula combines the components, and Alexander duality passes to the
+complement.  One join over the components, ``_ind_join``, serves the
+splitting's sub-shapes and ``complement_homology``, and every
+component, the search's too, is keyed in the memo by ``_relabelled``.
+The closed-form route counts eligible run placements by one binomial
+term per number of runs r, number b of them of residue 2 and total
+quotient P, in time polynomial in n, and adds the explicit top-degree
+value.  Either route checks the other.
 """
 
 from __future__ import annotations
@@ -156,7 +154,8 @@ _IND_HOMOLOGY_CACHE: dict[tuple, HomologyVector] = {}
 def _components(masks: list[int]) -> list[int]:
     """Connected components of the facets, as vertex masks.
 
-    The bitmask twin of ``complexes.connected_components``: converting
+    Two facets are in one component when a chain of facets, each meeting
+    the next, joins them.  The facets stay bitmasks throughout: converting
     each kept support to faces and back made the oracle about 20 % slower.
     """
     components: list[int] = []
@@ -211,29 +210,6 @@ def _onto(order: list[int], members: list[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _ind_levels(shape: tuple[int, ...], budget: int) -> list[list[int]] | None:
-    """Ind of the facet masks as levels: the subsets containing no facet, by size.
-
-    The independent sets are generated in increasing order, so each level
-    comes out sorted, and adding vertex v can complete only a facet whose
-    highest vertex is v.  None once they outnumber ``budget``.
-    """
-    m = max(shape).bit_length()
-    independent = [0]
-    for v in range(m):
-        bit = 1 << v
-        through = [fm ^ bit for fm in shape if fm.bit_length() == v + 1]
-        independent += [s | bit for s in independent if all(rest & ~s for rest in through)]
-        if len(independent) > budget:
-            return None
-    levels: list[list[int]] = [[] for _ in range(m + 1)]
-    for s in independent:
-        levels[s.bit_count()].append(s)
-    while not levels[-1]:
-        levels.pop()
-    return levels
-
-
 def _complement_bound(shape: tuple[int, ...], m: int) -> int:
     """Most faces the complement of Ind can have: the sum of 2^(m - |F|) over the facets F."""
     return sum(1 << (m - fm.bit_count()) for fm in shape)
@@ -243,22 +219,15 @@ def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector
     """Reduced homology of Ind of the facet masks from boundary-matrix ranks.
 
     The route of ``_ind_homology`` for a shape whose complement is small
-    or on which no vertex splits.  Ind is used while it has no more faces
-    than the complement, whose facets are the complements of the facets
-    (see ``_complement_bound``).  Otherwise the complement's homology is
-    taken and moved to Ind by Alexander duality, H_k(Ind) =
-    H_{m-k-3}(complement): large facets make Ind nearly a full simplex
-    boundary and the complement small.  When Ind has more than MAX_FACES
-    faces and the complement's bound is above it too, OracleCapError is
-    raised before the complement is built.
+    or on which no vertex splits.  The complement, whose facets are the
+    complements of the facets, is ranked, and its homology is moved to
+    Ind by Alexander duality, H_k(Ind) = H_{m-k-3}(complement).  When the
+    complement's bound (see ``_complement_bound``) is above MAX_FACES,
+    OracleCapError is raised before anything is built.
     """
     m = max(shape).bit_length()
-    bound = _complement_bound(shape, m)
     budget = homology.MAX_FACES
-    ind = _ind_levels(shape, min(bound, budget))
-    if ind is not None:
-        return levels_homology(ind, field)
-    if bound > budget:
+    if _complement_bound(shape, m) > budget:
         raise OracleCapError(f"a component on {m} vertices exceeds the face budget of {budget} faces")
     full = (1 << m) - 1
     comp = levels_homology(homology._levels([full ^ fm for fm in shape]), field)
@@ -402,23 +371,20 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
 
     The same vector as ``reduced_homology_dims(complement(gamma,
     gamma.ambient), field)``: Alexander duality gives H_k(complement) =
-    H_{m-k-3}(Ind) on m vertices, with Ind from ``_ind_join`` and the
-    oracle's memo.  A void gamma has a void complement and a gamma whose
-    support is not the whole ambient a cone; both yield {}.  Duality does
-    not cover a facet Ø, which is gamma's only one when the ambient is
-    empty, and the complement is then the irrelevant complex {Ø}.
+    H_{m-k-3}(Ind) on m vertices, with Ind from ``_sub_homology``.  A
+    void gamma has a void complement and yields {}; when gamma's support
+    is not the whole ambient, the complement and Ind are both cones, and
+    ``_sub_homology``'s cover check yields {}.  Duality does not cover a
+    facet Ø, which is gamma's only one when the ambient is empty, and
+    the complement is then the irrelevant complex {Ø}.
     """
     masks = facet_masks(gamma)
     m = len(gamma.ambient)
-    full = (1 << m) - 1
-    support = 0
-    for fm in masks:
-        support |= fm
-    if not masks or support != full:
+    if not masks:
         return {}
     if not m:
         return {-1: 1}
-    return {m - d - 3: dim for d, dim in _ind_join(masks, field, m, {}).items()}
+    return {m - d - 3: dim for d, dim in _sub_homology(masks, m, field).items()}
 
 
 def _union_search(
@@ -699,10 +665,13 @@ def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
 
 
 def pd_reg(spec: PathFamilySpec) -> tuple[int, int]:
-    """Projective dimension and regularity of the cycle path ideal quotient."""
+    """Projective dimension and regularity of the cycle path ideal quotient.
+
+    The top-degree entry (i, n) of ``betti_top_degree`` attains both: pd
+    = i and reg = n - i, that is (2p, (t-1)p) when d = 0 and (2p + 1,
+    (t-1)p + d - 1) otherwise.
+    """
     if spec.kind != "cycle":
         raise ValueError("the pd/reg formulas are stated for cycles")
-    p, d, t = spec.p, spec.d, spec.t
-    if d == 0:
-        return 2 * p, (t - 1) * p
-    return 2 * p + 1, (t - 1) * p + d - 1
+    i_top, _ = betti_top_degree(spec)
+    return i_top, spec.n - i_top

@@ -112,39 +112,6 @@ def cone(delta: SimplicialComplex, apex: Vertex) -> SimplicialComplex:
     return SimplicialComplex(amb, facets)
 
 
-def connected_components(delta: SimplicialComplex) -> list[SimplicialComplex]:
-    """Partition the facets by the transitive closure of facet intersection.
-
-    Each component's ambient is its own vertex support.  Raises
-    ValueError on the void complex, which has no facets to partition.
-    """
-    if delta.is_void:
-        raise ValueError("the void complex has no connected components")
-    parent = list(range(len(delta.facets)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    seen_at: dict[Vertex, int] = {}
-    for idx, f in enumerate(delta.facets):
-        for v in f:
-            if v in seen_at:
-                parent[find(idx)] = find(seen_at[v])
-            else:
-                seen_at[v] = idx
-    groups: dict[int, list[Face]] = {}
-    for idx, f in enumerate(delta.facets):
-        groups.setdefault(find(idx), []).append(f)
-    components = []
-    for facets in sorted(groups.values()):
-        support = as_vertex_set(v for f in facets for v in f)
-        components.append(SimplicialComplex(support, tuple(facets)))
-    return components
-
-
 def faces_of_dim(delta: SimplicialComplex, k: int) -> list[Face]:
     """All k-dimensional faces, deduplicated, in ascending lexicographic order.
 

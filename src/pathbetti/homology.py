@@ -20,10 +20,10 @@ Q homology.  Otherwise the same reduction runs over exact fractions.
 No floating point is used anywhere.
 
 Faces are bitmasks, held level by level: ``levels[s]`` is the sorted
-faces of s vertices.  ``levels_homology`` takes such levels as they
-are, so a caller that enumerates a complex's faces as bitmasks (the
-oracle does, for independence complexes) hands them over directly;
-``reduced_homology_dims`` builds them from the facets with ``_levels``.
+faces of s vertices.  ``_levels`` builds them from facet masks, for
+``reduced_homology_dims`` and for the oracle's complements of
+independence complexes, and ``levels_homology`` takes such levels as
+they are.
 The empty face is level 0, so degree -1 needs no special case: the
 irrelevant complex ``{Ø}`` has one-dimensional homology there, every
 nonempty complex has none.  The void complex has no faces and no

@@ -13,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .complexes import Face, SimplicialComplex, connected_components, make_complex
-
-
-class RunDecompositionError(RuntimeError):
-    """A connected component is not a block of consecutive facets.
-
-    Genuine induced subcollections always decompose into runs, so this
-    signals a caller bug rather than a data condition.
-    """
+from .complexes import SimplicialComplex, make_complex
 
 
 @dataclass(frozen=True)
@@ -120,57 +112,6 @@ def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
     else:
         facets = [tuple(range(i, i + t)) for i in range(1, n - t + 2)]
     return make_complex(ambient, facets)
-
-
-def _facet_labels(spec: PathFamilySpec) -> dict[Face, int]:
-    """Map each facet to its standard label index."""
-    n, t = spec.n, spec.t
-    if t >= n:
-        raise ValueError("standard labeling requires t < n")
-    if spec.kind == "cycle":
-        return {
-            tuple(sorted((i + k) % n + 1 for k in range(t))): i + 1
-            for i in range(n)
-        }
-    return {tuple(range(i, i + t)): i for i in range(1, n - t + 2)}
-
-
-def run_decomposition(gamma: SimplicialComplex, spec: PathFamilySpec) -> tuple[RunSequence, RunPlacement]:
-    """Split a proper induced subcollection into its runs.
-
-    Returns the run lengths sorted descending together with the
-    placement (start label, length per run, ascending starts).
-    """
-    if gamma.is_void:
-        raise ValueError("cannot decompose the void complex")
-    labels = _facet_labels(spec)
-    n = spec.n
-    runs = []
-    for component in connected_components(gamma):
-        idx = set()
-        for f in component.facets:
-            label = labels.get(f)
-            if label is None:
-                raise RunDecompositionError(f"facet {f} is not a facet of the path complex")
-            idx.add(label)
-        s = len(idx)
-        if spec.kind == "cycle":
-            if s >= n:
-                raise RunDecompositionError("subcollection is not proper")
-            starts = [a for a in idx if (n if a == 1 else a - 1) not in idx]
-            if len(starts) != 1:
-                raise RunDecompositionError(f"facet labels {sorted(idx)} do not form one consecutive block")
-            start = starts[0]
-            block = {(start + off - 1) % n + 1 for off in range(s)}
-        else:
-            start = min(idx)
-            block = set(range(start, start + s))
-        if block != idx:
-            raise RunDecompositionError(f"facet labels {sorted(idx)} do not form one consecutive block")
-        runs.append((start, s))
-    runs.sort()
-    seq = RunSequence(tuple(sorted((s for _, s in runs), reverse=True)))
-    return seq, RunPlacement(tuple(runs))
 
 
 def vertex_count_of_runs(seq: RunSequence, t: int) -> int:

@@ -246,9 +246,19 @@ class TestOracleRoute:
         # The path on vertices 1..4 has a contractible Ind, so the search would
         # drop every union holding it before the other components are looked
         # up; with no vertex splitting, the 10-cycle on 5..14 is over the
-        # budget, and the look-up of delta's own components refuses it.
+        # budget, and the look-up of delta's own components refuses it before
+        # its complement is built.  The path's complement, 12 faces at most,
+        # is ranked.
         def scanned(*args):
             raise AssertionError("the union search was started")
+
+        real = homology_module._levels
+        cycle_complement = {0b1111111111 ^ (1 << v | 1 << (v + 1) % 10) for v in range(10)}
+
+        def levels(facets):
+            if set(facets) == cycle_complement:
+                raise AssertionError("the 10-cycle's complement was built")
+            return real(facets)
 
         path = [(1, 2), (2, 3), (3, 4)]
         cycle = [(5 + v, 5 + (v + 1) % 10) for v in range(10)]
@@ -257,7 +267,7 @@ class TestOracleRoute:
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "_union_search", scanned)
-        monkeypatch.setattr(homology_module, "_levels", scanned)
+        monkeypatch.setattr(homology_module, "_levels", levels)
         with pytest.raises(OracleCapError, match="a component on 10 vertices"):
             betti_hochster(delta)
 
@@ -313,8 +323,7 @@ class TestOracleRoute:
         ("cycle", 22, 12), ("line", 22, 12), ("cycle", 22, 17), ("cycle", 21, 8),
     ])
     def test_complement_side_near_the_cap_matches_the_closed_form(self, monkeypatch, kind, n, t):
-        # with no vertex splitting, large t makes Ind the larger complex, so
-        # components go through their complements
+        # with no vertex splitting, every component goes through its complement
         complements = []
         real = homology_module._levels
 
@@ -398,17 +407,11 @@ class TestOracleScan:
         nonzero = {y: h for y in kept if (h := _complement_outright(delta, y))}
         assert dual == nonzero
 
-    @given(small_complexes(allow_void=False))
-    @settings(max_examples=100, deadline=None)
-    def test_ind_levels_are_the_subsets_containing_no_facet(self, delta):
-        shape = tuple(homology_module.facet_masks(delta))
-        assert betti_module._ind_levels(shape, 1 << 20) == _ind_by_brute_force(shape)
-
     def test_every_vertex_a_facet_leaves_only_the_empty_face(self):
-        levels = betti_module._ind_levels((0b1, 0b10, 0b100), 1 << 20)
-        assert levels == [[0]]
+        # Ind is {Ø}; its complement is the boundary of a triangle, whose
+        # H_1 duality moves to degree 3 - 1 - 3 = -1
         for field in (QQ, GF2):
-            assert betti_module.levels_homology(levels, field) == {-1: 1}
+            assert betti_module._matrix_homology((0b1, 0b10, 0b100), field) == {-1: 1}
 
     def test_a_union_holding_an_acyclic_component_is_skipped_as_a_branch(self, monkeypatch):
         # The path on vertices 1..4 has a contractible Ind and its facets come
@@ -460,11 +463,6 @@ class TestOracleScan:
             sys.setrecursionlimit(limit)
         assert got == want
 
-    def test_ind_over_the_budget_is_not_built(self):
-        shape = (0b011, 0b110)  # Ind of the path 0-1-2: Ø, 0, 1, 2 and {0, 2}
-        assert betti_module._ind_levels(shape, 4) is None
-        assert betti_module._ind_levels(shape, 5) == [[0], [1, 2, 4], [5]]
-
 
 @st.composite
 def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
@@ -515,6 +513,25 @@ class TestIndSplitting:
         spec = PathFamilySpec("cycle", 22, 20)
         assert betti_hochster(build_path_complex(spec), GF32003) == betti_closed_cycle(spec)
         assert len(searches) < 10
+
+    def test_the_matrix_route_ranks_the_complement_alone(self, monkeypatch):
+        # the path on 4 vertices: its complement bound, 3 * 2^2 faces, is at
+        # most 4 per facet, so it is ranked without splitting
+        shape = (0b0011, 0b0110, 0b1100)
+        built = []
+        real = homology_module._levels
+
+        def recording(facets):
+            built.append(facets)
+            return real(facets)
+
+        monkeypatch.setattr(homology_module, "_levels", recording)
+        for field in (QQ, GF2):
+            monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+            built.clear()
+            assert betti_module._ind_homology(shape, field) == \
+                levels_homology(_ind_by_brute_force(shape), field)
+            assert built == [[0b1100, 0b1001, 0b0011]]
 
     def test_no_vertex_splitting_falls_back_to_the_matrix_route(self, monkeypatch):
         taken = []

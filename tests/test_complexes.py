@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -12,11 +13,12 @@ from pathbetti import (
     build_path_complex,
     complement,
     cone,
-    connected_components,
     faces_of_dim,
     induced_subcollection,
     make_complex,
 )
+from pathbetti import betti
+from pathbetti.homology import facet_masks
 
 from conftest import small_complexes
 
@@ -145,31 +147,38 @@ class TestCone:
             cone(delta, 2)
 
 
+def _components(delta: SimplicialComplex) -> list[tuple]:
+    """The oracle's connected components of delta, each as its facets, sorted."""
+    masks = facet_masks(delta)
+    return sorted(
+        tuple(f for f, fm in zip(delta.facets, masks) if fm & ~verts == 0)
+        for verts in betti._components(masks)
+    )
+
+
 class TestConnectedComponents:
+    """The oracle's split of the facets into connected components, on bitmasks."""
+
     def test_two_blocks(self):
         delta = make_complex(range(1, 7), [(1, 2), (2, 3), (5, 6)])
-        parts = connected_components(delta)
-        assert [c.facets for c in parts] == [((1, 2), (2, 3)), ((5, 6),)]
-        assert parts[0].ambient == (1, 2, 3)
-        assert parts[1].ambient == (5, 6)
+        assert _components(delta) == [((1, 2), (2, 3)), ((5, 6),)]
+        assert sorted(betti._components(facet_masks(delta))) == [0b000111, 0b110000]
 
     def test_single_facet_single_component(self):
         delta = make_complex((1, 2), [(1, 2)])
-        assert connected_components(delta) == [delta]
+        assert _components(delta) == [delta.facets]
 
     def test_heptagon_path_complex_is_connected(self):
         delta = build_path_complex(PathFamilySpec("cycle", 7, 4))
-        assert len(connected_components(delta)) == 1
-
-    def test_void_rejected(self):
-        with pytest.raises(ValueError):
-            connected_components(make_complex((1,), []))
+        assert _components(delta) == [delta.facets]
 
     @given(small_complexes(allow_void=False))
     def test_components_partition_facets(self, delta: SimplicialComplex):
-        parts = connected_components(delta)
-        gathered = sorted(f for c in parts for f in c.facets)
+        parts = _components(delta)
+        gathered = sorted(f for facets in parts for f in facets)
         assert gathered == sorted(delta.facets)
+        for a, b in itertools.combinations(parts, 2):
+            assert not set().union(*a) & set().union(*b)
 
 
 class TestFacesOfDim:

@@ -6,7 +6,6 @@ import pytest
 
 from pathbetti import (
     PathFamilySpec,
-    RunDecompositionError,
     RunPlacement,
     RunSequence,
     build_path_complex,
@@ -14,9 +13,7 @@ from pathbetti import (
     complement,
     enumerate_placements,
     induced_subcollection,
-    make_complex,
     reduced_homology_dims,
-    run_decomposition,
     vertex_count_of_runs,
 )
 
@@ -77,50 +74,41 @@ class TestBuildPathComplex:
         assert len(delta.facets) == 6
 
 
+def _support(spec: PathFamilySpec, runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The vertices a placement's runs cover on the standard labeling: s + t - 1 from each start."""
+    return tuple(sorted({(b + off - 1) % spec.n + 1 for b, s in runs for off in range(s + spec.t - 1)}))
+
+
+def _induces_its_runs(spec: PathFamilySpec, runs, support, facets, lengths) -> None:
+    """The placement covers ``support``, whose induced subcollection is exactly ``facets`` and covers all of it."""
+    assert _support(spec, runs) == support
+    gamma = induced_subcollection(build_path_complex(spec), support)
+    assert gamma.ambient == support
+    assert gamma.facets == facets
+    assert RunPlacement(runs).run_sequence().lengths == lengths
+
+
 class TestRunDecomposition:
+    """A placement's support induces exactly the placement's runs, on worked examples."""
+
     def test_single_run_of_two(self):
         spec = PathFamilySpec("cycle", 7, 4)
-        delta = build_path_complex(spec)
-        gamma = induced_subcollection(delta, (1, 2, 3, 4, 5))
-        seq, placement = run_decomposition(gamma, spec)
-        assert seq.lengths == (2,)
-        assert placement.runs == ((1, 2),)
+        _induces_its_runs(spec, ((1, 2),), (1, 2, 3, 4, 5), ((1, 2, 3, 4), (2, 3, 4, 5)), (2,))
 
     def test_wrapping_run_of_three(self):
+        # facets 6, 7 and 1: {6, 7, 1, 2}, {7, 1, 2, 3} and {1, 2, 3, 4}
         spec = PathFamilySpec("cycle", 7, 4)
-        delta = build_path_complex(spec)
-        gamma = induced_subcollection(delta, (1, 2, 3, 4, 6, 7))
-        seq, placement = run_decomposition(gamma, spec)
-        assert seq.lengths == (3,)
-        assert placement.runs == ((6, 3),)
+        facets = ((1, 2, 3, 4), (1, 2, 3, 7), (1, 2, 6, 7))
+        _induces_its_runs(spec, ((6, 3),), (1, 2, 3, 4, 6, 7), facets, (3,))
 
     def test_two_single_runs(self):
         spec = PathFamilySpec("cycle", 6, 2)
-        delta = build_path_complex(spec)
-        gamma = induced_subcollection(delta, (1, 2, 4, 5))
-        seq, placement = run_decomposition(gamma, spec)
-        assert seq.lengths == (1, 1)
-        assert placement.runs == ((1, 1), (4, 1))
+        _induces_its_runs(spec, ((1, 1), (4, 1)), (1, 2, 4, 5), ((1, 2), (4, 5)), (1, 1))
 
     def test_line_decomposition(self):
         spec = PathFamilySpec("line", 8, 2)
-        delta = build_path_complex(spec)
-        gamma = induced_subcollection(delta, (1, 2, 3, 6, 7, 8))
-        seq, placement = run_decomposition(gamma, spec)
-        assert seq.lengths == (2, 2)
-        assert placement.runs == ((1, 2), (6, 2))
-
-    def test_foreign_facet_rejected(self):
-        spec = PathFamilySpec("cycle", 6, 2)
-        gamma = make_complex((1, 3), [(1, 3)])
-        with pytest.raises(RunDecompositionError):
-            run_decomposition(gamma, spec)
-
-    def test_full_complex_rejected_as_improper(self):
-        spec = PathFamilySpec("cycle", 6, 2)
-        delta = build_path_complex(spec)
-        with pytest.raises(RunDecompositionError):
-            run_decomposition(delta, spec)
+        facets = ((1, 2), (2, 3), (6, 7), (7, 8))
+        _induces_its_runs(spec, ((1, 2), (6, 2)), (1, 2, 3, 6, 7, 8), facets, (2, 2))
 
 
 class TestVertexCount:
@@ -163,22 +151,17 @@ class TestBuildRunComplement:
         spec = PathFamilySpec("cycle", 10, 3)
         delta = build_path_complex(spec)
         for placement in itertools.islice(enumerate_placements(spec), 40):
-            support = set()
-            for b, s in placement.runs:
-                for off in range(s + spec.t - 1):
-                    support.add((b + off - 1) % spec.n + 1)
-            gamma = induced_subcollection(delta, sorted(support))
-            seq, _ = run_decomposition(gamma, spec)
+            gamma = induced_subcollection(delta, _support(spec, placement.runs))
             placed = reduced_homology_dims(complement(gamma, gamma.ambient))
-            model = reduced_homology_dims(_run_complement(seq, spec.t))
+            model = reduced_homology_dims(_run_complement(placement.run_sequence(), spec.t))
             assert placed == model
 
 
-def _brute_force_placements(spec: PathFamilySpec) -> set[tuple[tuple[int, int], ...]]:
-    """Placements recovered from raw vertex-subset enumeration."""
+def _brute_force_supports(spec: PathFamilySpec) -> list[tuple[int, ...]]:
+    """Every proper vertex set Y whose induced subcollection has support Y, by raw subset enumeration."""
     delta = build_path_complex(spec)
     n = spec.n
-    found = set()
+    found = []
     for size in range(1, n):
         for y in itertools.combinations(range(1, n + 1), size):
             gamma = induced_subcollection(delta, y)
@@ -186,9 +169,7 @@ def _brute_force_placements(spec: PathFamilySpec) -> set[tuple[tuple[int, int], 
                 continue
             if len(gamma.facets) == len(delta.facets):
                 continue
-            seq, placement = run_decomposition(gamma, spec)
-            assert vertex_count_of_runs(seq, spec.t) == len(y)
-            found.add(placement.runs)
+            found.append(y)
     return found
 
 
@@ -220,9 +201,12 @@ class TestEnumeratePlacements:
         (n, t) for n in range(3, 13) for t in range(2, n)
     ])
     def test_bijection_with_induced_subcollections(self, n, t):
+        # the placements and the supports of proper induced subcollections
+        # correspond one to one, each placement to the vertices its runs cover
         spec = PathFamilySpec("cycle", n, t)
-        enumerated = set(p.runs for p in enumerate_placements(spec))
-        assert enumerated == _brute_force_placements(spec)
-        for runs in enumerated:
-            seq = RunPlacement(runs).run_sequence()
-            assert vertex_count_of_runs(seq, t) == sum(s + t - 1 for _, s in runs)
+        placements = list(enumerate_placements(spec))
+        assert len({p.runs for p in placements}) == len(placements)
+        supports = [_support(spec, p.runs) for p in placements]
+        assert sorted(supports) == sorted(_brute_force_supports(spec))
+        for placement, y in zip(placements, supports):
+            assert vertex_count_of_runs(placement.run_sequence(), t) == len(y)

@@ -13,9 +13,11 @@ bounded memo.  A shape whose complement is small, or on which no vertex
 splits, has its homology read off the boundary-matrix ranks of its own
 complement instead, moved to Ind by Alexander duality.  The join
 formula combines the components, and Alexander duality passes to the
-complement.  One join over the components, ``_ind_join``, serves the
-splitting's sub-shapes and ``complement_homology``, and every
-component, the search's too, is keyed in the memo by ``_relabelled``.
+complement.  ``_sub_homology`` is the one join over the components of
+a facet set, for the splitting's sub-shapes and ``complement_homology``,
+and every component, the search's too, is keyed in the memo by
+``_relabelled``.  The face budget is checked in one place, where
+``homology._levels`` counts a complement's faces.
 The closed-form route counts eligible run placements by one binomial
 term per number of runs r, number b of them of residue 2 and total
 quotient P, in time polynomial in n, and adds the explicit top-degree
@@ -34,16 +36,16 @@ from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, facet_masks
 from .paths import PathFamilySpec, RunSequence
 
 # Most ambient vertices the oracle and the explicit complements accept;
-# the face budget is homology.MAX_FACES.
+# homology._levels keeps the face budget.
 MAX_VERTICES = 22
 
 
 def check_vertex_cap(count: int) -> None:
     """Refuse a complex on more than MAX_VERTICES ambient vertices with OracleCapError.
 
-    ``betti_hochster`` checks it first, and the command line checks it
-    before any work on each route that reaches the oracle or an explicit
-    complement.
+    ``betti_hochster`` and ``complement_homology`` check it first, and
+    the command line checks it before any work on each route that
+    reaches the oracle or an explicit complement.
     """
     if count > MAX_VERTICES:
         raise OracleCapError(f"{count} ambient vertices exceeds the oracle's vertex cap of {MAX_VERTICES}")
@@ -210,25 +212,17 @@ def _onto(order: list[int], members: list[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _complement_bound(shape: tuple[int, ...], m: int) -> int:
-    """Most faces the complement of Ind can have: the sum of 2^(m - |F|) over the facets F."""
-    return sum(1 << (m - fm.bit_count()) for fm in shape)
-
-
 def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
     """Reduced homology of Ind of the facet masks from boundary-matrix ranks.
 
     The route of ``_ind_homology`` for a shape whose complement is small
     or on which no vertex splits.  The complement, whose facets are the
     complements of the facets, is ranked, and its homology is moved to
-    Ind by Alexander duality, H_k(Ind) = H_{m-k-3}(complement).  When the
-    complement's bound (see ``_complement_bound``) is above MAX_FACES,
-    OracleCapError is raised before anything is built.
+    Ind by Alexander duality, H_k(Ind) = H_{m-k-3}(complement).
+    ``homology._levels`` refuses a complement over the face budget with
+    OracleCapError while it counts the faces, before any column is built.
     """
     m = max(shape).bit_length()
-    budget = homology.MAX_FACES
-    if _complement_bound(shape, m) > budget:
-        raise OracleCapError(f"a component on {m} vertices exceeds the face budget of {budget} faces")
     full = (1 << m) - 1
     comp = levels_homology(homology._levels([full ^ fm for fm in shape]), field)
     return {m - d - 3: dim for d, dim in comp.items()}
@@ -244,16 +238,23 @@ def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
     """Reduced homology of Ind of the facet masks on the vertices 0..m-1.
 
     A vertex in no facet is a cone point of Ind, giving {}; no vertex at
-    all gives {-1: 1}.  Otherwise ``_ind_join`` takes the join over the
-    connected components, whose keys ``_relabelled`` makes in the frame
-    of the m vertices, as it does for the oracle's components.
+    all gives {-1: 1}.  Otherwise Ind is the join of the independence
+    complexes of the connected components, each keyed by ``_relabelled``
+    in the frame of the m vertices, as the oracle's components are; the
+    join stops at the first acyclic one.  Ø must not be a facet.
     """
     covered = 0
     for fm in masks:
         covered |= fm
     if covered != (1 << m) - 1:
         return {}
-    return _ind_join(masks, field, m, {})
+    out: HomologyVector = {-1: 1}
+    for verts in _components(masks):
+        members = [fm for fm in masks if fm & ~verts == 0]
+        out = _join(out, _ind_homology(_relabelled(verts, members, m), field))
+        if not out:
+            break
+    return out
 
 
 def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector | None:
@@ -273,14 +274,15 @@ def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector 
     component of its own, whose Ind {Ø} has homology {-1: 1} and drops
     out of the join, so neither complex has an empty facet.
 
-    None also when the complement's bound allows at most m faces per
-    facet.  Long facets make Ind nearly a full simplex boundary, whose
-    splitting multiplies sub-shapes (the 16-cycle with t = 14 made 1695
-    of them, and the 22-cycle with t = 20 ran for minutes), while the
-    complement's ranks in ``_matrix_homology`` cost next to nothing.
+    None also when the complement has at most m faces per facet, counting
+    2^(m - |F|) faces under the complement of each facet F.  Long facets
+    make Ind nearly a full simplex boundary, whose splitting multiplies
+    sub-shapes (the 16-cycle with t = 14 made 1695 of them, and the
+    22-cycle with t = 20 ran for minutes), while the complement's ranks
+    in ``_matrix_homology`` cost next to nothing.
     """
     m = max(shape).bit_length()
-    if _complement_bound(shape, m) <= m * len(shape):
+    if sum(1 << (m - fm.bit_count()) for fm in shape) <= m * len(shape):
         return None
     degree = [0] * m
     for fm in shape:
@@ -351,21 +353,6 @@ def _component_homology(
     return ind
 
 
-def _ind_join(masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector]) -> HomologyVector:
-    """Reduced homology of Ind of facets that cover their vertices, none of them Ø.
-
-    Ind is the join of the independence complexes of the connected
-    components, each looked up through ``_component_homology``; the join
-    stops at the first acyclic one.
-    """
-    out: HomologyVector = {-1: 1}
-    for verts in _components(masks):
-        out = _join(out, _component_homology(verts, masks, field, frame, memo))
-        if not out:
-            break
-    return out
-
-
 def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
     """Reduced homology of the complement of gamma within its ambient vertices.
 
@@ -376,10 +363,12 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
     is not the whole ambient, the complement and Ind are both cones, and
     ``_sub_homology``'s cover check yields {}.  Duality does not cover a
     facet Ø, which is gamma's only one when the ambient is empty, and
-    the complement is then the irrelevant complex {Ø}.
+    the complement is then the irrelevant complex {Ø}.  Inputs above the
+    vertex cap are refused first, by ``check_vertex_cap``.
     """
-    masks = facet_masks(gamma)
     m = len(gamma.ambient)
+    check_vertex_cap(m)
+    masks = facet_masks(gamma)
     if not masks:
         return {}
     if not m:
@@ -387,9 +376,7 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
     return {m - d - 3: dim for d, dim in _sub_homology(masks, m, field).items()}
 
 
-def _union_search(
-    masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
-) -> Iterator[tuple[int, HomologyVector]]:
+def _union_search(masks: list[int], field: FieldSpec, frame: int) -> Iterator[tuple[int, HomologyVector]]:
     """Each nonempty union of the facets Y whose Ind is not acyclic, with that Ind's homology.
 
     A depth-first search includes or excludes the facets in their order.
@@ -398,11 +385,11 @@ def _union_search(
     with exactly the facets inside it included.  The vertex masks of the
     components of the included facets are carried along.  Once no later
     facet meets a component, it is finished: it is looked up through
-    ``_component_homology`` and joined into the branch's Ind.  A join
-    that comes out acyclic stays so for every union below, so the branch
-    is dropped there.  The search keeps its own stack, which holds at
-    most one entry per facet plus one, not Python recursion.  Ø must not
-    be a facet.
+    ``_component_homology``, in a memo of the search's own, and joined
+    into the branch's Ind.  A join that comes out acyclic stays so for
+    every union below, so the branch is dropped there.  The search keeps
+    its own stack, which holds at most one entry per facet plus one, not
+    Python recursion.  Ø must not be a facet.
     """
     count = len(masks)
     after = [0] * count  # after[i]: the vertices of the facets past the i-th
@@ -411,6 +398,7 @@ def _union_search(
     steps = [(fm, after[i], [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
     stack: list[tuple[int, int, tuple[int, ...], HomologyVector]] = [(0, 0, (), {-1: 1})]
     push, pop = stack.append, stack.pop
+    memo: dict[int, HomologyVector] = {}
     while stack:
         i, union, comps, ind = pop()
         if i == count:
@@ -472,13 +460,12 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     Alexander duality turns each Ind left into the reduced homology of
     the complement within Y, which goes into the table at homological
     degree (homology degree + 2) and internal degree |Y|.  A facet Ø
-    makes delta the irrelevant complex, whose only entry is (1, 0).  The
-    components of delta itself are looked up first, so a component that
-    the matrix route refuses for the face budget is refused before the
-    search, and the memo holds their sub-shapes for the components met
-    later.  Inputs above the vertex cap are refused first, by
-    ``check_vertex_cap``, as they are by the command line.  Memory
-    follows the search's depth and the memo, not the number of unions.
+    makes delta the irrelevant complex, whose only entry is (1, 0).  A
+    component whose homology needs a complex over the face budget is
+    refused with OracleCapError when the search meets it.  Inputs above
+    the vertex cap are refused first, by ``check_vertex_cap``, as they
+    are by the command line.  Memory follows the search's depth and the
+    memo, not the number of unions.
     """
     frame = len(delta.ambient)
     check_vertex_cap(frame)
@@ -487,10 +474,7 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     if 0 in masks:
         table.accumulate(1, 0, 1, "oracle")
         return table
-    memo: dict[int, HomologyVector] = {}
-    for verts in _components(masks):
-        _component_homology(verts, masks, field, frame, memo)
-    for y, ind in _union_search(masks, field, frame, memo):
+    for y, ind in _union_search(masks, field, frame):
         weight = y.bit_count()
         for d, dim in ind.items():
             # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
@@ -503,14 +487,19 @@ def homology_run_sequence(t: int, seq: RunSequence) -> HomologySummary:
 
     Writing each length as (t+1)p + d, any residue d outside {1, 2}
     kills all homology; otherwise the unique nonzero group has dimension
-    one and sits in degree 2(P+Q) + 2*beta + alpha - 2.
+    one and sits in degree 2(P+Q) + 2*beta + alpha - 2, where alpha and
+    beta count the runs with d = 1 and d = 2 and P and Q total their
+    quotients p.  That is the sum of 2p + d over the runs, minus 2.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    if not seq.is_eligible_shaped(t):
-        return HomologySummary.zero()
-    p_total, q_total, alpha, beta = seq.aggregates(t)
-    return HomologySummary(2 * (p_total + q_total) + 2 * beta + alpha - 2, 1)
+    degree = -2
+    for s in seq.lengths:
+        p, d = divmod(s, t + 1)
+        if d not in (1, 2):
+            return HomologySummary.zero()
+        degree += 2 * p + d
+    return HomologySummary(degree, 1)
 
 
 def homology_cycle_complement(spec: PathFamilySpec) -> HomologySummary:

@@ -245,20 +245,10 @@ def run_verification(
         if t >= n:
             continue
         closed = betti_closed_cycle(spec)
-        reference: BettiTable | None = None
-        for field in fields:
-            oracle = betti_hochster(delta, field)
+        oracles = [betti_hochster(delta, field) for field in fields]
+        for field, oracle in zip(fields, oracles):
             check_tables(closed, oracle, f"n={n} t={t} char={field.characteristic} cycle-closed-vs-oracle")
-            if reference is None:
-                reference = oracle
-            else:
-                delta_diff = reference.diff(oracle)
-                check(
-                    not delta_diff,
-                    f"n={n} t={t} char={field.characteristic} oracle-field-independence",
-                    f"differs from char={fields[0].characteristic} at {sorted(delta_diff)}",
-                )
-        assert reference is not None
+        reference = oracles[0]
         violations = [
             (i, j) for (i, j) in reference.entries
             if j > i * t or not nonzero_criterion(spec, i, j)

@@ -51,9 +51,7 @@ class RunSequence:
 
     The residues of the lengths mod t+1 decide everything: writing
     s = (t+1)p + d with 0 <= d <= t, only residues d = 1 and d = 2
-    contribute homology.  ``aggregates`` returns (P, Q, alpha, beta):
-    alpha/beta count the residue-1/residue-2 runs and P/Q total their
-    quotients.
+    contribute homology; see ``betti.homology_run_sequence``.
     """
 
     lengths: tuple[int, ...]
@@ -65,23 +63,6 @@ class RunSequence:
             raise ValueError("a run sequence needs at least one run")
         if any(s < 1 for s in lengths):
             raise ValueError(f"run lengths must be positive, got {lengths}")
-
-    def residues(self, t: int) -> tuple[tuple[int, int], ...]:
-        return tuple(divmod(s, t + 1) for s in self.lengths)
-
-    def aggregates(self, t: int) -> tuple[int, int, int, int]:
-        p_total = q_total = alpha = beta = 0
-        for p, d in self.residues(t):
-            if d == 1:
-                alpha += 1
-                p_total += p
-            elif d == 2:
-                beta += 1
-                q_total += p
-        return p_total, q_total, alpha, beta
-
-    def is_eligible_shaped(self, t: int) -> bool:
-        return all(d in (1, 2) for _, d in self.residues(t))
 
 
 @dataclass(frozen=True)
@@ -102,9 +83,7 @@ def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
     """The path complex: one facet per t-vertex path of the cycle or line."""
     n, t = spec.n, spec.t
     ambient = tuple(range(1, n + 1))
-    if t == n:
-        facets = [ambient]
-    elif spec.kind == "cycle":
+    if spec.kind == "cycle":
         facets = [
             tuple(sorted((i + k) % n + 1 for k in range(t)))
             for i in range(n)

@@ -127,8 +127,8 @@ def test_criterion_4_run_sequence_homology():
             dual = complement_homology(gamma, QQ)
             if dual != explicit:
                 failures.append((t, lengths, "duality route", dual, explicit))
-            if not seq.is_eligible_shaped(t) and explicit != {}:
-                failures.append((t, lengths, "expected zero vector", explicit))
+            if (closed.nonzero_degree is None) != any(s % (t + 1) not in (1, 2) for s in lengths):
+                failures.append((t, lengths, "zero exactly when a residue is outside {1, 2}", closed))
     _report(f"criterion 4: closed == explicit == duality-route homology for {checked} run sequences", failures)
 
 

@@ -227,49 +227,45 @@ class TestOracleRoute:
         assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
         assert seen and max(len(levels) - 2 for levels in seen) <= 2
 
-    def test_component_over_the_face_budget_is_refused_before_either_complex_is_built(self, monkeypatch):
+    def test_component_over_the_face_budget_is_refused_before_any_column_is_built(self, monkeypatch):
         # With no vertex splitting, the matrix route sees Ind of the 10-cycle
-        # with t = 2, which has 123 faces; its complement's bound is 10 * 2^8
+        # with t = 2, whose complement has 1024 - 123 = 901 faces; counting
+        # them passes a budget of 100 before any column is built
         def unbuilt(*args):
-            raise AssertionError("a complex was built")
+            raise AssertionError("a column was built")
 
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "levels_homology", unbuilt)
-        monkeypatch.setattr(homology_module, "_levels", unbuilt)
         cycle = tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10)))
-        with pytest.raises(OracleCapError, match="a component on 10 vertices"):
+        with pytest.raises(OracleCapError, match="more than 100 faces exceeds the face budget"):
             betti_module._ind_homology(cycle, QQ)
 
-    def test_component_over_the_face_budget_is_refused_before_the_scan(self, monkeypatch):
-        # The path on vertices 1..4 has a contractible Ind, so the search would
-        # drop every union holding it before the other components are looked
-        # up; with no vertex splitting, the 10-cycle on 5..14 is over the
-        # budget, and the look-up of delta's own components refuses it before
-        # its complement is built.  The path's complement, 12 faces at most,
-        # is ranked.
-        def scanned(*args):
-            raise AssertionError("the union search was started")
-
+    def test_component_over_the_face_budget_is_refused_when_the_search_meets_it(self, monkeypatch):
+        # With no vertex splitting, every component's complement is counted.
+        # The 10-cycle on 5..14 has 1024 - 123 = 901 complement faces, over a
+        # budget of 890, while its paths have at most 1024 - 144 = 880 and
+        # the path on 1..4 has 12, so the search ranks those and is refused
+        # at the whole cycle.
         real = homology_module._levels
         cycle_complement = {0b1111111111 ^ (1 << v | 1 << (v + 1) % 10) for v in range(10)}
+        counted = []
 
         def levels(facets):
-            if set(facets) == cycle_complement:
-                raise AssertionError("the 10-cycle's complement was built")
+            counted.append(set(facets) == cycle_complement)
             return real(facets)
 
         path = [(1, 2), (2, 3), (3, 4)]
         cycle = [(5 + v, 5 + (v + 1) % 10) for v in range(10)]
         delta = make_complex(range(1, 15), path + cycle)
-        monkeypatch.setattr(homology_module, "MAX_FACES", 100)
+        monkeypatch.setattr(homology_module, "MAX_FACES", 890)
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
-        monkeypatch.setattr(betti_module, "_union_search", scanned)
         monkeypatch.setattr(homology_module, "_levels", levels)
-        with pytest.raises(OracleCapError, match="a component on 10 vertices"):
+        with pytest.raises(OracleCapError, match="face budget"):
             betti_hochster(delta)
+        assert counted[-1] and len(counted) > 1 and not any(counted[:-1])
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
         # the size is read at every miss, nested misses of the splitting included
@@ -399,7 +395,7 @@ class TestOracleScan:
         masks = homology_module.facet_masks(delta)
         n = len(delta.ambient)
         kept = _kept_by_filter(masks, n)
-        reached = list(betti_module._union_search(masks, QQ, n, {}))
+        reached = list(betti_module._union_search(masks, QQ, n))
         unions = [y for y, _ in reached]
         assert len(set(unions)) == len(unions)
         assert set(unions) <= kept
@@ -432,7 +428,7 @@ class TestOracleScan:
 
         def cycle_lookups(facets):
             lookups.clear()
-            for _ in search(facets, QQ, 9, {}):
+            for _ in search(facets, QQ, 9):
                 pass
             return sum(1 for verts in lookups if not verts & 0b1111)
 
@@ -582,6 +578,11 @@ class TestComplementHomology:
         for field in (QQ, GF2):
             assert complement_homology(gamma, field) == vector
             assert reduced_homology_dims(complement(gamma, ambient), field) == vector
+
+    def test_above_the_vertex_cap_is_refused(self):
+        gamma = build_path_complex(PathFamilySpec("cycle", 23, 2))
+        with pytest.raises(OracleCapError, match="vertex cap"):
+            complement_homology(gamma)
 
 
 class TestRunSequenceHomology:

@@ -162,7 +162,6 @@ class TestBettiCommand:
         code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle")
         assert code == 3
         assert "face budget" in err
-        assert "a component on" in err
 
 
 class TestHomologyCommand:
@@ -258,7 +257,6 @@ class TestHomologyCommand:
         code, out, err = _run(capsys, "homology", *argv, "--explicit")
         assert code == 3
         assert "face budget" in err
-        assert "a component on" in err
         assert out == ""
 
     def test_bad_run_lengths(self, capsys):
@@ -302,7 +300,6 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "2..2")
         assert code == 3
         assert "face budget" in err
-        assert "a component on" in err
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args):

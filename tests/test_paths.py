@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from pathbetti import (
+    HomologySummary,
     PathFamilySpec,
     RunPlacement,
     RunSequence,
@@ -12,6 +13,7 @@ from pathbetti import (
     build_run_complex,
     complement,
     enumerate_placements,
+    homology_run_sequence,
     induced_subcollection,
     reduced_homology_dims,
     vertex_count_of_runs,
@@ -39,14 +41,13 @@ class TestPathFamilySpec:
 
 class TestRunSequence:
     def test_residues_and_aggregates(self):
-        seq = RunSequence((4, 2, 1))
-        assert seq.residues(2) == ((1, 1), (0, 2), (0, 1))
-        assert seq.aggregates(2) == (1, 0, 2, 1)
-        assert seq.is_eligible_shaped(2)
+        # (p, d) = (1, 1), (0, 2), (0, 1) for t = 2: P = 1, Q = 0, alpha = 2,
+        # beta = 1, so the degree is 2(P + Q) + 2 beta + alpha - 2 = 4
+        assert homology_run_sequence(2, RunSequence((4, 2, 1))) == HomologySummary(4, 1)
 
     def test_non_eligible_shape(self):
-        assert not RunSequence((3,)).is_eligible_shaped(2)
-        assert not RunSequence((4, 3)).is_eligible_shaped(3)
+        assert homology_run_sequence(2, RunSequence((3,))) == HomologySummary.zero()
+        assert homology_run_sequence(3, RunSequence((4, 3))) == HomologySummary.zero()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from typing import Iterator
 
 from . import homology
 from .complexes import SimplicialComplex
-from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, facet_masks, levels_homology
+from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, levels_homology
 from .paths import PathFamilySpec, RunSequence
 
 # Most ambient vertices the oracle and the explicit complements accept;
@@ -49,6 +49,12 @@ def check_vertex_cap(count: int) -> None:
     """
     if count > MAX_VERTICES:
         raise OracleCapError(f"{count} ambient vertices exceeds the oracle's vertex cap of {MAX_VERTICES}")
+
+
+def facet_masks(delta: SimplicialComplex) -> list[int]:
+    """The facets as bitmasks: bit b stands for the b-th ambient vertex."""
+    position = {v: b for b, v in enumerate(delta.ambient)}
+    return [sum(1 << position[v] for v in f) for f in delta.facets]
 
 
 class BettiTable:
@@ -80,7 +86,8 @@ class BettiTable:
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
-        return dict(self._entries)
+        """Entries as (i, j) -> value, in the (j, i) order of ``items``."""
+        return {(i, j): value for i, j, value, _ in self.items()}
 
     def items(self) -> list[tuple[int, int, int, str]]:
         """Entries as (i, j, value, method), sorted by (j, i)."""
@@ -113,9 +120,6 @@ class BettiTable:
         if not isinstance(other, BettiTable):
             return NotImplemented
         return self._entries == other._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {v}" for i, j, v, _ in self.items())
@@ -356,15 +360,16 @@ def _component_homology(
 def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
     """Reduced homology of the complement of gamma within its ambient vertices.
 
-    The same vector as ``reduced_homology_dims(complement(gamma,
-    gamma.ambient), field)``: Alexander duality gives H_k(complement) =
-    H_{m-k-3}(Ind) on m vertices, with Ind from ``_sub_homology``.  A
-    void gamma has a void complement and yields {}; when gamma's support
-    is not the whole ambient, the complement and Ind are both cones, and
-    ``_sub_homology``'s cover check yields {}.  Duality does not cover a
-    facet Ø, which is gamma's only one when the ambient is empty, and
-    the complement is then the irrelevant complex {Ø}.  Inputs above the
-    vertex cap are refused first, by ``check_vertex_cap``.
+    The complement is the complex whose facets are the complements of
+    gamma's facets; it is never built.  Alexander duality gives
+    H_k(complement) = H_{m-k-3}(Ind) on m vertices, with Ind from
+    ``_sub_homology``.  A void gamma has a void complement and yields
+    {}; when gamma's support is not the whole ambient, the complement and
+    Ind are both cones, and ``_sub_homology``'s cover check yields {}.
+    Duality does not cover a facet Ø, which is gamma's only one when the
+    ambient is empty, and the complement is then the irrelevant complex
+    {Ø}.  Inputs above the vertex cap are refused first, by
+    ``check_vertex_cap``.
     """
     m = len(gamma.ambient)
     check_vertex_cap(m)
@@ -579,24 +584,6 @@ def _placement_counts(kind: str, n: int, t: int) -> dict[tuple[int, int], int]:
                 key = (2 * p_total + r + b, covered + r * (t - 1))
                 counts[key] = counts.get(key, 0) + term
     return counts
-
-
-def count_eligible(spec: PathFamilySpec, i: int, j: int) -> int:
-    """Number of eligible run placements on the cycle contributing to (i, j).
-
-    A placement counts when every run length s = (t+1)p + d has d in
-    {1, 2}; its runs sum to i = sum of 2p + d and j = sum of s + t - 1.
-    Placements are counted by a binomial sum over the number of runs,
-    their residues and their total quotient; see ``_placement_counts``.
-    This equals the Betti number in bidegree (i, j) for every j < n.
-    """
-    if spec.kind != "cycle":
-        raise ValueError("eligible counting is defined for cycles")
-    if j >= spec.n:
-        raise ValueError(f"j={j} is not below n={spec.n}; the degree-n value has its own formula")
-    if i > j:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
-    return _placement_counts("cycle", spec.n, spec.t).get((i, j), 0)
 
 
 def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:

@@ -19,25 +19,21 @@ fields; so when the GF(q) homology lies in at most one degree it is the
 Q homology.  Otherwise the same reduction runs over exact fractions.
 No floating point is used anywhere.
 
-Faces are bitmasks, held level by level: ``levels[s]`` is the sorted
-faces of s vertices.  ``_levels`` builds them from facet masks, for
-``reduced_homology_dims`` and for the oracle's complements of
+The engine knows no complex type: faces are bitmasks, held level by
+level, ``levels[s]`` being the sorted faces of s vertices.  ``_levels``
+builds them from facet masks, for the oracle's complements of
 independence complexes, and ``levels_homology`` takes such levels as
-they are.
-The empty face is level 0, so degree -1 needs no special case: the
-irrelevant complex ``{Ø}`` has one-dimensional homology there, every
-nonempty complex has none.  The void complex has no faces and no
-homology at all.  A complex with more than ``MAX_FACES`` faces is
-refused with OracleCapError while its faces are counted, before any
-column is built.
+they are.  The empty face is level 0, so degree -1 needs no special
+case: the irrelevant complex ``{Ø}`` has one-dimensional homology
+there, every nonempty complex has none.  A complex with more than
+``MAX_FACES`` faces is refused with OracleCapError while its faces are
+counted, before any column is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .complexes import SimplicialComplex
 
 HomologyVector = dict[int, int]
 
@@ -83,14 +79,6 @@ class FieldSpec:
 
 
 QQ = FieldSpec(0)
-GF2 = FieldSpec(2)
-GF32003 = FieldSpec(32003)
-
-
-def facet_masks(delta: SimplicialComplex) -> list[int]:
-    """The facets as bitmasks: bit b stands for the b-th ambient vertex."""
-    position = {v: b for b, v in enumerate(delta.ambient)}
-    return [sum(1 << position[v] for v in f) for f in delta.facets]
 
 
 def _levels(facets: list[int]) -> list[list[int]]:
@@ -212,14 +200,3 @@ def levels_homology(levels: list[list[int]], field: FieldSpec = QQ) -> HomologyV
         dims = _homology(levels, 0)
     return dims
 
-
-def reduced_homology_dims(delta: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
-    """Dimensions of the nonzero reduced homology groups, as degree -> dim.
-
-    Zero dimensions are omitted, so the void complex yields ``{}`` and
-    the irrelevant complex yields ``{-1: 1}``.  The faces go to
-    ``levels_homology``.
-    """
-    if delta.is_void:
-        return {}
-    return levels_homology(_levels(facet_masks(delta)), field)

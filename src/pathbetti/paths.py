@@ -1,17 +1,17 @@
-"""Path complexes of cycles and lines, runs, and run placements.
+"""Path complexes of cycles and lines, and runs.
 
 The path complex of a graph has one facet per path on t vertices.  On
 the cycle the facets carry the standard labeling F_i = {x_i, ..., x_(i+t-1)}
 taken mod n; every proper induced subcollection splits into *runs*,
 blocks of consecutive facets, and a run of length s covers s + t - 1
 consecutive vertices.  Two runs are genuinely separate exactly when at
-least one vertex (equivalently, t facet slots) lies between them.
+least one vertex (equivalently, t facet slots) lies between them.  A
+run complex realizes a sequence of run lengths on fresh vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .complexes import SimplicialComplex, make_complex
 
@@ -65,20 +65,6 @@ class RunSequence:
             raise ValueError(f"run lengths must be positive, got {lengths}")
 
 
-@dataclass(frozen=True)
-class RunPlacement:
-    """Disjoint runs on the standard labeling, as (start facet, length) pairs."""
-
-    runs: tuple[tuple[int, int], ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.runs)
-
-    def run_sequence(self) -> RunSequence:
-        return RunSequence(tuple(sorted(self.lengths, reverse=True)))
-
-
 def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
     """The path complex: one facet per t-vertex path of the cycle or line."""
     n, t = spec.n, spec.t
@@ -115,35 +101,3 @@ def build_run_complex(seq: RunSequence, t: int) -> SimplicialComplex:
         offset += s + t - 1
     return make_complex(range(1, offset + 1), facets)
 
-
-def enumerate_placements(spec: PathFamilySpec) -> Iterator[RunPlacement]:
-    """All sets of disjoint runs on the cycle's standard labeling.
-
-    Starts are ascending and pairwise cyclic facet gaps are at least t,
-    which is exactly the condition for the union to be an induced
-    subcollection.  Each placement is yielded once.  Their number grows
-    exponentially in n; this enumerator is the reference that the
-    binomial placement sum in :mod:`pathbetti.betti` is tested against.
-    """
-    if spec.kind != "cycle":
-        raise ValueError("placements are enumerated on cycles only")
-    n, t = spec.n, spec.t
-    if t >= n:
-        raise ValueError("placement enumeration requires t < n")
-
-    def extend(runs: tuple[tuple[int, int], ...]) -> Iterator[RunPlacement]:
-        first_start = runs[0][0]
-        last_start, last_len = runs[-1]
-        for b in range(last_start + last_len + t, n + 1):
-            # wrap-around gap back to the first run caps the length
-            s_max = first_start + n - t - b
-            for s in range(1, s_max + 1):
-                longer = runs + ((b, s),)
-                yield RunPlacement(longer)
-                yield from extend(longer)
-
-    for b1 in range(1, n + 1):
-        for s1 in range(1, n - t + 1):
-            first = ((b1, s1),)
-            yield RunPlacement(first)
-            yield from extend(first)

@@ -10,8 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathbetti import (
-    GF2,
-    GF32003,
     QQ,
     BettiTable,
     FieldSpec,
@@ -25,17 +23,12 @@ from pathbetti import (
     betti_top_degree,
     build_path_complex,
     build_run_complex,
-    complement,
     complement_homology,
-    count_eligible,
-    enumerate_placements,
     homology_cycle_complement,
     homology_run_sequence,
-    induced_subcollection,
     make_complex,
     nonzero_criterion,
     pd_reg,
-    reduced_homology_dims,
     vertex_count_of_runs,
 )
 from pathbetti import betti as betti_module
@@ -44,6 +37,9 @@ from pathbetti.betti import _placement_counts
 from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
+from reference import (
+    GF2, GF32003, complement, enumerate_placements, induced_subcollection, reduced_homology_dims, run_sequence,
+)
 
 
 def _table(entries: dict) -> BettiTable:
@@ -134,7 +130,7 @@ def _direct_hochster(delta, field) -> BettiTable:
     for size in range(len(delta.ambient) + 1):
         for y in combinations(delta.ambient, size):
             gamma = induced_subcollection(delta, y)
-            if gamma.is_void or gamma.ambient != y:
+            if not gamma.facets or gamma.ambient != y:
                 continue
             for degree, dim in reduced_homology_dims(complement(gamma, y), field).items():
                 table.accumulate(degree + 2, size, dim, "direct")
@@ -292,7 +288,7 @@ class TestOracleRoute:
         # component of another union is looked up twice; the splitting's
         # sub-shapes are relabelled in frames of fewer than 9 vertices
         delta = build_path_complex(PathFamilySpec("cycle", 9, 2))
-        masks = homology_module.facet_masks(delta)
+        masks = betti_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
         components = {y: betti_module._components(_inside(masks, y)) for y in unions}
         needed = {verts for y in unions if _complement_outright(delta, y) for verts in components[y]}
@@ -392,7 +388,7 @@ class TestOracleScan:
     def test_unions_of_facets_are_the_kept_supports(self, delta):
         # the search reaches exactly the unions with nonzero complement
         # homology, each once, and hands over the Ind that duality needs
-        masks = homology_module.facet_masks(delta)
+        masks = betti_module.facet_masks(delta)
         n = len(delta.ambient)
         kept = _kept_by_filter(masks, n)
         reached = list(betti_module._union_search(masks, QQ, n))
@@ -418,7 +414,7 @@ class TestOracleScan:
         path = [(1, 2), (2, 3), (3, 4)]
         cycle = [(5 + v, 5 + (v + 1) % 5) for v in range(5)]
         delta = make_complex(range(1, 10), path + cycle)
-        masks = homology_module.facet_masks(delta)
+        masks = betti_module.facet_masks(delta)
         lookups, leaves = [], []
         lookup, search = betti_module._component_homology, betti_module._union_search
 
@@ -552,6 +548,32 @@ class TestIndSplitting:
                     levels_homology(_ind_by_brute_force(shape), field)
                 assert taken == [shape]
 
+    def test_a_shape_on_which_no_vertex_splits_reaches_the_matrix_route(self, monkeypatch):
+        # found by a random search over connected antichains of 2- to 4-sets:
+        # Ind has homology in degrees 1 and 2, and at every vertex the link
+        # and the deletion share a degree; the complement is not small
+        # (232 faces against 7 per facet), so the fallback is all that is left
+        shape = (13, 14, 19, 20, 26, 39, 44, 48, 66, 68, 73)
+        m = 7
+        assert sum(1 << (m - fm.bit_count()) for fm in shape) > m * len(shape)
+        taken = []
+        matrix = betti_module._matrix_homology
+
+        def recording(shape, field):
+            taken.append(shape)
+            return matrix(shape, field)
+
+        monkeypatch.setattr(betti_module, "_matrix_homology", recording)
+        delta = make_complex(range(1, m + 1), [[b + 1 for b in range(m) if fm >> b & 1] for fm in shape])
+        for field in (QQ, GF2):
+            monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+            taken.clear()
+            assert betti_module._split_homology(shape, field) is None
+            assert betti_module._ind_homology(shape, field) == \
+                levels_homology(_ind_by_brute_force(shape), field) == {1: 2, 2: 2}
+            assert shape in taken
+            assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+
 
 class TestComplementHomology:
     """The duality route for one complement, checked against the complement built outright."""
@@ -646,22 +668,16 @@ class TestTopDegree:
 
 
 class TestCountEligible:
+    """Eligible placements counted below degree n, read off the closed table."""
+
     def test_heptagon_single_facets(self):
-        assert count_eligible(PathFamilySpec("cycle", 7, 4), 1, 4) == 7
+        assert betti_closed_cycle(PathFamilySpec("cycle", 7, 4)).value(1, 4) == 7
 
     def test_pentagon_runs_of_two(self):
-        assert count_eligible(PathFamilySpec("cycle", 5, 2), 2, 3) == 5
+        assert betti_closed_cycle(PathFamilySpec("cycle", 5, 2)).value(2, 3) == 5
 
     def test_pentagon_has_no_disjoint_pairs(self):
-        assert count_eligible(PathFamilySpec("cycle", 5, 2), 2, 4) == 0
-
-    def test_degree_n_rejected(self):
-        with pytest.raises(ValueError):
-            count_eligible(PathFamilySpec("cycle", 5, 2), 3, 5)
-
-    def test_i_above_j_rejected(self):
-        with pytest.raises(ValueError):
-            count_eligible(PathFamilySpec("cycle", 5, 2), 4, 3)
+        assert betti_closed_cycle(PathFamilySpec("cycle", 5, 2)).value(2, 4) == 0
 
 
 class TestPlacementCounts:
@@ -672,7 +688,7 @@ class TestPlacementCounts:
         spec = PathFamilySpec("cycle", n, t)
         hist: dict[tuple[int, int], int] = {}
         for placement in enumerate_placements(spec):
-            seq = placement.run_sequence()
+            seq = run_sequence(placement)
             summary = homology_run_sequence(t, seq)
             if summary.nonzero_degree is not None:
                 key = (summary.nonzero_degree + 2, vertex_count_of_runs(seq, t))
@@ -727,7 +743,7 @@ class TestHilbertNumerator:
     def test_height_is_the_minimum_vertex_cover(self, kind):
         for n in range(3, 11):
             for t in range(2, n + 1):
-                masks = homology_module.facet_masks(build_path_complex(PathFamilySpec(kind, n, t)))
+                masks = betti_module.facet_masks(build_path_complex(PathFamilySpec(kind, n, t)))
                 cover = min(c.bit_count() for c in range(1 << n) if all(c & fm for fm in masks))
                 assert _height(kind, n, t) == cover, (n, t)
 

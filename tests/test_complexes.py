@@ -7,20 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathbetti import (
-    PathFamilySpec,
-    SimplicialComplex,
-    build_path_complex,
-    complement,
-    cone,
-    faces_of_dim,
-    induced_subcollection,
-    make_complex,
-)
+from pathbetti import PathFamilySpec, SimplicialComplex, build_path_complex, make_complex
 from pathbetti import betti
-from pathbetti.homology import facet_masks
+from pathbetti.betti import facet_masks
 
 from conftest import small_complexes
+from reference import complement, cone, faces_of_dim, induced_subcollection
 
 
 class TestMakeComplex:
@@ -30,15 +22,11 @@ class TestMakeComplex:
 
     def test_empty_facet_list_is_void(self):
         delta = make_complex((1, 2, 3), [])
-        assert delta.is_void
-        assert not delta.is_irrelevant
-        assert delta.dim is None
+        assert delta.facets == ()
 
     def test_lone_empty_facet_is_irrelevant(self):
         delta = make_complex((1, 2), [()])
-        assert delta.is_irrelevant
-        assert not delta.is_void
-        assert delta.dim == -1
+        assert delta.facets == ((),)
 
     def test_empty_facet_pruned_next_to_real_ones(self):
         delta = make_complex((1, 2), [(), (1,)])
@@ -75,7 +63,7 @@ class TestInducedSubcollection:
     def test_too_small_vertex_set_gives_void(self):
         delta = build_path_complex(PathFamilySpec("cycle", 7, 4))
         gamma = induced_subcollection(delta, (1, 2, 3))
-        assert gamma.is_void
+        assert gamma.facets == ()
         assert gamma.ambient == ()
 
     def test_pentagon_on_four_vertices(self):
@@ -104,7 +92,7 @@ class TestComplement:
         t = 4
         delta = make_complex(range(1, t + 1), [tuple(range(1, t + 1))])
         comp = complement(delta, range(1, t + 1))
-        assert comp.is_irrelevant
+        assert comp.facets == ((),)
 
     def test_two_overlapping_edges(self):
         delta = make_complex((1, 2, 3), [(1, 2), (2, 3)])

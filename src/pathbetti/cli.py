@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 import time
-from typing import Sequence
+from collections.abc import Sequence
 
 from .betti import (
     BettiTable,

@@ -7,14 +7,15 @@ all), the *irrelevant* complex ``{Ø}`` (the single facet ``()``), and
 everything else.
 
 Vertices are 1-based integers; faces are ascending tuples of vertices.
-A complex is immutable once built.  The package builds complexes here
-and computes on their facets as bitmasks (``betti.facet_masks``).
+A complex is an immutable named tuple ``(ambient, facets)``.  The
+package builds complexes here and computes on their facets as bitmasks
+(``betti.facet_masks``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 Vertex = int
 Face = tuple[Vertex, ...]
@@ -26,17 +27,15 @@ def as_vertex_set(vertices: Iterable[Vertex]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A simplicial complex given by ambient vertices and maximal facets.
+class SimplicialComplex(namedtuple("SimplicialComplex", "ambient facets")):
+    """A simplicial complex given by ambient vertices (a VertexSet) and maximal facets (a tuple of Faces).
 
     Instances should be built through :func:`make_complex`, which removes
     duplicate and non-maximal facets; downstream code relies on the facet
     list being inclusion-incomparable and lexicographically sorted.
     """
 
-    ambient: VertexSet
-    facets: tuple[Face, ...]
+    __slots__ = ()
 
 
 def make_complex(ambient: Iterable[Vertex], facets: Iterable[Iterable[Vertex]]) -> SimplicialComplex:

@@ -32,8 +32,8 @@ counted, before any column is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
+from collections import namedtuple
 
 HomologyVector = dict[int, int]
 
@@ -64,18 +64,26 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "characteristic")):
     """Coefficient field: characteristic 0 for the rationals, else a prime below 2^31."""
 
-    characteristic: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = self.characteristic
+    def __new__(cls, characteristic: int = 0) -> FieldSpec:
+        try:
+            c = operator.index(characteristic)
+        except TypeError:
+            raise ValueError(f"characteristic must be an integer, got {characteristic!r}") from None
         if c >= 1 << 31:
             raise ValueError(f"characteristic must be below 2^31, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        return super().__new__(cls, c)
+
+    # ``_replace`` builds through ``_make``, so it checks the field too
+    @classmethod
+    def _make(cls, fields) -> FieldSpec:
+        return cls(*fields)
 
 
 QQ = FieldSpec(0)
@@ -139,6 +147,8 @@ def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
     there (unless it is 1 already) and stored, or the column is empty.
     Returns the stored columns by pivot row; their number is the rank.
     """
+    if not p:
+        from fractions import Fraction  # only here, so that importing the package skips it
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         while col:

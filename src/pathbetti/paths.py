@@ -7,34 +7,50 @@ blocks of consecutive facets, and a run of length s covers s + t - 1
 consecutive vertices.  Two runs are genuinely separate exactly when at
 least one vertex (equivalently, t facet slots) lies between them.  A
 run complex realizes a sequence of run lengths on fresh vertices.
+
+``PathFamilySpec`` and ``RunSequence`` are immutable named tuples that
+check their fields when built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 
 from .complexes import SimplicialComplex, make_complex
 
 
-@dataclass(frozen=True)
-class PathFamilySpec:
+def _integer(value, what: str) -> int:
+    """The value as an int if it is one (``operator.index`` accepts it), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+class PathFamilySpec(namedtuple("PathFamilySpec", "kind n t")):
     """Parameters (kind, n, t) of a path complex of a cycle or a line.
 
     The derived quotient/remainder (p, d) with n = (t+1)p + d and
     0 <= d <= t drive every closed form downstream.
     """
 
-    kind: str
-    n: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("cycle", "line"):
-            raise ValueError(f"kind must be 'cycle' or 'line', got {self.kind!r}")
-        if not 2 <= self.t <= self.n:
-            raise ValueError(f"need 2 <= t <= n, got t={self.t}, n={self.n}")
-        if self.kind == "cycle" and self.n < 3:
-            raise ValueError(f"a cycle needs at least 3 vertices, got n={self.n}")
+    def __new__(cls, kind: str, n: int, t: int) -> PathFamilySpec:
+        if kind not in ("cycle", "line"):
+            raise ValueError(f"kind must be 'cycle' or 'line', got {kind!r}")
+        n, t = _integer(n, "n"), _integer(t, "t")
+        if not 2 <= t <= n:
+            raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
+        if kind == "cycle" and n < 3:
+            raise ValueError(f"a cycle needs at least 3 vertices, got n={n}")
+        return super().__new__(cls, kind, n, t)
+
+    # ``_replace`` builds through ``_make``, so it checks the fields too
+    @classmethod
+    def _make(cls, fields) -> PathFamilySpec:
+        return cls(*fields)
 
     @property
     def p(self) -> int:
@@ -45,8 +61,7 @@ class PathFamilySpec:
         return self.n % (self.t + 1)
 
 
-@dataclass(frozen=True)
-class RunSequence:
+class RunSequence(namedtuple("RunSequence", "lengths")):
     """Lengths of a disjoint collection of runs.
 
     The residues of the lengths mod t+1 decide everything: writing
@@ -54,15 +69,20 @@ class RunSequence:
     contribute homology; see ``betti.homology_run_sequence``.
     """
 
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lengths = tuple(int(s) for s in self.lengths)
-        object.__setattr__(self, "lengths", lengths)
+    def __new__(cls, lengths: tuple[int, ...]) -> RunSequence:
+        lengths = tuple(_integer(s, "a run length") for s in lengths)
         if not lengths:
             raise ValueError("a run sequence needs at least one run")
         if any(s < 1 for s in lengths):
             raise ValueError(f"run lengths must be positive, got {lengths}")
+        return super().__new__(cls, lengths)
+
+    # ``_replace`` builds through ``_make``, so it checks the fields too
+    @classmethod
+    def _make(cls, fields) -> RunSequence:
+        return cls(*fields)
 
 
 def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:

@@ -42,6 +42,11 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(c)
 
+    @pytest.mark.parametrize("c", [2.0, 0.0, "2"])
+    def test_non_integers_rejected(self, c):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FieldSpec(c)
+
     @pytest.mark.parametrize("c", [1 << 31, 2147483659, 4294967311])
     def test_characteristic_at_or_above_2_to_the_31_rejected(self, c):
         with pytest.raises(ValueError, match="2\\^31"):

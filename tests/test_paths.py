@@ -17,6 +17,16 @@ from pathbetti import (
 from reference import complement, enumerate_placements, induced_subcollection, reduced_homology_dims, run_sequence
 
 
+class _Index:
+    """An integer-like object that is not an int, as numpy's integers are."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 class TestPathFamilySpec:
     def test_euclidean_split(self):
         spec = PathFamilySpec("cycle", 7, 4)
@@ -35,6 +45,17 @@ class TestPathFamilySpec:
         with pytest.raises(ValueError):
             PathFamilySpec(kind, n, t)
 
+    @pytest.mark.parametrize("n,t", [(7.5, 2), (7, 2.0), ("7", 2), (None, 2)])
+    def test_non_integer_parameters_rejected(self, n, t):
+        # accepted, 7.5 would give p = 2.0 and d = 1.5, and fail later inside range()
+        with pytest.raises(ValueError, match="must be an integer"):
+            PathFamilySpec("cycle", n, t)
+
+    def test_what_operator_index_accepts_is_stored_as_an_int(self):
+        spec = PathFamilySpec("cycle", _Index(7), _Index(2))
+        assert spec == PathFamilySpec("cycle", 7, 2)
+        assert type(spec.n) is int and type(spec.t) is int
+
 
 class TestRunSequence:
     def test_residues_and_aggregates(self):
@@ -51,6 +72,18 @@ class TestRunSequence:
             RunSequence(())
         with pytest.raises(ValueError):
             RunSequence((2, 0))
+
+    def test_non_integer_lengths_rejected(self):
+        # truncating would turn (2.7, 1) into (2, 1) without a word
+        with pytest.raises(ValueError, match="must be an integer"):
+            RunSequence((2.7, 1))
+        with pytest.raises(ValueError, match="must be an integer"):
+            RunSequence(("2", 1))
+
+    def test_what_operator_index_accepts_is_stored_as_an_int(self):
+        seq = RunSequence([_Index(2), 1])
+        assert seq.lengths == (2, 1)
+        assert all(type(s) is int for s in seq.lengths)
 
 
 class TestBuildPathComplex:

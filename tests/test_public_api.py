@@ -1,15 +1,23 @@
-"""The public names of the package, and README's Library example run as written."""
+"""The public names of the package, its value types, what importing it loads, and README's Library example."""
 
 from __future__ import annotations
 
 import ast
 import contextlib
 import io
+import json
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import pathbetti
-from pathbetti import BettiTable, SimplicialComplex, betti, homology
+from pathbetti import BettiTable, FieldSpec, HomologySummary, PathFamilySpec, RunSequence, SimplicialComplex
+from pathbetti import betti, homology
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,6 +57,115 @@ class TestPublicNames:
         tree = ast.parse(Path(homology.__file__).read_text())
         imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert "complexes" not in imported
+
+
+# Each value type with the fields of one instance, those of another, and the repr the package has always
+# printed for the first; the repr names every field.
+VALUES = [
+    (PathFamilySpec, ("cycle", 5, 2), ("line", 5, 2), "PathFamilySpec(kind='cycle', n=5, t=2)"),
+    (RunSequence, ((4, 2, 1),), ((4, 2),), "RunSequence(lengths=(4, 2, 1))"),
+    (FieldSpec, (32003,), (0,), "FieldSpec(characteristic=32003)"),
+    (HomologySummary, (2, 3), (None, 0), "HomologySummary(nonzero_degree=2, dimension=3)"),
+    (
+        SimplicialComplex, ((1, 2, 3), ((1, 2), (2, 3))), ((1, 2, 3), ((1, 2, 3),)),
+        "SimplicialComplex(ambient=(1, 2, 3), facets=((1, 2), (2, 3)))",
+    ),
+]
+
+# Each check a value type makes when built, with its message.
+INVALID = [
+    (PathFamilySpec, ("ring", 5, 2), "kind must be 'cycle' or 'line', got 'ring'"),
+    (PathFamilySpec, ("cycle", 5, 6), "need 2 <= t <= n, got t=6, n=5"),
+    (PathFamilySpec, ("cycle", 2, 2), "a cycle needs at least 3 vertices, got n=2"),
+    (RunSequence, ((),), "a run sequence needs at least one run"),
+    (RunSequence, ((2, 0),), "run lengths must be positive, got (2, 0)"),
+    (FieldSpec, (1 << 31,), "characteristic must be below 2^31, got 2147483648"),
+    (FieldSpec, (4,), "characteristic must be 0 or a prime, got 4"),
+    (HomologySummary, (None, 1), "a zero summary cannot carry a dimension"),
+    (HomologySummary, (2, 0), "a nonzero summary needs dimension >= 1"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,other,text", VALUES, ids=[cls.__name__ for cls, _, _, _ in VALUES])
+class TestValueTypes:
+    def test_equal_and_hashed_by_value(self, cls, fields, other, text):
+        value, copy = cls(*fields), cls(*fields)
+        assert copy is not value
+        assert copy == value and hash(copy) == hash(value)
+        assert cls(*other) != value
+
+    def test_repr(self, cls, fields, other, text):
+        assert repr(cls(*fields)) == text
+
+    def test_immutable(self, cls, fields, other, text):
+        value = cls(*fields)
+        for name, new in zip(re.findall(r"(\w+)=", text), other):
+            with pytest.raises(AttributeError):
+                setattr(value, name, new)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == cls(*fields)
+
+    def test_pickle_round_trip(self, cls, fields, other, text):
+        value = cls(*fields)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is cls
+
+
+@pytest.mark.parametrize(
+    "cls,args,message", INVALID, ids=[f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(INVALID)],
+)
+def test_each_check_raises_its_message(cls, args, message):
+    with pytest.raises(ValueError) as exc:
+        cls(*args)
+    assert str(exc.value) == message
+
+
+def test_replace_makes_the_same_checks():
+    with pytest.raises(ValueError, match="need 2 <= t <= n"):
+        PathFamilySpec("cycle", 5, 2)._replace(t=6)
+    with pytest.raises(ValueError, match="must be an integer"):
+        RunSequence((4, 2))._replace(lengths=(2.7,))
+    with pytest.raises(ValueError, match="0 or a prime"):
+        FieldSpec(2)._replace(characteristic=4)
+    with pytest.raises(ValueError, match="needs dimension >= 1"):
+        HomologySummary(2, 3)._replace(dimension=0)
+    assert PathFamilySpec("cycle", 5, 2)._replace(n=7) == PathFamilySpec("cycle", 7, 2)
+
+
+def _after(code: str, modules: tuple[str, ...]) -> tuple[list[str], list[str]]:
+    """Run the code in a fresh ``python -S`` on the package's source.
+
+    Returns what the code printed, and which of the modules were loaded after it.
+    """
+    script = f"import json, sys\n{code}\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", script], check=True, env=env, capture_output=True, text=True)
+    *printed, loaded = done.stdout.splitlines()
+    return printed, json.loads(loaded)
+
+
+# What start-up skips: dataclasses pulls in inspect, fractions pulls in decimal.
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "typing", "numpy")
+
+
+class TestStartupImports:
+    def test_the_command_line_loads_none_of_the_heavy_modules(self):
+        assert _after("import pathbetti.cli", HEAVY) == ([], [])
+
+    def test_the_package_alone_loads_no_argparse_either(self):
+        assert _after("import pathbetti", HEAVY + ("argparse",)) == ([], [])
+
+    def test_the_exact_fraction_fallback_loads_fractions_when_it_runs(self):
+        # the shape on which no vertex splits (tests/test_betti.py): its Ind has homology
+        # in two degrees, so over the rationals the certificate prime does not settle it
+        code = (
+            "from pathbetti import QQ, betti\n"
+            "assert 'fractions' not in sys.modules\n"
+            "print(sorted(betti._matrix_homology((13, 14, 19, 20, 26, 39, 44, 48, 66, 68, 73), QQ).items()))"
+        )
+        assert _after(code, ("fractions",)) == (["[(1, 2), (2, 2)]"], ["fractions"])
 
 
 def _library_block() -> str:

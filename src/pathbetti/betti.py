@@ -33,7 +33,7 @@ from math import comb
 from . import homology
 from .complexes import SimplicialComplex
 from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, levels_homology
-from .paths import PathFamilySpec, RunSequence
+from .paths import PathFamilySpec, RunSequence, _integer
 
 # Most ambient vertices the oracle and the explicit complements accept;
 # homology._levels keeps the face budget.
@@ -132,6 +132,9 @@ class HomologySummary(namedtuple("HomologySummary", "nonzero_degree dimension"))
     __slots__ = ()
 
     def __new__(cls, nonzero_degree: int | None, dimension: int) -> HomologySummary:
+        if nonzero_degree is not None:
+            nonzero_degree = _integer(nonzero_degree, "nonzero_degree")
+        dimension = _integer(dimension, "dimension")
         if nonzero_degree is None:
             if dimension != 0:
                 raise ValueError("a zero summary cannot carry a dimension")

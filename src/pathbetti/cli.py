@@ -9,6 +9,11 @@ Exit codes are stable API: 0 success, 1 verification failure, 2 usage
 error, 3 resource limit.  Each command returns 0, 1 or 2 itself;
 ``main`` alone turns an OracleCapError, from the vertex cap or the face
 budget, into 3, with the error on stderr and nothing on stdout.
+
+JSON is rendered by ``_json``, byte for byte what ``json.dumps(indent=2)``
+gives: with an indent, ``json.dumps`` leaves its C encoder for a Python
+generator per container, which on small tables took longer than
+computing them.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ EXIT_RESOURCE = 3
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once; ``parser.commands`` holds the three command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="pathbetti",
         description="Exact Betti tables, homology, pd and regularity of path ideals of cycles and lines.",
@@ -70,7 +76,42 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-n", type=int, default=10)
     verify.add_argument("--t-range", default="2..5", help="inclusive range a..b of t values")
     verify.add_argument("--char-list", default="0", help="comma-separated characteristics, e.g. 0,2,32003")
+    parser.commands = {"betti": betti, "homology": hom, "verify": verify}
     return parser
+
+
+# The C encoder's string escaping; it raises TypeError on anything but a str.
+_string = json.encoder.encode_basestring_ascii
+
+_SCALARS = {
+    str: _string,
+    int: int.__repr__,
+    float: json.dumps,  # float.__repr__, and NaN and Infinity as json.dumps spells them
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of str, int, float, bool, None, and lists and str-keyed dicts of them.
+
+    Types are matched exactly, so a bool is not taken for an int; any
+    other type, and any key that is not a str, raises TypeError.
+    ``indent`` is the line break and indentation that precede the value.
+    """
+    kind = type(value)
+    if kind is list or kind is dict:
+        if not value:
+            return "[]" if kind is list else "{}"
+        inner = indent + "  "
+        if kind is list:
+            parts = [_json(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(parts) + indent + "]"
+        parts = [_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if kind not in _SCALARS:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _SCALARS[kind](value)
 
 
 def _table_record(table: BettiTable) -> list[dict]:
@@ -147,7 +188,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
         mismatch = bool(diff)
 
     if args.format == "json":
-        print(json.dumps(record, indent=2))
+        print(_json(record))
     elif args.format == "csv":
         print("kind,n,t,i,j,beta,method")
         for i, j, value, method in table.items():
@@ -198,7 +239,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         record["match"] = vector == summary.as_vector()
         if not record["match"]:
             exit_code = EXIT_VERIFY
-    print(json.dumps(record, indent=2))
+    print(_json(record))
     return exit_code
 
 
@@ -307,7 +348,19 @@ _COMMANDS = {"betti": cmd_betti, "homology": cmd_homology, "verify": cmd_verify}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser()
+    # The top-level parser hands everything after a command's name to that
+    # command's parser, so that parser alone gives the same namespace and
+    # the same errors.  Anything else, and arguments the command leaves
+    # over, go through the full parse for argparse's own usage and errors.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except OracleCapError as exc:

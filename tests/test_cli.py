@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
+from dispatch import CASES, outcome, reference
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathbetti import BettiTable, cli, homology
 from pathbetti import betti as betti_module
@@ -38,12 +43,12 @@ def tiny_face_budget(monkeypatch):
 
 class TestParser:
     def test_built_once_across_calls(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
         builds = []
         init = argparse.ArgumentParser.__init__
 
         def counting(self, *args, **kwargs):
-            if kwargs.get("prog") == "pathbetti":
-                builds.append(1)
+            builds.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
@@ -51,6 +56,7 @@ class TestParser:
                             "--method", "closed", "--format", "csv")
         assert code == 0
         assert out.startswith("kind,n,t,i,j,beta,method")
+        assert builds == ["pathbetti", "pathbetti betti", "pathbetti homology", "pathbetti verify"]
         with pytest.raises(SystemExit) as exc:
             main(["betti", "--kind", "square"])
         assert exc.value.code == 2
@@ -58,7 +64,44 @@ class TestParser:
         code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2")
         assert code == 0
         assert json.loads(out)["method"] == "both"
-        assert len(builds) <= 1
+        with pytest.raises(SystemExit):
+            main(["betti", "--kind", "cycle", "--n", "5", "--t", "2", "extra"])
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) or "empty" for argv in CASES])
+    def test_same_as_one_parse_of_the_whole_line(self, argv):
+        assert outcome(main, argv) == outcome(reference, argv)
+
+    def test_reads_sys_argv_by_default(self, monkeypatch):
+        argv = ["betti", "--kind", "line", "--n", "6", "--t", "2", "--method", "closed"]
+        monkeypatch.setattr(sys, "argv", ["pathbetti", *argv])
+        assert outcome(lambda _: main(), argv) == outcome(main, argv)
+
+
+# What the command records hold, and the characters JSON escapes.
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028'))
+_SCALAR_VALUES = (
+    _TEXT | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False)
+)
+_VALUES = st.recursive(
+    _SCALAR_VALUES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=20,
+)
+
+
+class TestJson:
+    @given(_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_and_non_finite_floats(self):
+        for value in ([], {}, [[], {}], {"a": [], "b": {}}, math.inf, -math.inf, math.nan, [math.nan]):
+            assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [(1, 2), {1, 2}, {1: "a"}, {"a": {None: 1}}, [b"x"], {"a": 1j}])
+    def test_other_types_and_keys_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 class TestBettiCommand:

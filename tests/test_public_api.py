@@ -83,6 +83,10 @@ INVALID = [
     (FieldSpec, (4,), "characteristic must be 0 or a prime, got 4"),
     (HomologySummary, (None, 1), "a zero summary cannot carry a dimension"),
     (HomologySummary, (2, 0), "a nonzero summary needs dimension >= 1"),
+    (HomologySummary, (1.5, 2.0), "nonzero_degree must be an integer, got 1.5"),
+    (HomologySummary, (1, 2.0), "dimension must be an integer, got 2.0"),
+    (HomologySummary, (None, 0.0), "dimension must be an integer, got 0.0"),
+    (HomologySummary, ("1", 1), "nonzero_degree must be an integer, got '1'"),
 ]
 
 
@@ -122,6 +126,16 @@ def test_each_check_raises_its_message(cls, args, message):
     assert str(exc.value) == message
 
 
+def test_a_summary_stores_what_operator_index_accepts_as_ints():
+    class Two:
+        def __index__(self) -> int:
+            return 2
+
+    summary = HomologySummary(Two(), Two())
+    assert summary == (2, 2) and summary.as_vector() == {2: 2}
+    assert type(summary.nonzero_degree) is int and type(summary.dimension) is int
+
+
 def test_replace_makes_the_same_checks():
     with pytest.raises(ValueError, match="need 2 <= t <= n"):
         PathFamilySpec("cycle", 5, 2)._replace(t=6)
@@ -131,6 +145,10 @@ def test_replace_makes_the_same_checks():
         FieldSpec(2)._replace(characteristic=4)
     with pytest.raises(ValueError, match="needs dimension >= 1"):
         HomologySummary(2, 3)._replace(dimension=0)
+    with pytest.raises(ValueError, match="nonzero_degree must be an integer"):
+        HomologySummary(2, 3)._replace(nonzero_degree=1.5)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        HomologySummary(2, 3)._replace(dimension=3.0)
     assert PathFamilySpec("cycle", 5, 2)._replace(n=7) == PathFamilySpec("cycle", 7, 2)
 
 

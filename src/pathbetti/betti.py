@@ -7,7 +7,10 @@ depth-first search over the facets.  The search carries the connected
 components of each union's facets, and a component no later facet meets
 is finished: the homology of its independence complex Ind is looked up
 once per scan by its vertex mask, and a component whose Ind is acyclic
-drops its whole branch.  Ind's homology comes from link/deletion
+drops its whole branch.  When the facets are invariant under rotating
+the vertices, only the unions with an arc starting at vertex 0 are
+searched, each weighted by n over its number of arcs, and the full
+vertex set is added once.  Ind's homology comes from link/deletion
 splitting on a vertex, which recurses on smaller shapes through one
 bounded memo.  A shape whose complement is small, or on which no vertex
 splits, has its homology read off the boundary-matrix ranks of its own
@@ -388,7 +391,9 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
     return {m - d - 3: dim for d, dim in _sub_homology(masks, m, field).items()}
 
 
-def _union_search(masks: list[int], field: FieldSpec, frame: int) -> Iterator[tuple[int, HomologyVector]]:
+def _union_search(
+    masks: list[int], field: FieldSpec, frame: int, lead: int = 0,
+) -> Iterator[tuple[int, HomologyVector]]:
     """Each nonempty union of the facets Y whose Ind is not acyclic, with that Ind's homology.
 
     A depth-first search includes or excludes the facets in their order.
@@ -399,9 +404,12 @@ def _union_search(masks: list[int], field: FieldSpec, frame: int) -> Iterator[tu
     facet meets a component, it is finished: it is looked up through
     ``_component_homology``, in a memo of the search's own, and joined
     into the branch's Ind.  A join that comes out acyclic stays so for
-    every union below, so the branch is dropped there.  The search keeps
-    its own stack, which holds at most one entry per facet plus one, not
-    Python recursion.  Ø must not be a facet.
+    every union below, so the branch is dropped there.  Once the first
+    ``lead`` facets are decided, a branch whose union misses bit 0 is
+    dropped too; only these facets may hold bit 0, and lead = 0 drops
+    nothing.  The search keeps its own stack, which holds at most one
+    entry per facet plus one, not Python recursion.  Ø must not be a
+    facet.
     """
     count = len(masks)
     after = [0] * count  # after[i]: the vertices of the facets past the i-th
@@ -436,13 +444,14 @@ def _union_search(masks: list[int], field: FieldSpec, frame: int) -> Iterator[tu
         grown = union | fm
         if grown != union:
             # exclude the facet: a component it was the last to meet is finished
-            out = ind
-            for verts in finished:
-                out = _join(out, _component_homology(verts, masks, field, frame, memo))
-                if not out:
-                    break
-            if out:
-                push((i, union, (*untouched, *still_open), out))
+            if i != lead or union & 1:
+                out = ind
+                for verts in finished:
+                    out = _join(out, _component_homology(verts, masks, field, frame, memo))
+                    if not out:
+                        break
+                if out:
+                    push((i, union, (*untouched, *still_open), out))
             # an include covering an excluded facet would reach a union twice
             cut = False
             for e in earlier:
@@ -471,13 +480,26 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     acyclic Ind, since every union below then contributes nothing too.
     Alexander duality turns each Ind left into the reduced homology of
     the complement within Y, which goes into the table at homological
-    degree (homology degree + 2) and internal degree |Y|.  A facet Ø
-    makes delta the irrelevant complex, whose only entry is (1, 0).  A
-    component whose homology needs a complex over the face budget is
-    refused with OracleCapError when the search meets it.  Inputs above
-    the vertex cap are refused first, by ``check_vertex_cap``, as they
-    are by the command line.  Memory follows the search's depth and the
-    memo, not the number of unions.
+    degree (homology degree + 2) and internal degree |Y|.
+
+    When the facets are invariant under the rotation of the n ambient
+    vertices by one place, as the cycle's are, so is every term.  An arc
+    of Y is a maximal cyclic interval of it; counting the pairs (Y, v)
+    with an arc of Y starting at v over all Y but the full set gives
+    Σ arcs(Y)·f(Y) = n·Σ f(Y) over the Y with an arc starting at vertex
+    0, that is with 0 in Y and n - 1 not.  Only those unions are
+    searched: the facets through n - 1 are dropped, those through 0 go
+    first, and a branch that has decided them without reaching 0 is
+    dropped.  Each (i, j, arcs) bucket is summed in ints and adds
+    n·sum/arcs, an exact division, and the full set, which has no arc
+    start, adds its own term once, from ``_sub_homology``.
+
+    A facet Ø makes delta the irrelevant complex, whose only entry is
+    (1, 0).  A component whose homology needs a complex over the face
+    budget is refused with OracleCapError when the search meets it.
+    Inputs above the vertex cap are refused first, by
+    ``check_vertex_cap``, as they are by the command line.  Memory
+    follows the search's depth and the memo, not the number of unions.
     """
     frame = len(delta.ambient)
     check_vertex_cap(frame)
@@ -486,11 +508,29 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     if 0 in masks:
         table.accumulate(1, 0, 1, "oracle")
         return table
-    for y, ind in _union_search(masks, field, frame):
-        weight = y.bit_count()
+    full = (1 << frame) - 1
+    rotating = bool(masks) and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks)
+    scale, lead, searched = 1, 0, masks
+    if rotating:
+        scale, top = frame, 1 << frame - 1
+        searched = [fm for fm in masks if fm & 1 and not fm & top]
+        lead = len(searched)
+        searched += [fm for fm in masks if not fm & (1 | top)]
+        for d, dim in _sub_homology(masks, frame, field).items():
+            table.accumulate(frame - d - 1, frame, dim, "oracle")
+    sums: dict[tuple[int, int, int], int] = {}
+    for y, ind in _union_search(searched, field, frame, lead):
+        size = y.bit_count()
+        arcs = (y & ~(y << 1 | y >> frame - 1)).bit_count() if rotating else 1
         for d, dim in ind.items():
             # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
-            table.accumulate(weight - d - 1, weight, dim, "oracle")
+            key = (size - d - 1, size, arcs)
+            sums[key] = sums.get(key, 0) + dim
+    for (i, j, arcs), total in sums.items():
+        value, rest = divmod(scale * total, arcs)
+        if rest:
+            raise RuntimeError(f"the rotation sum at ({i}, {j}) with {arcs} arcs is not divisible")
+        table.accumulate(i, j, value, "oracle")
     return table
 
 

@@ -326,13 +326,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fields = [FieldSpec(int(c)) for c in args.char_list.split(",") if c != ""]
         if not fields:
             raise ValueError("empty characteristic list")
+        # the t range only widens with n, so some n has a cell iff args.max_n
+        # does, and the cap is checked before the cells are listed
+        if args.max_n >= 3 and max(2, t_lo) <= min(t_hi, args.max_n):
+            check_vertex_cap(args.max_n)
         cells = [
             (n, t)
             for n in range(3, args.max_n + 1)
             for t in range(max(2, t_lo), min(t_hi, n) + 1)
         ]
-        if cells:
-            check_vertex_cap(cells[-1][0])
     except ValueError as exc:
         print(f"error: invalid verify arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

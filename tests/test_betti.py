@@ -17,6 +17,7 @@ from pathbetti import (
     OracleCapError,
     PathFamilySpec,
     RunSequence,
+    SimplicialComplex,
     betti_closed_cycle,
     betti_closed_line,
     betti_hochster,
@@ -283,15 +284,19 @@ class TestOracleRoute:
         assert max(sizes) <= limit and len(cache) <= limit
         assert table == betti_closed_cycle(spec)
 
-    def test_each_component_is_relabelled_once_per_scan(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_each_component_is_relabelled_once_per_scan(self, monkeypatch, kind):
         # every component of a contributing union is looked up, and no
         # component of another union is looked up twice; the splitting's
-        # sub-shapes are relabelled in frames of fewer than 9 vertices
-        delta = build_path_complex(PathFamilySpec("cycle", 9, 2))
+        # sub-shapes are relabelled in frames of fewer than 9 vertices.  On
+        # the cycle only the unions with an arc starting at vertex 0 are
+        # searched, and the full union is looked up on its own.
+        delta = build_path_complex(PathFamilySpec(kind, 9, 2))
         masks = betti_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
         components = {y: betti_module._components(_inside(masks, y)) for y in unions}
-        needed = {verts for y in unions if _complement_outright(delta, y) for verts in components[y]}
+        searched = unions if kind == "line" else {y for y in unions if y & 1 and not y >> 8} | {(1 << 9) - 1}
+        needed = {verts for y in searched if _complement_outright(delta, y) for verts in components[y]}
         relabelled = []
         real = betti_module._relabelled
 
@@ -454,6 +459,85 @@ class TestOracleScan:
         finally:
             sys.setrecursionlimit(limit)
         assert got == want
+
+
+@st.composite
+def circulant_complexes(draw) -> SimplicialComplex:
+    """The orbits under rotation of 1 to 3 random facets on 3 to 11 vertices."""
+    n = draw(st.integers(min_value=3, max_value=11))
+    seeds = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=3))
+    facets = [tuple(sorted((v + k) % n + 1 for v in seed)) for seed in seeds for k in range(n)]
+    return make_complex(range(1, n + 1), facets)
+
+
+def _searches(monkeypatch) -> list[tuple[list[int], int]]:
+    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
+    calls = []
+    search = betti_module._union_search
+
+    def recording(masks, field, frame, lead=0):
+        calls.append((list(masks), lead))
+        return search(masks, field, frame, lead)
+
+    monkeypatch.setattr(betti_module, "_union_search", recording)
+    return calls
+
+
+class TestRotationRoute:
+    """Rotation-invariant facets: only the unions with an arc starting at vertex 0 are searched."""
+
+    @given(circulant_complexes())
+    @example(make_complex(range(1, 10), [(v % 9 + 1, (v + 1) % 9 + 1, (v + 3) % 9 + 1) for v in range(9)]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_direct_complement_route(self, delta):
+        n = len(delta.ambient)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _searches(monkeypatch)
+            for field in (QQ, GF2):
+                assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+        assert calls and all(not fm >> n - 1 for masks, _ in calls for fm in masks)
+
+    @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
+    def test_cycles_match_the_unrestricted_search(self, field):
+        for n in range(3, 15):
+            for t in range(2, n + 1):
+                delta = build_path_complex(PathFamilySpec("cycle", n, t))
+                everything = BettiTable()
+                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field, n):
+                    for d, dim in ind.items():
+                        everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
+                assert betti_hochster(delta, field).items() == everything.items(), (n, t)
+
+    @pytest.mark.parametrize("facets", [
+        [(v, v + 1, v + 2) for v in range(1, 7)],
+        [(v % 8 + 1, (v + 1) % 8 + 1, (v + 2) % 8 + 1) for v in range(8) if v != 2],
+    ], ids=["line", "cycle-without-a-facet"])
+    def test_is_not_taken_without_rotation(self, monkeypatch, facets):
+        delta = make_complex(range(1, 9), facets)
+        calls = _searches(monkeypatch)
+        for field in (QQ, GF2):
+            assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+        assert [lead for _, lead in calls] == [0, 0]
+        assert all(masks == betti_module.facet_masks(delta) for masks, _ in calls)
+
+    @pytest.mark.parametrize("delta", [
+        make_complex((1,), [(1,)]),
+        make_complex((1, 2), [(1, 2)]),
+        make_complex(range(1, 6), [range(1, 6)]),
+        build_path_complex(PathFamilySpec("cycle", 5, 5)),
+    ], ids=["one-vertex", "two-vertices", "five-vertices", "cycle-5-5"])
+    def test_a_facet_on_every_vertex(self, monkeypatch, delta):
+        # the only union is the full one, which the search never reaches
+        calls = _searches(monkeypatch)
+        for field in (QQ, GF2):
+            assert betti_hochster(delta, field).entries == {(1, len(delta.ambient)): 1}
+            assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+        assert calls and all(masks == [] for masks, _ in calls)
+
+    def test_the_void_complex(self, monkeypatch):
+        calls = _searches(monkeypatch)
+        assert betti_hochster(make_complex((1, 2, 3), []), GF2).entries == {}
+        assert calls == [([], 0)]
 
 
 @st.composite

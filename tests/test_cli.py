@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -338,6 +339,25 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+    def test_cap_is_checked_before_the_cells_are_listed(self, capsys):
+        # listing the cells of a million vertices first took 323 MiB
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "verify", "--max-n", "1000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert "1000000 ambient vertices exceeds the oracle's vertex cap" in err
+        assert peak < 1 << 20
+
+    def test_range_with_no_cell_above_the_cap_warns(self, capsys):
+        code, out, err = _run(capsys, "verify", "--max-n", "25", "--t-range", "30..40")
+        assert code == 0
+        assert "warning: empty verification range" in out
+        assert err == ""
 
     def test_matrix_over_the_dense_budget_exits_three(self, capsys, tiny_face_budget):
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "2..2")

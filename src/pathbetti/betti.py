@@ -21,10 +21,11 @@ a facet set, for the splitting's sub-shapes and ``complement_homology``,
 and every component, the search's too, is keyed in the memo by
 ``_relabelled``.  The face budget is checked in one place, where
 ``homology._levels`` counts a complement's faces.
-The closed-form route counts eligible run placements by one binomial
-term per number of runs r, number b of them of residue 2 and total
-quotient P, in time polynomial in n, and adds the explicit top-degree
-value.  Either route checks the other.
+The closed-form route counts eligible run placements on the line by one
+binomial term per number of runs r, number b of them of residue 2 and
+total quotient P, in time polynomial in n.  The cycle's entries below
+degree n are the line's count on n - 1 vertices times n/(n - j), and
+its top-degree value is explicit.  Either route checks the other.
 """
 
 from __future__ import annotations
@@ -592,44 +593,32 @@ def _spreads(parts: int, most: int) -> list[int]:
     return out
 
 
-def _placement_counts(kind: str, n: int, t: int) -> dict[tuple[int, int], int]:
-    """Eligible run placements on the cycle or line of n vertices, counted by (i, j).
+def _placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
+    """Eligible run placements on the line of n vertices, counted by (i, j).
 
     Each eligible run has length (t+1)p + d with d in {1, 2}.  Placements
     of r runs, b of them with d = 2, whose quotients p sum to P, are
-    counted by one binomial term: the runs cover S = (t+1)P + r + b facet
-    slots and weigh (i, j) = (2P + r + b, S + r(t - 1)).  C(r, b) picks
-    the residues in run order and C(P + r - 1, r - 1) spreads P over the
-    runs.  On the cycle, r gaps of at least t slots, one after each run,
-    share the free slots beyond S + rt.  Starting such a sequence of runs
-    and gaps at each of the n slots yields every placement r times, once
-    from each of its runs: hence the factor n/r, whose division is exact.
-    On the line, n - t + 1 slots hold r - 1 inner gaps of at least t
-    slots and two end gaps that may be empty, so r + 1 gaps share the
-    free slots.  Both spreading binomials are read from ``_spreads``
-    tables, one pair per r, not computed afresh in every term.
+    counted by one binomial term: the runs cover (t+1)P + r + b of the
+    n - t + 1 facet slots and weigh (i, j) = (2P + r + b, (t+1)P + rt +
+    b).  C(r, b) picks the residues in run order, C(P + r - 1, r - 1)
+    spreads P over the runs, and the r - 1 inner gaps of at least t slots
+    and the two end gaps, which may be empty, share the n + 1 - j - r
+    free slots.  Both spreading binomials are read from ``_spreads`` tables,
+    one pair per r, not computed afresh in every term.
     """
-    cycle = kind == "cycle"
-    slots = n if cycle else n - t + 1
     counts: dict[tuple[int, int], int] = {}
-    for r in range(1, n // (t + 1) + 2):
-        most = slots - r - (r if cycle else r - 1) * t  # the free slots when b = P = 0
-        if most < 0:
-            break
+    for r in range(1, (n + 1) // (t + 1) + 1):
+        most = n + 1 - r * (t + 1)  # the free slots when b = P = 0
         spreads = _spreads(r, most // (t + 1))
-        gaps = _spreads(r if cycle else r + 1, most)
+        gaps = _spreads(r + 1, most)
         for b in range(r + 1):
             residues = comb(r, b)
             for p_total, spread in enumerate(spreads):
                 free = most - b - (t + 1) * p_total
                 if free < 0:
                     break
-                covered = (t + 1) * p_total + r + b
-                term = residues * spread * gaps[free]
-                if cycle:
-                    term = n * term // r
-                key = (2 * p_total + r + b, covered + r * (t - 1))
-                counts[key] = counts.get(key, 0) + term
+                key = (2 * p_total + r + b, (t + 1) * p_total + r * t + b)
+                counts[key] = counts.get(key, 0) + residues * spread * gaps[free]
     return counts
 
 
@@ -638,9 +627,10 @@ def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
 
     Exact in both directions.  Below n, with u = (j - i)/(t - 1): it is
     nonzero iff t - 1 divides j - i, i <= 2u and max(1, 2u - i) <= min(u,
-    n - j).  These are the indices of the binomial sum in
-    ``_placement_counts`` solved for (i, j): r runs, b of them of residue
-    2, with quotients summing to P, give u = P + r and 2u - i = r - b and
+    n - j).  These are the indices of the line's count on n - 1 vertices
+    in ``_placement_counts``, which ``betti_closed_cycle`` scales by the
+    positive n/(n - j), solved for (i, j): r runs, b of them of residue 2,
+    with quotients summing to P, give u = P + r and 2u - i = r - b and
     leave n - j - r free slots, and a term is positive iff r >= 1,
     0 <= b <= r, P >= 0 and n - j - r >= 0.  The bounds ask for such an
     r.  In degree n only the top-degree entry
@@ -657,16 +647,24 @@ def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
 def betti_closed_cycle(spec: PathFamilySpec) -> BettiTable:
     """Full Betti table of the cycle path ideal by counting placements.
 
-    Degrees below n come from eligible-placement counts; degree n comes
-    from the top-degree formula.
+    Below degree n, Hochster's formula counts each union Y of j < n
+    vertices once for each of the n - j vertices it misses, and the
+    facets avoiding one vertex are the line's on the other n - 1, so
+    β_{i,j}(C_n) = n·β_{i,j}(L_{n-1})/(n - j), an exact division (a
+    remainder raises RuntimeError).  Degree n comes from the top-degree
+    formula.
     """
     if spec.kind != "cycle":
         raise ValueError("expected a cycle spec")
+    n = spec.n
     table = BettiTable()
-    for (i, j), count in _placement_counts("cycle", spec.n, spec.t).items():
-        table.accumulate(i, j, count, "eligible_count")
+    for (i, j), count in _placement_counts(n - 1, spec.t).items():
+        value, rest = divmod(n * count, n - j)
+        if rest:
+            raise RuntimeError(f"the rotation count at ({i}, {j}) is not divisible by {n - j}")
+        table.accumulate(i, j, value, "eligible_count")
     i_top, value = betti_top_degree(spec)
-    table.accumulate(i_top, spec.n, value, "closed_form")
+    table.accumulate(i_top, n, value, "closed_form")
     return table
 
 
@@ -674,15 +672,12 @@ def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
     """Full Betti table of the line path ideal by counting placements.
 
     On the line no placement wraps, so the placement count covers every
-    degree including the top one.
+    degree, the top one too: when t = n it is the single facet's (1, n).
     """
     if spec.kind != "line":
         raise ValueError("expected a line spec")
     table = BettiTable()
-    if spec.t == spec.n:
-        table.accumulate(1, spec.n, 1, "closed_form")
-        return table
-    for (i, j), count in _placement_counts("line", spec.n, spec.t).items():
+    for (i, j), count in _placement_counts(spec.n, spec.t).items():
         table.accumulate(i, j, count, "eligible_count")
     return table
 

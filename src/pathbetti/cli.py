@@ -125,17 +125,10 @@ def _render_diagram(table: BettiTable) -> str:
     """Macaulay-style Betti diagram: rows are j - i, columns are i."""
     pd = table.pd
     reg = table.reg
-    cells = []
-    for r in range(reg + 1):
-        row = []
-        for i in range(pd + 1):
-            value = 1 if (i == 0 and r == 0) else table.value(i, i + r)
-            row.append(str(value) if value else ".")
-        cells.append(row)
-    totals = []
-    for i in range(pd + 1):
-        col = sum(int(cells[r][i]) for r in range(reg + 1) if cells[r][i] != ".")
-        totals.append(str(col))
+    values = [[table.value(i, i + r) for i in range(pd + 1)] for r in range(reg + 1)]
+    values[0][0] = 1  # the implicit entry in degree (0, 0)
+    cells = [[str(value) if value else "." for value in row] for row in values]
+    totals = [str(sum(column)) for column in zip(*values)]
     width = max(2, *(len(s) for row in cells for s in row), *(len(s) for s in totals))
     head = " " * 7 + " ".join(str(i).rjust(width) for i in range(pd + 1))
     total = "total: " + " ".join(s.rjust(width) for s in totals)

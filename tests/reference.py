@@ -5,12 +5,15 @@ outright, facet by facet, never through the oracle's splitting or
 Alexander duality, so a test that compares the oracle with them compares
 two independent computations.  ``reduced_homology_dims`` ranks every
 boundary map of a complex built this way; ``enumerate_placements`` lists
-the run placements that the closed forms count by a binomial sum.
+the run placements that the closed forms count by a binomial sum, and
+``cycle_placement_counts`` counts those on the cycle directly, with its
+own wrap-around gaps, where the package derives them from the line.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable, Iterator
 
 from pathbetti import QQ, FieldSpec, HomologyVector, PathFamilySpec, RunSequence, SimplicialComplex, make_complex
@@ -125,3 +128,32 @@ def enumerate_placements(spec: PathFamilySpec) -> Iterator[Placement]:
             first = ((b1, s1),)
             yield first
             yield from extend(first)
+
+
+def cycle_placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
+    """Eligible run placements on the cycle of n vertices, counted by (i, j), by a binomial sum.
+
+    Placements of r runs, b of them of residue 2, whose quotients sum to
+    P cover S = (t+1)P + r + b facet slots and weigh (i, j) = (2P + r + b,
+    S + r(t - 1)).  C(r, b) picks the residues in run order, C(P + r - 1,
+    r - 1) spreads P over the runs, and r gaps of at least t slots, one
+    after each run, share the free slots beyond S + rt.  Starting such a
+    sequence of runs and gaps at each of the n slots yields every
+    placement r times, once from each of its runs: hence the factor n/r.
+    Polynomial in n, so it reaches past ``enumerate_placements``.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for r in range(1, n // (t + 1) + 2):
+        most = n - r - r * t  # the free slots when b = P = 0
+        if most < 0:
+            break
+        for b in range(r + 1):
+            for p_total in range(most // (t + 1) + 1):
+                free = most - b - (t + 1) * p_total
+                if free < 0:
+                    break
+                covered = (t + 1) * p_total + r + b
+                term = comb(r, b) * comb(p_total + r - 1, r - 1) * comb(free + r - 1, r - 1)
+                key = (2 * p_total + r + b, covered + r * (t - 1))
+                counts[key] = counts.get(key, 0) + n * term // r
+    return counts

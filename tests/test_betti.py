@@ -34,12 +34,12 @@ from pathbetti import (
 )
 from pathbetti import betti as betti_module
 from pathbetti import homology as homology_module
-from pathbetti.betti import _placement_counts
 from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
 from reference import (
-    GF2, GF32003, complement, enumerate_placements, induced_subcollection, reduced_homology_dims, run_sequence,
+    GF2, GF32003, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
+    reduced_homology_dims, run_sequence,
 )
 
 
@@ -539,6 +539,12 @@ class TestRotationRoute:
         assert betti_hochster(make_complex((1, 2, 3), []), GF2).entries == {}
         assert calls == [([], 0)]
 
+    def test_a_sum_the_arcs_do_not_divide_is_refused(self, monkeypatch):
+        # vertices {0, 2} of the 5-cycle make two arcs, and 5 * 1 / 2 leaves a remainder
+        monkeypatch.setattr(betti_module, "_union_search", lambda *args: iter([(0b101, {-1: 1})]))
+        with pytest.raises(RuntimeError, match="not divisible"):
+            betti_hochster(build_path_complex(PathFamilySpec("cycle", 5, 2)))
+
 
 @st.composite
 def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
@@ -777,15 +783,19 @@ class TestPlacementCounts:
             if summary.nonzero_degree is not None:
                 key = (summary.nonzero_degree + 2, vertex_count_of_runs(seq, t))
                 hist[key] = hist.get(key, 0) + 1
-        assert _placement_counts("cycle", n, t) == hist
+        table = betti_closed_cycle(spec)
+        assert {(i, j): value for i, j, value, _ in table.items() if j < n} == hist
+
+
+BEYOND_THE_ORACLE = [
+    (n, t) for n in (30, 45, 60) for t in (2, 3, 4, 5)
+] + [
+    (n, t) for n in (120, 200, 300) for t in (2, 3, 5)
+]
 
 
 class TestClosedCycleBeyondTheOracle:
-    @pytest.mark.parametrize("n,t", [
-        (n, t) for n in (30, 45, 60) for t in (2, 3, 4, 5)
-    ] + [
-        (n, t) for n in (120, 200, 300) for t in (2, 3, 5)
-    ])
+    @pytest.mark.parametrize("n,t", BEYOND_THE_ORACLE)
     def test_independent_invariants(self, n, t):
         spec = PathFamilySpec("cycle", n, t)
         table = betti_closed_cycle(spec)
@@ -796,6 +806,12 @@ class TestClosedCycleBeyondTheOracle:
             (i, j) for j in range(1, n) for i in range(1, j + 1) if nonzero_criterion(spec, i, j)
         }
         assert {(i, j) for i, j in table.entries if j < n} == accepted
+
+    @pytest.mark.parametrize("n,t", BEYOND_THE_ORACLE)
+    def test_matches_the_cycle_binomial_sum(self, n, t):
+        # the line's count on n - 1 vertices, scaled, against the cycle's own wrap-around sum
+        table = betti_closed_cycle(PathFamilySpec("cycle", n, t))
+        assert {(i, j): value for i, j, value, _ in table.items() if j < n} == cycle_placement_counts(n, t)
 
 
 def _height(kind: str, n: int, t: int) -> int:
@@ -900,6 +916,12 @@ class TestClosedCycle:
     def test_full_simplex_cycle(self):
         assert betti_closed_cycle(PathFamilySpec("cycle", 4, 4)).entries == {(1, 4): 1}
 
+    def test_a_count_the_rotation_does_not_divide_is_refused(self, monkeypatch):
+        # 5 * 1 / (5 - 2) leaves a remainder
+        monkeypatch.setattr(betti_module, "_placement_counts", lambda n, t: {(1, 2): 1})
+        with pytest.raises(RuntimeError, match="not divisible"):
+            betti_closed_cycle(PathFamilySpec("cycle", 5, 2))
+
     def test_provenance_tags(self):
         table = betti_closed_cycle(PathFamilySpec("cycle", 5, 2))
         assert table.method(1, 2) == "eligible_count"
@@ -912,7 +934,8 @@ class TestClosedLine:
 
     def test_single_generator(self):
         for t in (2, 3, 5):
-            assert betti_closed_line(PathFamilySpec("line", t, t)).entries == {(1, t): 1}
+            table = betti_closed_line(PathFamilySpec("line", t, t))
+            assert table.items() == [(1, t, 1, "eligible_count")]
 
     def test_edge_count(self):
         assert betti_closed_line(PathFamilySpec("line", 5, 2)).value(1, 2) == 4

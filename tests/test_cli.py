@@ -140,12 +140,30 @@ class TestBettiCommand:
         assert lines[1] == "cycle,5,2,1,2,5,eligible_count"
         assert len(lines) == 4
 
+    def test_line_with_t_equal_to_n_is_a_placement_count(self, capsys):
+        # the single facet's entry is counted like every other line entry
+        argv = ("betti", "--kind", "line", "--n", "3", "--t", "3", "--method", "closed")
+        code, out, _ = _run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["line,3,3,1,3,1,eligible_count"]
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        jsonschema.validate(json.loads(out), _schema())
+
     def test_pretty_format_renders_diagram(self, capsys):
         code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "6", "--t", "2",
                             "--format", "pretty")
         assert code == 0
-        assert "total:" in out
-        assert "pd = 4, reg = 2" in out
+        # the totals sum each column, the implicit 1 in degree (0, 0) included
+        assert out.splitlines() == [
+            "        0  1  2  3  4",
+            "total:  1  6  9  6  2",
+            "    0:  1  .  .  .  .",
+            "    1:  .  6  6  .  .",
+            "    2:  .  .  3  6  2",
+            "pd = 4, reg = 2  (cycle, n=6, t=2)",
+            "oracle and closed form agree",
+        ]
 
     def test_usage_error_for_bad_parameters(self, capsys):
         code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "6")

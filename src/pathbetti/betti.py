@@ -10,11 +10,14 @@ once per scan by its vertex mask, and a component whose Ind is acyclic
 drops its whole branch.  When the facets are invariant under rotating
 the vertices, only the unions with an arc starting at vertex 0 are
 searched, each weighted by n over its number of arcs, and the full
-vertex set is added once.  Ind's homology comes from link/deletion
-splitting on a vertex, which recurses on smaller shapes through one
-bounded memo.  A shape whose complement is small, or on which no vertex
-splits, has its homology read off the boundary-matrix ranks of its own
-complement instead, moved to Ind by Alexander duality.  The join
+vertex set is added once.  When they are instead closed under moving
+each facet one vertex up or down where it fits, as the line's are, only
+the unions through vertex 0 are searched, each weighted by its n - hi(Y)
+translates.  Ind's homology comes from link/deletion splitting on a
+vertex, which recurses on smaller shapes through one bounded memo.  A
+shape whose complement is small, or on which no vertex splits, has its
+homology read off the boundary-matrix ranks of its own complement
+instead, moved to Ind by Alexander duality.  The join
 formula combines the components, and Alexander duality passes to the
 complement.  ``_sub_homology`` is the one join over the components of
 a facet set, for the splitting's sub-shapes and ``complement_homology``,
@@ -495,6 +498,18 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     n·sum/arcs, an exact division, and the full set, which has no arc
     start, adds its own term once, from ``_sub_homology``.
 
+    Otherwise, when the facets are shift-closed, as the line's are, the
+    facets missing the top vertex moved up one place are exactly the
+    facets missing vertex 0.  A union Y with lowest vertex m then induces
+    the facets of Y - m moved up by m, so Y - m is a union too, with the
+    same Ind up to relabelling and the same |Y|.  Each union through
+    vertex 0 stands for its n - hi(Y) translates that fit, hi(Y) being
+    its highest vertex, so only those are searched, with the facets
+    through 0 first and a branch that has decided them without reaching
+    0 dropped, and each adds its term times n - hi(Y), an exact integer
+    weight.  A rotating complex is shift-closed too, but keeps the
+    rotation route, which searches far fewer unions.
+
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
     budget is refused with OracleCapError when the search meets it.
@@ -509,24 +524,32 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     if 0 in masks:
         table.accumulate(1, 0, 1, "oracle")
         return table
-    full = (1 << frame) - 1
+    full, top = (1 << frame) - 1, 1 << frame >> 1
     rotating = bool(masks) and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks)
+    shifted = sorted(fm << 1 for fm in masks if not fm & top)
+    shifting = not rotating and shifted == sorted(fm for fm in masks if not fm & 1)
     scale, lead, searched = 1, 0, masks
     if rotating:
-        scale, top = frame, 1 << frame - 1
+        scale = frame
         searched = [fm for fm in masks if fm & 1 and not fm & top]
         lead = len(searched)
         searched += [fm for fm in masks if not fm & (1 | top)]
         for d, dim in _sub_homology(masks, frame, field).items():
             table.accumulate(frame - d - 1, frame, dim, "oracle")
+    elif shifting:
+        searched = [fm for fm in masks if fm & 1]
+        lead = len(searched)
+        searched += [fm for fm in masks if not fm & 1]
     sums: dict[tuple[int, int, int], int] = {}
     for y, ind in _union_search(searched, field, frame, lead):
         size = y.bit_count()
         arcs = (y & ~(y << 1 | y >> frame - 1)).bit_count() if rotating else 1
+        # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
+        weight = frame + 1 - y.bit_length() if shifting else 1
         for d, dim in ind.items():
             # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
             key = (size - d - 1, size, arcs)
-            sums[key] = sums.get(key, 0) + dim
+            sums[key] = sums.get(key, 0) + dim * weight
     for (i, j, arcs), total in sums.items():
         value, rest = divmod(scale * total, arcs)
         if rest:

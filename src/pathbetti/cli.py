@@ -307,8 +307,13 @@ def run_verification(
             f"formula={pd_reg(spec)} oracle={(reference.pd, reference.reg)}",
         )
         line_spec = PathFamilySpec("line", n, t)
-        line_oracle = betti_hochster(build_path_complex(line_spec), fields[0])
-        check_tables(betti_closed_line(line_spec), line_oracle, f"n={n} t={t} line-closed-vs-oracle")
+        line = build_path_complex(line_spec)
+        line_closed = betti_closed_line(line_spec)
+        for field in fields:
+            check_tables(
+                line_closed, betti_hochster(line, field),
+                f"n={n} t={t} char={field.characteristic} line-closed-vs-oracle",
+            )
     return lines, failures
 
 

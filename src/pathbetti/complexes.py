@@ -30,9 +30,12 @@ def as_vertex_set(vertices: Iterable[Vertex]) -> VertexSet:
 class SimplicialComplex(namedtuple("SimplicialComplex", "ambient facets")):
     """A simplicial complex given by ambient vertices (a VertexSet) and maximal facets (a tuple of Faces).
 
-    Instances should be built through :func:`make_complex`, which removes
-    duplicate and non-maximal facets; downstream code relies on the facet
-    list being inclusion-incomparable and lexicographically sorted.
+    Downstream code relies on the facets being a sorted antichain: distinct,
+    pairwise inclusion-incomparable, each an ascending tuple inside the
+    ambient, and lexicographically sorted.  :func:`make_complex` enforces
+    that on any input; a builder that constructs an instance directly, as
+    ``paths.build_path_complex`` and ``paths.build_run_complex`` do, must
+    keep it itself.
     """
 
     __slots__ = ()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 
-from .complexes import SimplicialComplex, make_complex
+from .complexes import SimplicialComplex
 
 
 def _integer(value, what: str) -> int:
@@ -86,17 +86,19 @@ class RunSequence(namedtuple("RunSequence", "lengths")):
 
 
 def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
-    """The path complex: one facet per t-vertex path of the cycle or line."""
+    """The path complex: one facet per t-vertex path of the cycle or line.
+
+    The facets all have t vertices, so the distinct ones are an antichain
+    and the complex is built directly; on the cycle with t = n every path
+    is the whole vertex set, and the set keeps one.
+    """
     n, t = spec.n, spec.t
     ambient = tuple(range(1, n + 1))
     if spec.kind == "cycle":
-        facets = [
-            tuple(sorted((i + k) % n + 1 for k in range(t)))
-            for i in range(n)
-        ]
+        facets = sorted({tuple(sorted((i + k) % n + 1 for k in range(t))) for i in range(n)})
     else:
         facets = [tuple(range(i, i + t)) for i in range(1, n - t + 2)]
-    return make_complex(ambient, facets)
+    return SimplicialComplex(ambient, tuple(facets))
 
 
 def vertex_count_of_runs(seq: RunSequence, t: int) -> int:
@@ -109,7 +111,8 @@ def build_run_complex(seq: RunSequence, t: int) -> SimplicialComplex:
 
     The runs are realized on fresh consecutive vertex blocks, so the
     result depends only on the run lengths and t, and its support is its
-    whole ambient.
+    whole ambient.  The facets are distinct t-sets listed in increasing
+    order, a sorted antichain, so the complex is built directly.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
@@ -119,5 +122,5 @@ def build_run_complex(seq: RunSequence, t: int) -> SimplicialComplex:
         for a in range(s):
             facets.append(tuple(range(offset + a + 1, offset + a + t + 1)))
         offset += s + t - 1
-    return make_complex(range(1, offset + 1), facets)
+    return SimplicialComplex(tuple(range(1, offset + 1)), tuple(facets))
 

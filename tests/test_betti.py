@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathbetti import (
@@ -290,12 +290,16 @@ class TestOracleRoute:
         # component of another union is looked up twice; the splitting's
         # sub-shapes are relabelled in frames of fewer than 9 vertices.  On
         # the cycle only the unions with an arc starting at vertex 0 are
-        # searched, and the full union is looked up on its own.
+        # searched, and the full union is looked up on its own; on the line
+        # only the unions holding vertex 0 are searched.
         delta = build_path_complex(PathFamilySpec(kind, 9, 2))
         masks = betti_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
         components = {y: betti_module._components(_inside(masks, y)) for y in unions}
-        searched = unions if kind == "line" else {y for y in unions if y & 1 and not y >> 8} | {(1 << 9) - 1}
+        if kind == "line":
+            searched = {y for y in unions if y & 1}
+        else:
+            searched = {y for y in unions if y & 1 and not y >> 8} | {(1 << 9) - 1}
         needed = {verts for y in searched if _complement_outright(delta, y) for verts in components[y]}
         relabelled = []
         real = betti_module._relabelled
@@ -508,16 +512,18 @@ class TestRotationRoute:
                         everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
                 assert betti_hochster(delta, field).items() == everything.items(), (n, t)
 
-    @pytest.mark.parametrize("facets", [
-        [(v, v + 1, v + 2) for v in range(1, 7)],
-        [(v % 8 + 1, (v + 1) % 8 + 1, (v + 2) % 8 + 1) for v in range(8) if v != 2],
+    @pytest.mark.parametrize("facets, lead", [
+        ([(v, v + 1, v + 2) for v in range(1, 7)], 1),
+        ([(v % 8 + 1, (v + 1) % 8 + 1, (v + 2) % 8 + 1) for v in range(8) if v != 2], 0),
     ], ids=["line", "cycle-without-a-facet"])
-    def test_is_not_taken_without_rotation(self, monkeypatch, facets):
+    def test_is_not_taken_without_rotation(self, monkeypatch, facets, lead):
+        # every facet is searched, the one through the last vertex too; the
+        # line takes the translation route, whose lead is its one facet through 0
         delta = make_complex(range(1, 9), facets)
         calls = _searches(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert [lead for _, lead in calls] == [0, 0]
+        assert [found for _, found in calls] == [lead, lead]
         assert all(masks == betti_module.facet_masks(delta) for masks, _ in calls)
 
     @pytest.mark.parametrize("delta", [
@@ -544,6 +550,101 @@ class TestRotationRoute:
         monkeypatch.setattr(betti_module, "_union_search", lambda *args: iter([(0b101, {-1: 1})]))
         with pytest.raises(RuntimeError, match="not divisible"):
             betti_hochster(build_path_complex(PathFamilySpec("cycle", 5, 2)))
+
+
+def _shift_closed(delta: SimplicialComplex) -> bool:
+    """Whether each facet moved one vertex up, and each moved one vertex down, is a facet where it fits."""
+    facets, n = set(delta.facets), len(delta.ambient)
+    return all(
+        (f[-1] == n or tuple(v + 1 for v in f) in facets) and (f[0] == 1 or tuple(v - 1 for v in f) in facets)
+        for f in facets
+    )
+
+
+@st.composite
+def translated_complexes(draw) -> SimplicialComplex:
+    """All the translates that fit of 1 to 3 random vertex sets on 1 to 10 vertices.
+
+    Dropping the translates that are not maximal can leave a complex that
+    is not shift-closed; those draws are rejected.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    seeds = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=3))
+    facets = [
+        tuple(v - min(seed) + k + 1 for v in sorted(seed))
+        for seed in seeds for k in range(n - max(seed) + min(seed))
+    ]
+    delta = make_complex(range(1, n + 1), facets)
+    assume(_shift_closed(delta))
+    return delta
+
+
+class TestTranslationRoute:
+    """Shift-closed facets: only the unions through vertex 0 are searched, each weighted by its translates."""
+
+    @given(translated_complexes())
+    @example(make_complex(range(1, 10), [(v, v + 1, v + 3) for v in range(1, 7)] + [(v, v + 4) for v in range(1, 6)]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_direct_complement_route(self, delta):
+        masks = betti_module.facet_masks(delta)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _searches(monkeypatch)
+            for field in (QQ, GF2):
+                assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+        # a rotating complex keeps the rotation route, which drops the facets through the last vertex
+        for searched, lead in calls:
+            if len(searched) == len(masks):
+                assert sorted(searched) == sorted(masks)
+                assert lead == sum(1 for fm in masks if fm & 1)
+                assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
+
+    @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
+    def test_lines_match_the_unrestricted_search(self, field):
+        for n in range(2, 15):
+            for t in range(2, n + 1):
+                delta = build_path_complex(PathFamilySpec("line", n, t))
+                everything = BettiTable()
+                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field, n):
+                    for d, dim in ind.items():
+                        everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
+                assert betti_hochster(delta, field).items() == everything.items(), (n, t)
+
+    @pytest.mark.parametrize("facets", [
+        [(v, v + 1, v + 2) for v in range(1, 7) if v != 3],
+        [(v % 8 + 1, (v + 1) % 8 + 1, (v + 2) % 8 + 1) for v in range(8) if v != 2],
+    ], ids=["line-without-an-inner-facet", "cycle-without-a-facet"])
+    def test_is_not_taken_without_shift_closure(self, monkeypatch, facets):
+        delta = make_complex(range(1, 9), facets)
+        calls = _searches(monkeypatch)
+        for field in (QQ, GF2):
+            assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+        assert calls == [(betti_module.facet_masks(delta), 0)] * 2
+
+    def test_cycles_keep_the_rotation_route(self, monkeypatch):
+        # the t facets through the last vertex are dropped, which translation never does
+        calls = _searches(monkeypatch)
+        for n in range(3, 12):
+            for t in range(2, n):
+                calls.clear()
+                betti_hochster(build_path_complex(PathFamilySpec("cycle", n, t)))
+                [(searched, lead)] = calls
+                assert len(searched) == n - t and not any(fm >> n - 1 for fm in searched) and lead == 1
+
+    def test_the_line_on_sixteen_vertices_yields_the_unions_through_vertex_0(self, monkeypatch):
+        yielded = []
+        search = betti_module._union_search
+
+        def counting(*args):
+            for y, ind in search(*args):
+                yielded.append(y)
+                yield y, ind
+
+        monkeypatch.setattr(betti_module, "_union_search", counting)
+        spec = PathFamilySpec("line", 16, 2)
+        assert betti_hochster(build_path_complex(spec)) == betti_closed_line(spec)
+        assert len(yielded) == 1420 and all(y & 1 for y in yielded)
+        everything = search(betti_module.facet_masks(build_path_complex(spec)), QQ, 16)
+        assert sum(1 for _ in everything) == 3457
 
 
 @st.composite

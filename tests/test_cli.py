@@ -334,6 +334,12 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "0 failures" in out
 
+    def test_the_line_is_checked_over_every_field(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--max-n", "5", "--t-range", "2..2", "--char-list", "0,2,32003")
+        assert code == 0
+        lines = [line for line in out.splitlines() if "line-closed-vs-oracle" in line]
+        assert lines == [f"PASS n={n} t=2 char={c} line-closed-vs-oracle" for n in (3, 4, 5) for c in (0, 2, 32003)]
+
     def test_empty_range_warns(self, capsys):
         code, out, _ = _run(capsys, "verify", "--max-n", "2", "--t-range", "2..5")
         assert code == 0

@@ -11,6 +11,7 @@ from pathbetti import (
     build_path_complex,
     build_run_complex,
     homology_run_sequence,
+    make_complex,
     vertex_count_of_runs,
 )
 
@@ -104,6 +105,14 @@ class TestBuildPathComplex:
         delta = build_path_complex(PathFamilySpec("line", 9, 4))
         assert len(delta.facets) == 6
 
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_is_what_make_complex_builds(self, kind):
+        # built directly, the facets must already be a sorted antichain
+        for n in range(3 if kind == "cycle" else 2, 41):
+            for t in range(2, n + 1):
+                delta = build_path_complex(PathFamilySpec(kind, n, t))
+                assert make_complex(delta.ambient, delta.facets) == delta, (n, t)
+
 
 def _support(spec: PathFamilySpec, runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The vertices a placement's runs cover on the standard labeling: s + t - 1 from each start."""
@@ -152,6 +161,19 @@ class TestVertexCount:
         assert vertex_count_of_runs(RunSequence(lengths), t) == expected
 
 
+def _descending_runs(t: int, budget: int) -> list[tuple[int, ...]]:
+    """Every non-increasing sequence of run lengths whose runs cover at most ``budget`` vertices."""
+    out = []
+
+    def extend(prefix: tuple[int, ...], most: int, left: int) -> None:
+        for s in range(1, min(most, left - t + 1) + 1):
+            out.append(prefix + (s,))
+            extend(prefix + (s,), s, left - (s + t - 1))
+
+    extend((), budget, budget)
+    return out
+
+
 def _run_complement(seq: RunSequence, t: int):
     gamma = build_run_complex(seq, t)
     return complement(gamma, gamma.ambient)
@@ -162,6 +184,15 @@ class TestBuildRunComplement:
         gamma = build_run_complex(RunSequence((2, 1)), 3)
         assert gamma.ambient == tuple(range(1, 8))
         assert gamma.facets == ((1, 2, 3), (2, 3, 4), (5, 6, 7))
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_is_what_make_complex_builds(self, t):
+        # the run sequences of the runs_explicit workload, on at most 12 vertices
+        sequences = _descending_runs(t, 12)
+        assert len(sequences) > 10
+        for lengths in sequences:
+            gamma = build_run_complex(RunSequence(lengths), t)
+            assert make_complex(gamma.ambient, gamma.facets) == gamma, lengths
 
     def test_single_run_gives_irrelevant(self):
         for t in (2, 3, 5):

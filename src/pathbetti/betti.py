@@ -24,11 +24,11 @@ a facet set, for the splitting's sub-shapes and ``complement_homology``,
 and every component, the search's too, is keyed in the memo by
 ``_relabelled``.  The face budget is checked in one place, where
 ``homology._levels`` counts a complement's faces.
-The closed-form route counts eligible run placements on the line by one
-binomial term per number of runs r, number b of them of residue 2 and
-total quotient P, in time polynomial in n.  The cycle's entries below
-degree n are the line's count on n - 1 vertices times n/(n - j), and
-its top-degree value is explicit.  Either route checks the other.
+The closed-form route counts eligible run placements on the line as one
+product of two binomials per entry, in time polynomial in n.  The
+cycle's entries below degree n are the line's count on n - 1 vertices
+times n/(n - j), and its top-degree value is explicit.  Either route
+checks the other.
 """
 
 from __future__ import annotations
@@ -605,58 +605,42 @@ def betti_top_degree(spec: PathFamilySpec) -> tuple[int, int]:
     return top.nonzero_degree + 2, top.dimension
 
 
-def _spreads(parts: int, most: int) -> list[int]:
-    """C(s + parts - 1, parts - 1) for s = 0..most: the ways to spread s over ``parts`` parts.
-
-    Each comes from the one before by the exact ratio (s + parts - 1)/s.
-    """
-    out = [1]
-    for s in range(1, most + 1):
-        out.append(out[-1] * (s + parts - 1) // s)
-    return out
-
-
 def _placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
     """Eligible run placements on the line of n vertices, counted by (i, j).
 
-    Each eligible run has length (t+1)p + d with d in {1, 2}.  Placements
-    of r runs, b of them with d = 2, whose quotients p sum to P, are
-    counted by one binomial term: the runs cover (t+1)P + r + b of the
-    n - t + 1 facet slots and weigh (i, j) = (2P + r + b, (t+1)P + rt +
-    b).  C(r, b) picks the residues in run order, C(P + r - 1, r - 1)
-    spreads P over the runs, and the r - 1 inner gaps of at least t slots
-    and the two end gaps, which may be empty, share the n + 1 - j - r
-    free slots.  Both spreading binomials are read from ``_spreads`` tables,
-    one pair per r, not computed afresh in every term.
+    Each eligible run has length (t+1)p + d with d in {1, 2}.  Put
+    u = (j - i)/(t - 1), the runs plus their total quotient, and
+    a = 2u - i, the runs of residue 1.  Then
+
+        β_{i,j}(L_n) = C(n + 1 - j, a)·C(n - j - a + u, u - a).
+
+    For fixed (i, j), placements of r runs, b = r - a of them of residue
+    2, with quotients summing to P = u - r, leave n + 1 - j - r free
+    slots to the r - 1 inner gaps of at least t slots and the two end
+    gaps, so the count is Σ_r C(r, a)·C(u - 1, r - 1)·C(n + 1 - j, r).
+    With m = n + 1 - j, C(r, a)·C(m, r) = C(m, a)·C(m - a, r - a), and
+    Vandermonde then sums C(m - a, r - a)·C(u - 1, u - r) over r to
+    C(m - a + u - 1, u - a).  Within the loop's bounds, u(t + 1) <= n + 1
+    and a >= u(t + 1) - n, every entry is positive.
     """
     counts: dict[tuple[int, int], int] = {}
-    for r in range(1, (n + 1) // (t + 1) + 1):
-        most = n + 1 - r * (t + 1)  # the free slots when b = P = 0
-        spreads = _spreads(r, most // (t + 1))
-        gaps = _spreads(r + 1, most)
-        for b in range(r + 1):
-            residues = comb(r, b)
-            for p_total, spread in enumerate(spreads):
-                free = most - b - (t + 1) * p_total
-                if free < 0:
-                    break
-                key = (2 * p_total + r + b, (t + 1) * p_total + r * t + b)
-                counts[key] = counts.get(key, 0) + residues * spread * gaps[free]
+    for u in range(1, (n + 1) // (t + 1) + 1):
+        for a in range(max(0, u * (t + 1) - n), u + 1):
+            j = u * (t + 1) - a
+            counts[(2 * u - a, j)] = comb(n + 1 - j, a) * comb(n - j - a + u, u - a)
     return counts
 
 
 def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
     """Whether the Betti number of the cycle in bidegree (i, j), i >= 1, is nonzero.
 
-    Exact in both directions.  Below n, with u = (j - i)/(t - 1): it is
-    nonzero iff t - 1 divides j - i, i <= 2u and max(1, 2u - i) <= min(u,
-    n - j).  These are the indices of the line's count on n - 1 vertices
-    in ``_placement_counts``, which ``betti_closed_cycle`` scales by the
-    positive n/(n - j), solved for (i, j): r runs, b of them of residue 2,
-    with quotients summing to P, give u = P + r and 2u - i = r - b and
-    leave n - j - r free slots, and a term is positive iff r >= 1,
-    0 <= b <= r, P >= 0 and n - j - r >= 0.  The bounds ask for such an
-    r.  In degree n only the top-degree entry
+    Exact in both directions.  Below n, with u = (j - i)/(t - 1) and a =
+    2u - i: ``betti_closed_cycle`` scales the line's entry on n - 1
+    vertices by the positive n/(n - j), and ``_placement_counts`` gives
+    that entry as C(n - j, a)·C(n - 1 - j - a + u, u - a) for u >= 1.
+    The product is positive iff a >= 0, a <= min(u, n - j) and j < n.
+    So the entry is nonzero iff t - 1 divides j - i, i <= 2u and max(1,
+    2u - i) <= min(u, n - j).  In degree n only the top-degree entry
     (``betti_top_degree``) is nonzero, and above n none is.
     """
     if spec.kind != "cycle":

@@ -107,7 +107,10 @@ def _json(value, indent: str = "\n") -> str:
         if kind is list:
             parts = [_json(item, inner) for item in value]
             return "[" + inner + ("," + inner).join(parts) + indent + "]"
-        parts = [_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+        parts = []
+        for key, item in value.items():
+            scalar = _SCALARS.get(type(item))
+            parts.append(_string(key) + ": " + (scalar(item) if scalar else _json(item, inner)))
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     if kind not in _SCALARS:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

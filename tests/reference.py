@@ -5,9 +5,12 @@ outright, facet by facet, never through the oracle's splitting or
 Alexander duality, so a test that compares the oracle with them compares
 two independent computations.  ``reduced_homology_dims`` ranks every
 boundary map of a complex built this way; ``enumerate_placements`` lists
-the run placements that the closed forms count by a binomial sum, and
-``cycle_placement_counts`` counts those on the cycle directly, with its
-own wrap-around gaps, where the package derives them from the line.
+the run placements that the closed forms count.  The package counts
+them as one product of two binomials per entry; ``line_placement_counts``
+counts those on the line by the binomial sum over (r, b, P) that the
+product collapses, and ``cycle_placement_counts`` counts those on the
+cycle directly, with its own wrap-around gaps, where the package derives
+them from the line.
 """
 
 from __future__ import annotations
@@ -156,4 +159,44 @@ def cycle_placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
                 term = comb(r, b) * comb(p_total + r - 1, r - 1) * comb(free + r - 1, r - 1)
                 key = (2 * p_total + r + b, covered + r * (t - 1))
                 counts[key] = counts.get(key, 0) + n * term // r
+    return counts
+
+
+def _spreads(parts: int, most: int) -> list[int]:
+    """C(s + parts - 1, parts - 1) for s = 0..most: the ways to spread s over ``parts`` parts.
+
+    Each comes from the one before by the exact ratio (s + parts - 1)/s.
+    """
+    out = [1]
+    for s in range(1, most + 1):
+        out.append(out[-1] * (s + parts - 1) // s)
+    return out
+
+
+def line_placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
+    """Eligible run placements on the line of n vertices, counted by (i, j), by a binomial sum.
+
+    Each eligible run has length (t+1)p + d with d in {1, 2}.  Placements
+    of r runs, b of them with d = 2, whose quotients p sum to P, are
+    counted by one binomial term: the runs cover (t+1)P + r + b of the
+    n - t + 1 facet slots and weigh (i, j) = (2P + r + b, (t+1)P + rt +
+    b).  C(r, b) picks the residues in run order, C(P + r - 1, r - 1)
+    spreads P over the runs, and the r - 1 inner gaps of at least t slots
+    and the two end gaps, which may be empty, share the n + 1 - j - r
+    free slots.  Both spreading binomials are read from ``_spreads`` tables,
+    one pair per r, not computed afresh in every term.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for r in range(1, (n + 1) // (t + 1) + 1):
+        most = n + 1 - r * (t + 1)  # the free slots when b = P = 0
+        spreads = _spreads(r, most // (t + 1))
+        gaps = _spreads(r + 1, most)
+        for b in range(r + 1):
+            residues = comb(r, b)
+            for p_total, spread in enumerate(spreads):
+                free = most - b - (t + 1) * p_total
+                if free < 0:
+                    break
+                key = (2 * p_total + r + b, (t + 1) * p_total + r * t + b)
+                counts[key] = counts.get(key, 0) + residues * spread * gaps[free]
     return counts

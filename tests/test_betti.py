@@ -39,7 +39,7 @@ from pathbetti.homology import levels_homology
 from conftest import small_complexes
 from reference import (
     GF2, GF32003, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
-    reduced_homology_dims, run_sequence,
+    line_placement_counts, reduced_homology_dims, run_sequence,
 )
 
 
@@ -893,6 +893,28 @@ BEYOND_THE_ORACLE = [
 ] + [
     (n, t) for n in (120, 200, 300) for t in (2, 3, 5)
 ]
+
+
+class TestProductFormula:
+    """Each entry of ``_placement_counts`` is one product of two binomials; the (r, b, P) sum it collapses checks it."""
+
+    def test_matches_the_line_binomial_sum_up_to_n_60(self):
+        wrong = [
+            (n, t) for n in range(61) for t in range(2, n + 2)
+            if betti_module._placement_counts(n, t) != line_placement_counts(n, t)
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize("n,t", BEYOND_THE_ORACLE)
+    def test_matches_the_line_binomial_sum_beyond_the_oracle(self, n, t):
+        assert betti_module._placement_counts(n, t) == line_placement_counts(n, t)
+
+    def test_no_entry_is_zero_below_n_90(self):
+        zero = [
+            (n, t, key) for n in range(90) for t in range(2, n + 2)
+            for key, value in betti_module._placement_counts(n, t).items() if value <= 0
+        ]
+        assert zero == []
 
 
 class TestClosedCycleBeyondTheOracle:

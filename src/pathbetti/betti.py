@@ -1,5 +1,12 @@
 """Graded Betti numbers of path ideals, by two independent routes.
 
+Both routes share one identity.  For facets invariant under rotating
+the n vertices, as the cycle's are, each entry β_{i,j} below degree n
+is n/(n - j) times that entry for the facets that miss vertex n - 1,
+on the other n - 1 vertices; ``_cycle_counts`` makes that exact
+division for both routes.  For the cycle those facets are the line's
+on n - 1 vertices.
+
 The brute-force route reaches the unions of facets, the only vertex
 subsets whose induced subcollection has the whole subset as support
 (the others complement to cones and contribute nothing), in one
@@ -7,12 +14,9 @@ depth-first search over the facets.  The search carries the connected
 components of each union's facets, and a component no later facet meets
 is finished: the homology of its independence complex Ind is looked up
 once per scan by its vertex mask, and a component whose Ind is acyclic
-drops its whole branch.  When the facets are invariant under rotating
-the vertices, only the unions with an arc starting at vertex 0 are
-searched, each weighted by n over its number of arcs, and the full
-vertex set is added once.  When they are instead closed under moving
-each facet one vertex up or down where it fits, as the line's are, only
-the unions through vertex 0 are searched, each weighted by its n - hi(Y)
+drops its whole branch.  When the facets are closed under moving each
+facet one vertex up or down where it fits, as the line's are, only the
+unions through vertex 0 are searched, each weighted by its n - hi(Y)
 translates.  Ind's homology comes from link/deletion splitting on a
 vertex, which recurses on smaller shapes through one bounded memo.  A
 shape whose complement is small, or on which no vertex splits, has its
@@ -25,10 +29,9 @@ and every component, the search's too, is keyed in the memo by
 ``_relabelled``.  The face budget is checked in one place, where
 ``homology._levels`` counts a complement's faces.
 The closed-form route counts eligible run placements on the line as one
-product of two binomials per entry, in time polynomial in n.  The
-cycle's entries below degree n are the line's count on n - 1 vertices
-times n/(n - j), and its top-degree value is explicit.  Either route
-checks the other.
+product of two binomials per entry, in time polynomial in n, and its
+top-degree value for the cycle is explicit.  Either route checks the
+other.
 """
 
 from __future__ import annotations
@@ -473,6 +476,24 @@ def _union_search(
                 push((i, grown, tuple(untouched), ind))
 
 
+def _cycle_counts(n: int, counts: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Rotation-invariant entries below degree n from those of the facets missing vertex n - 1.
+
+    ``counts`` holds β_{i,j} of the facets that miss vertex n - 1, on the
+    other n - 1 vertices.  Hochster's formula sums over the unions Y of j
+    < n vertices; summing over the pairs (Y, v) with v not in Y counts
+    each Y n - j times, and rotating the facets gives every v the sum for
+    v = n - 1.  So β_{i,j} = n·count/(n - j), an exact division (a
+    remainder raises RuntimeError).
+    """
+    out = {}
+    for (i, j), count in counts.items():
+        out[(i, j)], rest = divmod(n * count, n - j)
+        if rest:
+            raise RuntimeError(f"the rotation count at ({i}, {j}) is not divisible by {n - j}")
+    return out
+
+
 def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTable:
     """Graded Betti numbers by enumeration over induced subcollections.
 
@@ -486,29 +507,24 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     the complement within Y, which goes into the table at homological
     degree (homology degree + 2) and internal degree |Y|.
 
-    When the facets are invariant under the rotation of the n ambient
-    vertices by one place, as the cycle's are, so is every term.  An arc
-    of Y is a maximal cyclic interval of it; counting the pairs (Y, v)
-    with an arc of Y starting at v over all Y but the full set gives
-    Σ arcs(Y)·f(Y) = n·Σ f(Y) over the Y with an arc starting at vertex
-    0, that is with 0 in Y and n - 1 not.  Only those unions are
-    searched: the facets through n - 1 are dropped, those through 0 go
-    first, and a branch that has decided them without reaching 0 is
-    dropped.  Each (i, j, arcs) bucket is summed in ints and adds
-    n·sum/arcs, an exact division, and the full set, which has no arc
-    start, adds its own term once, from ``_sub_homology``.
+    When the facets are shift-closed, as the line's are, the facets
+    missing the top vertex moved up one place are exactly the facets
+    missing vertex 0.  A union Y with lowest vertex m then induces the
+    facets of Y - m moved up by m, so Y - m is a union too, with the same
+    Ind up to relabelling and the same |Y|.  Each union through vertex 0
+    stands for its n - hi(Y) translates that fit, hi(Y) being its highest
+    vertex, so only those are searched, with the facets through 0 first
+    and a branch that has decided them without reaching 0 dropped, and
+    each adds its term times n - hi(Y), an exact integer weight.
 
-    Otherwise, when the facets are shift-closed, as the line's are, the
-    facets missing the top vertex moved up one place are exactly the
-    facets missing vertex 0.  A union Y with lowest vertex m then induces
-    the facets of Y - m moved up by m, so Y - m is a union too, with the
-    same Ind up to relabelling and the same |Y|.  Each union through
-    vertex 0 stands for its n - hi(Y) translates that fit, hi(Y) being
-    its highest vertex, so only those are searched, with the facets
-    through 0 first and a branch that has decided them without reaching
-    0 dropped, and each adds its term times n - hi(Y), an exact integer
-    weight.  A rotating complex is shift-closed too, but keeps the
-    rotation route, which searches far fewer unions.
+    When the facets are invariant under rotating the n ambient vertices
+    by one place, as the cycle's are, the full vertex set adds its term
+    once, from ``complement_homology`` two degrees up, as in
+    ``betti_top_degree``.  The entries below degree n are those of the
+    facets that miss vertex n - 1, searched on the other n - 1 vertices
+    and scaled by ``_cycle_counts``.  Those facets are shift-closed,
+    since F avoids n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0,
+    so the search reaches only the unions holding 0 and missing n - 1.
 
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
@@ -524,36 +540,30 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     if 0 in masks:
         table.accumulate(1, 0, 1, "oracle")
         return table
-    full, top = (1 << frame) - 1, 1 << frame >> 1
+    full = (1 << frame) - 1
     rotating = bool(masks) and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks)
-    shifted = sorted(fm << 1 for fm in masks if not fm & top)
-    shifting = not rotating and shifted == sorted(fm for fm in masks if not fm & 1)
-    scale, lead, searched = 1, 0, masks
     if rotating:
-        scale = frame
-        searched = [fm for fm in masks if fm & 1 and not fm & top]
-        lead = len(searched)
-        searched += [fm for fm in masks if not fm & (1 | top)]
-        for d, dim in _sub_homology(masks, frame, field).items():
-            table.accumulate(frame - d - 1, frame, dim, "oracle")
-    elif shifting:
+        for d, dim in complement_homology(delta, field).items():
+            table.accumulate(d + 2, frame, dim, "oracle")
+        frame -= 1
+        masks = [fm for fm in masks if not fm >> frame]
+    top = 1 << frame >> 1
+    shifting = sorted(fm << 1 for fm in masks if not fm & top) == sorted(fm for fm in masks if not fm & 1)
+    lead, searched = 0, masks
+    if shifting:
         searched = [fm for fm in masks if fm & 1]
         lead = len(searched)
         searched += [fm for fm in masks if not fm & 1]
-    sums: dict[tuple[int, int, int], int] = {}
+    sums: dict[tuple[int, int], int] = {}
     for y, ind in _union_search(searched, field, frame, lead):
         size = y.bit_count()
-        arcs = (y & ~(y << 1 | y >> frame - 1)).bit_count() if rotating else 1
         # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
         weight = frame + 1 - y.bit_length() if shifting else 1
         for d, dim in ind.items():
             # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
-            key = (size - d - 1, size, arcs)
+            key = (size - d - 1, size)
             sums[key] = sums.get(key, 0) + dim * weight
-    for (i, j, arcs), total in sums.items():
-        value, rest = divmod(scale * total, arcs)
-        if rest:
-            raise RuntimeError(f"the rotation sum at ({i}, {j}) with {arcs} arcs is not divisible")
+    for (i, j), value in (_cycle_counts(frame + 1, sums) if rotating else sums).items():
         table.accumulate(i, j, value, "oracle")
     return table
 
@@ -654,21 +664,16 @@ def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
 def betti_closed_cycle(spec: PathFamilySpec) -> BettiTable:
     """Full Betti table of the cycle path ideal by counting placements.
 
-    Below degree n, Hochster's formula counts each union Y of j < n
-    vertices once for each of the n - j vertices it misses, and the
-    facets avoiding one vertex are the line's on the other n - 1, so
-    β_{i,j}(C_n) = n·β_{i,j}(L_{n-1})/(n - j), an exact division (a
-    remainder raises RuntimeError).  Degree n comes from the top-degree
+    The facets avoiding vertex n - 1 are the line's on the other n - 1
+    vertices, so ``_cycle_counts`` scales the line's placement count into
+    the entries below degree n.  Degree n comes from the top-degree
     formula.
     """
     if spec.kind != "cycle":
         raise ValueError("expected a cycle spec")
     n = spec.n
     table = BettiTable()
-    for (i, j), count in _placement_counts(n - 1, spec.t).items():
-        value, rest = divmod(n * count, n - j)
-        if rest:
-            raise RuntimeError(f"the rotation count at ({i}, {j}) is not divisible by {n - j}")
+    for (i, j), value in _cycle_counts(n, _placement_counts(n - 1, spec.t)).items():
         table.accumulate(i, j, value, "eligible_count")
     i_top, value = betti_top_degree(spec)
     table.accumulate(i_top, n, value, "closed_form")

@@ -287,11 +287,11 @@ class TestOracleRoute:
     @pytest.mark.parametrize("kind", ["cycle", "line"])
     def test_each_component_is_relabelled_once_per_scan(self, monkeypatch, kind):
         # every component of a contributing union is looked up, and no
-        # component of another union is looked up twice; the splitting's
-        # sub-shapes are relabelled in frames of fewer than 9 vertices.  On
-        # the cycle only the unions with an arc starting at vertex 0 are
-        # searched, and the full union is looked up on its own; on the line
-        # only the unions holding vertex 0 are searched.
+        # component of another union misses the search's memo twice.  On
+        # the cycle only the unions holding vertex 0 and missing vertex 8
+        # are searched, and the full union goes through
+        # complement_homology instead; on the line only the unions holding
+        # vertex 0 are searched.
         delta = build_path_complex(PathFamilySpec(kind, 9, 2))
         masks = betti_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
@@ -299,17 +299,17 @@ class TestOracleRoute:
         if kind == "line":
             searched = {y for y in unions if y & 1}
         else:
-            searched = {y for y in unions if y & 1 and not y >> 8} | {(1 << 9) - 1}
+            searched = {y for y in unions if y & 1 and not y >> 8}
         needed = {verts for y in searched if _complement_outright(delta, y) for verts in components[y]}
         relabelled = []
-        real = betti_module._relabelled
+        real = betti_module._component_homology
 
-        def counting(verts, members, frame):
-            if frame == 9:
+        def counting(verts, masks, field, frame, memo):
+            if verts not in memo:
                 relabelled.append(verts)
-            return real(verts, members, frame)
+            return real(verts, masks, field, frame, memo)
 
-        monkeypatch.setattr(betti_module, "_relabelled", counting)
+        monkeypatch.setattr(betti_module, "_component_homology", counting)
         betti_hochster(delta)
         assert len(set(relabelled)) == len(relabelled)
         assert needed <= set(relabelled) <= {verts for found in components.values() for verts in found}
@@ -474,13 +474,13 @@ def circulant_complexes(draw) -> SimplicialComplex:
     return make_complex(range(1, n + 1), facets)
 
 
-def _searches(monkeypatch) -> list[tuple[list[int], int]]:
-    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
+def _searches(monkeypatch) -> list[tuple[list[int], int, int]]:
+    """The facets, the frame and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
     calls = []
     search = betti_module._union_search
 
     def recording(masks, field, frame, lead=0):
-        calls.append((list(masks), lead))
+        calls.append((list(masks), frame, lead))
         return search(masks, field, frame, lead)
 
     monkeypatch.setattr(betti_module, "_union_search", recording)
@@ -488,10 +488,12 @@ def _searches(monkeypatch) -> list[tuple[list[int], int]]:
 
 
 class TestRotationRoute:
-    """Rotation-invariant facets: only the unions with an arc starting at vertex 0 are searched."""
+    """Rotation-invariant facets: the full set once, and n/(n - j) times the facets missing the last vertex."""
 
     @given(circulant_complexes())
     @example(make_complex(range(1, 10), [(v % 9 + 1, (v + 1) % 9 + 1, (v + 3) % 9 + 1) for v in range(9)]))
+    @example(make_complex(range(1, 6), [(v,) for v in range(1, 6)]))
+    @example(make_complex(range(1, 8), combinations(range(1, 8), 2)))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_direct_complement_route(self, delta):
         n = len(delta.ambient)
@@ -499,7 +501,25 @@ class TestRotationRoute:
             calls = _searches(monkeypatch)
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert calls and all(not fm >> n - 1 for masks, _ in calls for fm in masks)
+        assert calls and all(not fm >> n - 1 for masks, _, _ in calls for fm in masks)
+
+    @given(circulant_complexes())
+    @example(make_complex(range(1, 6), [(v,) for v in range(1, 6)]))
+    @example(make_complex(range(1, 8), combinations(range(1, 8), 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_searches_the_facets_missing_the_last_vertex_on_the_others(self, delta):
+        # one translation search with frame n - 1, even when the facets
+        # left rotate again, as single vertices do
+        n = len(delta.ambient)
+        masks = betti_module.facet_masks(delta)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _searches(monkeypatch)
+            betti_hochster(delta, GF2)
+        [(searched, frame, lead)] = calls
+        assert frame == n - 1
+        assert sorted(searched) == sorted(fm for fm in masks if not fm >> n - 1)
+        assert lead == sum(1 for fm in searched if fm & 1)
+        assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
 
     @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
     def test_cycles_match_the_unrestricted_search(self, field):
@@ -517,14 +537,15 @@ class TestRotationRoute:
         ([(v % 8 + 1, (v + 1) % 8 + 1, (v + 2) % 8 + 1) for v in range(8) if v != 2], 0),
     ], ids=["line", "cycle-without-a-facet"])
     def test_is_not_taken_without_rotation(self, monkeypatch, facets, lead):
-        # every facet is searched, the one through the last vertex too; the
-        # line takes the translation route, whose lead is its one facet through 0
+        # every facet is searched on all 8 vertices, the one through the last
+        # vertex too; the line takes the translation route, whose lead is its
+        # one facet through 0
         delta = make_complex(range(1, 9), facets)
         calls = _searches(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert [found for _, found in calls] == [lead, lead]
-        assert all(masks == betti_module.facet_masks(delta) for masks, _ in calls)
+        assert [(frame, found) for _, frame, found in calls] == [(8, lead), (8, lead)]
+        assert all(masks == betti_module.facet_masks(delta) for masks, _, _ in calls)
 
     @pytest.mark.parametrize("delta", [
         make_complex((1,), [(1,)]),
@@ -538,15 +559,16 @@ class TestRotationRoute:
         for field in (QQ, GF2):
             assert betti_hochster(delta, field).entries == {(1, len(delta.ambient)): 1}
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert calls and all(masks == [] for masks, _ in calls)
+        assert calls and all(masks == [] for masks, _, _ in calls)
 
     def test_the_void_complex(self, monkeypatch):
         calls = _searches(monkeypatch)
         assert betti_hochster(make_complex((1, 2, 3), []), GF2).entries == {}
-        assert calls == [([], 0)]
+        assert calls == [([], 3, 0)]
 
-    def test_a_sum_the_arcs_do_not_divide_is_refused(self, monkeypatch):
-        # vertices {0, 2} of the 5-cycle make two arcs, and 5 * 1 / 2 leaves a remainder
+    def test_a_sum_that_n_minus_j_does_not_divide_is_refused(self, monkeypatch):
+        # vertices {0, 2} of the 5-cycle weigh their 2 translates on the
+        # other 4 vertices, and 5 * 2 / (5 - 2) leaves a remainder
         monkeypatch.setattr(betti_module, "_union_search", lambda *args: iter([(0b101, {-1: 1})]))
         with pytest.raises(RuntimeError, match="not divisible"):
             betti_hochster(build_path_complex(PathFamilySpec("cycle", 5, 2)))
@@ -591,12 +613,15 @@ class TestTranslationRoute:
             calls = _searches(monkeypatch)
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        # a rotating complex keeps the rotation route, which drops the facets through the last vertex
-        for searched, lead in calls:
-            if len(searched) == len(masks):
-                assert sorted(searched) == sorted(masks)
-                assert lead == sum(1 for fm in masks if fm & 1)
-                assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
+        # a rotating complex is searched on the facets missing its last
+        # vertex, with frame n - 1; the rest on all n vertices
+        n = len(delta.ambient)
+        for searched, frame, lead in calls:
+            assert frame in (n, n - 1)
+            kept = [fm for fm in masks if not fm >> frame]
+            assert sorted(searched) == sorted(kept)
+            assert lead == sum(1 for fm in kept if fm & 1)
+            assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
 
     @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
     def test_lines_match_the_unrestricted_search(self, field):
@@ -618,33 +643,47 @@ class TestTranslationRoute:
         calls = _searches(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert calls == [(betti_module.facet_masks(delta), 0)] * 2
+        assert calls == [(betti_module.facet_masks(delta), 8, 0)] * 2
 
     def test_cycles_keep_the_rotation_route(self, monkeypatch):
-        # the t facets through the last vertex are dropped, which translation never does
+        # the t facets through the last vertex are dropped and the rest,
+        # the line's on n - 1 vertices, are searched with frame n - 1
         calls = _searches(monkeypatch)
         for n in range(3, 12):
             for t in range(2, n):
                 calls.clear()
                 betti_hochster(build_path_complex(PathFamilySpec("cycle", n, t)))
-                [(searched, lead)] = calls
+                [(searched, frame, lead)] = calls
                 assert len(searched) == n - t and not any(fm >> n - 1 for fm in searched) and lead == 1
+                assert frame == n - 1
 
     def test_the_line_on_sixteen_vertices_yields_the_unions_through_vertex_0(self, monkeypatch):
-        yielded = []
-        search = betti_module._union_search
-
-        def counting(*args):
-            for y, ind in search(*args):
-                yielded.append(y)
-                yield y, ind
-
-        monkeypatch.setattr(betti_module, "_union_search", counting)
+        yielded = _yielded(monkeypatch)
         spec = PathFamilySpec("line", 16, 2)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_line(spec)
         assert len(yielded) == 1420 and all(y & 1 for y in yielded)
-        everything = search(betti_module.facet_masks(build_path_complex(spec)), QQ, 16)
+        everything = betti_module._union_search(betti_module.facet_masks(build_path_complex(spec)), QQ, 16)
         assert sum(1 for _ in everything) == 3457
+
+    def test_the_cycle_on_sixteen_vertices_yields_the_unions_through_vertex_0_missing_vertex_15(self, monkeypatch):
+        yielded = _yielded(monkeypatch)
+        spec = PathFamilySpec("cycle", 16, 2)
+        assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
+        assert len(yielded) == 836 and all(y & 1 and not y >> 15 for y in yielded)
+
+
+def _yielded(monkeypatch) -> list[int]:
+    """Every union that the ``_union_search`` runs of ``betti_hochster`` yield, recorded."""
+    yielded = []
+    search = betti_module._union_search
+
+    def counting(*args):
+        for y, ind in search(*args):
+            yielded.append(y)
+            yield y, ind
+
+    monkeypatch.setattr(betti_module, "_union_search", counting)
+    return yielded
 
 
 @st.composite

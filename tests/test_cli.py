@@ -340,6 +340,17 @@ class TestVerifyCommand:
         lines = [line for line in out.splitlines() if "line-closed-vs-oracle" in line]
         assert lines == [f"PASS n={n} t=2 char={c} line-closed-vs-oracle" for n in (3, 4, 5) for c in (0, 2, 32003)]
 
+    @pytest.mark.parametrize("t_range, code", [("2..", 2), ("..3", 2), ("2..3..4", 2), ("4", 0)])
+    def test_each_bound_of_the_t_range_is_needed_once_given_a_separator(self, capsys, t_range, code):
+        # "4" alone stands for 4..4; an empty bound is a usage error
+        got, out, err = _run(capsys, "verify", "--max-n", "5", "--t-range", t_range)
+        assert got == code
+        if code:
+            assert out == "" and "invalid verify arguments" in err
+        else:
+            assert (got, out, err) == _run(capsys, "verify", "--max-n", "5", "--t-range", "4..4")
+            assert "t=4" in out and "t=3" not in out and "t=5" not in out
+
     def test_empty_range_warns(self, capsys):
         code, out, _ = _run(capsys, "verify", "--max-n", "2", "--t-range", "2..5")
         assert code == 0

@@ -25,8 +25,9 @@ instead, moved to Ind by Alexander duality.  The join
 formula combines the components, and Alexander duality passes to the
 complement.  ``_sub_homology`` is the one join over the components of
 a facet set, for the splitting's sub-shapes and ``complement_homology``,
-and every component, the search's too, is keyed in the memo by
-``_relabelled``.  The face budget is checked in one place, where
+and every component, the search's too, is keyed in the memo by its
+facets shifted down to bit 0 with the gaps between its vertices closed
+(``_relabelled``).  The face budget is checked in one place, where
 ``homology._levels`` counts a complement's faces.
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, in time polynomial in n, and its
@@ -167,9 +168,10 @@ class HomologySummary(namedtuple("HomologySummary", "nonzero_degree dimension"))
         return {self.nonzero_degree: self.dimension}
 
 
-# Independence-complex homology memo, keyed by a connected component's
-# facet masks as ``_relabelled`` moves them onto bits 0..m-1, and the
-# characteristic.  Bounded: the oldest entry goes once it is full.
+# Independence-complex homology memo, keyed by the characteristic and a
+# connected component's facet masks shifted down to bit 0 with the gaps
+# between its vertices closed, as ``_relabelled`` gives them.  Bounded:
+# the oldest entry goes once it is full.
 _IND_CACHE_LIMIT = 4096
 _IND_HOMOLOGY_CACHE: dict[tuple, HomologyVector] = {}
 
@@ -194,43 +196,31 @@ def _components(masks: list[int]) -> list[int]:
     return components
 
 
-def _relabelled(verts: int, members: list[int], frame: int) -> tuple[int, ...]:
-    """The facets moved onto bits 0..m-1, sorted.
+def _drop(mask: int, v: int) -> int:
+    """The mask without bit v, the bits above v moved down one."""
+    low = (1 << v) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
 
-    Vertices keep the cyclic order of the frame of ``frame`` bits and
-    start just after the widest gap between consecutive vertices (the
-    wrap-around gap wins a tie), so a run wrapping past the last bit
-    gets the key of the same run placed without wrapping.  Vertices that
-    fill one arc of the frame, as a run's do, are moved by shifts alone.
+
+def _relabelled(verts: int, masks: list[int]) -> tuple[int, ...]:
+    """The facets of ``masks`` inside ``verts`` moved onto bits 0..m-1, sorted.
+
+    They are shifted down to bit 0, and each gap between the m vertices
+    is closed with ``_drop``.  The vertices keep their order, and any
+    relabelling that does keeps Ind the same up to isomorphism.  The
+    oracle's components on cycles and lines are blocks of consecutive
+    vertices, which the shift alone moves.
     """
     low = (verts & -verts).bit_length() - 1
     block = verts >> low
-    if not block & (block + 1):
-        return tuple(sorted(fm >> low for fm in members))
-    full = (1 << frame) - 1
-    gap = full ^ verts
-    arc = gap >> (gap & -gap).bit_length() - 1
-    if not arc & (arc + 1):
-        # the vertices wrap past the last bit; the first comes just after the gap
-        start = gap.bit_length()
-        return tuple(sorted((fm >> start | fm << frame - start) & full for fm in members))
-    bits = [b for b in range(verts.bit_length()) if verts >> b & 1]
-    start = max(range(len(bits)), key=lambda k: (bits[k] - bits[k - 1]) % frame)
-    return _onto(bits[start:] + bits[:start], members)
-
-
-def _onto(order: list[int], members: list[int]) -> tuple[int, ...]:
-    """The facets moved onto bits 0..len(order)-1, vertex order[k] to bit k, sorted."""
-    moved = {1 << b: 1 << k for k, b in enumerate(order)}
-    out = []
-    for fm in members:
-        image = 0
-        while fm:
-            low = fm & -fm
-            image |= moved[low]
-            fm ^= low
-        out.append(image)
-    return tuple(sorted(out))
+    members = [fm >> low for fm in masks if fm & ~verts == 0]
+    gaps = block ^ (1 << block.bit_length()) - 1
+    while gaps:
+        # the highest gap first, so the lower ones keep their places
+        v = gaps.bit_length() - 1
+        members = [_drop(fm, v) for fm in members]
+        gaps ^= 1 << v
+    return tuple(sorted(members))
 
 
 def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
@@ -249,20 +239,15 @@ def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector
     return {m - d - 3: dim for d, dim in comp.items()}
 
 
-def _drop(mask: int, v: int) -> int:
-    """The mask without bit v, the bits above v moved down one."""
-    low = (1 << v) - 1
-    return (mask & low) | ((mask >> 1) & ~low)
-
-
 def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
     """Reduced homology of Ind of the facet masks on the vertices 0..m-1.
 
     A vertex in no facet is a cone point of Ind, giving {}; no vertex at
     all gives {-1: 1}.  Otherwise Ind is the join of the independence
-    complexes of the connected components, each keyed by ``_relabelled``
-    in the frame of the m vertices, as the oracle's components are; the
-    join stops at the first acyclic one.  Ø must not be a facet.
+    complexes of the connected components, each keyed, as the oracle's
+    components are, by its facets shifted down to bit 0 with the gaps
+    closed (``_relabelled``); the join stops at the first acyclic one.
+    Ø must not be a facet.
     """
     covered = 0
     for fm in masks:
@@ -271,8 +256,7 @@ def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
         return {}
     out: HomologyVector = {-1: 1}
     for verts in _components(masks):
-        members = [fm for fm in masks if fm & ~verts == 0]
-        out = _join(out, _ind_homology(_relabelled(verts, members, m), field))
+        out = _join(out, _ind_homology(_relabelled(verts, masks), field))
         if not out:
             break
     return out
@@ -357,20 +341,20 @@ def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:
 
 
 def _component_homology(
-    verts: int, masks: list[int], field: FieldSpec, frame: int, memo: dict[int, HomologyVector],
+    verts: int, masks: list[int], field: FieldSpec, memo: dict[int, HomologyVector],
 ) -> HomologyVector:
     """Ind homology of one connected component, looked up in the scan's memo first.
 
     Within one complex a component of an induced subcollection is fixed
     by its vertex mask, its members being exactly the facets inside it,
-    so the memo is keyed by that mask, and only a miss picks the members
-    out of ``masks`` and runs ``_relabelled``; the memo lives as long as
-    the scan.
+    so the memo is keyed by that mask and lives as long as the scan.
+    Only a miss runs ``_relabelled``, which takes those facets from
+    ``masks`` and shifts them down to bit 0 with the gaps closed, the key
+    of ``_ind_homology``.
     """
     ind = memo.get(verts)
     if ind is None:
-        members = [fm for fm in masks if fm & ~verts == 0]
-        ind = memo[verts] = _ind_homology(_relabelled(verts, members, frame), field)
+        ind = memo[verts] = _ind_homology(_relabelled(verts, masks), field)
     return ind
 
 
@@ -399,7 +383,7 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
 
 
 def _union_search(
-    masks: list[int], field: FieldSpec, frame: int, lead: int = 0,
+    masks: list[int], field: FieldSpec, lead: int = 0,
 ) -> Iterator[tuple[int, HomologyVector]]:
     """Each nonempty union of the facets Y whose Ind is not acyclic, with that Ind's homology.
 
@@ -408,15 +392,16 @@ def _union_search(
     would cover an excluded facet is cut, so each union is reached once,
     with exactly the facets inside it included.  The vertex masks of the
     components of the included facets are carried along.  Once no later
-    facet meets a component, it is finished: it is looked up through
-    ``_component_homology``, in a memo of the search's own, and joined
-    into the branch's Ind.  A join that comes out acyclic stays so for
-    every union below, so the branch is dropped there.  Once the first
-    ``lead`` facets are decided, a branch whose union misses bit 0 is
-    dropped too; only these facets may hold bit 0, and lead = 0 drops
-    nothing.  The search keeps its own stack, which holds at most one
-    entry per facet plus one, not Python recursion.  Ø must not be a
-    facet.
+    facet meets a component, it is finished: ``_component_homology``
+    looks its Ind up by its vertex mask in a memo of the search's own,
+    and by its facets shifted down to bit 0, gaps closed, in the shared
+    one, and it is joined into the branch's Ind.  A join that comes out
+    acyclic stays so for every union below, so the branch is dropped
+    there.  Once the first ``lead`` facets are decided, a branch whose
+    union misses bit 0 is dropped too; only these facets may hold bit 0,
+    and lead = 0 drops nothing.  The search keeps its own stack, which
+    holds at most one entry per facet plus one, not Python recursion.
+    Ø must not be a facet.
     """
     count = len(masks)
     after = [0] * count  # after[i]: the vertices of the facets past the i-th
@@ -454,7 +439,7 @@ def _union_search(
             if i != lead or union & 1:
                 out = ind
                 for verts in finished:
-                    out = _join(out, _component_homology(verts, masks, field, frame, memo))
+                    out = _join(out, _component_homology(verts, masks, field, memo))
                     if not out:
                         break
                 if out:
@@ -471,7 +456,7 @@ def _union_search(
         if merged & later:
             push((i, grown, (*untouched, merged), ind))
         else:
-            ind = _join(ind, _component_homology(merged, masks, field, frame, memo))
+            ind = _join(ind, _component_homology(merged, masks, field, memo))
             if ind:
                 push((i, grown, tuple(untouched), ind))
 
@@ -555,7 +540,7 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
         lead = len(searched)
         searched += [fm for fm in masks if not fm & 1]
     sums: dict[tuple[int, int], int] = {}
-    for y, ind in _union_search(searched, field, frame, lead):
+    for y, ind in _union_search(searched, field, lead):
         size = y.bit_count()
         # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
         weight = frame + 1 - y.bit_length() if shifting else 1

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the oracle/closed-form cross-check matrix")
     verify.add_argument("--max-n", type=int, default=10)
     verify.add_argument("--t-range", default="2..5", help="inclusive range a..b of t values, or one value a")
-    verify.add_argument("--char-list", default="0", help="comma-separated characteristics, e.g. 0,2,32003")
+    verify.add_argument("--char-list", default="0", help="comma-separated characteristics, e.g. 0,2,32003, each checked once")
     parser.commands = {"betti": betti, "homology": hom, "verify": verify}
     return parser
 
@@ -324,7 +324,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         lo, sep, hi = args.t_range.partition("..")
         t_lo, t_hi = int(lo), int(hi if sep else lo)
-        fields = [FieldSpec(int(c)) for c in args.char_list.split(",") if c != ""]
+        fields = list(dict.fromkeys(FieldSpec(int(c)) for c in args.char_list.split(",") if c != ""))
         if not fields:
             raise ValueError("empty characteristic list")
         # the t range only widens with n, so some n has a cell iff args.max_n

@@ -100,6 +100,17 @@ def run_sequence(runs: Placement) -> RunSequence:
     return RunSequence(tuple(sorted((s for _, s in runs), reverse=True)))
 
 
+def run_sequences(t: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Descending run lengths whose runs, s + t - 1 vertices for s facets, cover at most ``budget`` vertices."""
+
+    def rec(prefix: tuple[int, ...], cap: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        for s in range(min(cap, remaining - t + 1), 0, -1):
+            yield prefix + (s,)
+            yield from rec(prefix + (s,), s, remaining - (s + t - 1))
+
+    yield from rec((), budget, budget)
+
+
 def enumerate_placements(spec: PathFamilySpec) -> Iterator[Placement]:
     """All sets of disjoint runs on the cycle's standard labeling, as ((start facet, length), ...).
 

@@ -7,7 +7,6 @@ exact; no tolerances apply anywhere.
 from __future__ import annotations
 
 import time
-from typing import Iterator
 
 import pytest
 
@@ -29,7 +28,7 @@ from pathbetti import (
     pd_reg,
 )
 
-from reference import GF2, GF32003, complement, reduced_homology_dims
+from reference import GF2, GF32003, complement, reduced_homology_dims, run_sequences
 
 CYCLE_TABLE_RANGE = [(n, t) for n in range(3, 13) for t in range(2, n)]
 CYCLE_COMPLEMENT_RANGE = [(n, t) for n in range(3, 13) for t in range(2, n + 1)]
@@ -99,22 +98,11 @@ def test_criterion_3_pd_reg(oracle_suite):
     _report(f"criterion 3: pd/reg formulas match {len(tables)} oracle tables", failures)
 
 
-def _run_sequences(t: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Descending length tuples whose runs cover at most ``budget`` vertices."""
-
-    def rec(prefix: tuple[int, ...], cap: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        for s in range(min(cap, remaining - t + 1), 0, -1):
-            yield prefix + (s,)
-            yield from rec(prefix + (s,), s, remaining - (s + t - 1))
-
-    yield from rec((), budget, budget)
-
-
 def test_criterion_4_run_sequence_homology():
     failures = []
     checked = 0
     for t in RUN_T_VALUES:
-        for lengths in _run_sequences(t, RUN_VERTEX_BUDGET):
+        for lengths in run_sequences(t, RUN_VERTEX_BUDGET):
             seq = RunSequence(lengths)
             gamma = build_run_complex(seq, t)
             explicit = reduced_homology_dims(complement(gamma, gamma.ambient), QQ)

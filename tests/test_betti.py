@@ -39,7 +39,7 @@ from pathbetti.homology import levels_homology
 from conftest import small_complexes
 from reference import (
     GF2, GF32003, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
-    line_placement_counts, reduced_homology_dims, run_sequence,
+    line_placement_counts, reduced_homology_dims, run_sequence, run_sequences,
 )
 
 
@@ -180,31 +180,68 @@ class TestOracleRoute:
         for field in (QQ, GF2):
             assert betti_hochster(delta, field).entries == entries
 
-    def test_wrapped_run_shares_the_key_of_an_unwrapped_run(self):
-        wrapped = [0b1000000011, 0b1100000001]  # facets {9, 0, 1} and {8, 9, 0} of a 10-cycle
-        unwrapped = [0b0111, 0b1110]
-        assert betti_module._relabelled(0b1100000011, wrapped, 10) == \
-            betti_module._relabelled(0b1111, unwrapped, 10)
-
     def test_the_splitting_shares_the_keys_of_the_scan(self, monkeypatch):
-        # facets {5, 6}, {6, 0}, {0, 1}, {2, 3} and {3, 4} on 7 vertices: the
-        # path 5-6-0-1 wraps past the last bit, and the splitting keys it as
-        # the scan keys the unwrapped path on 4 vertices
+        # facets {0, 1}, {2, 3}, {3, 4} and {4, 5} on 6 vertices: the
+        # splitting keys the path 2-3-4-5 as the scan keys the same path on
+        # bits 0..3
         cache: dict = {}
         monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
-        assert betti_module._sub_homology([0b1100000, 0b1000001, 0b0000011, 0b0001100, 0b0011000], 7, QQ) == {}
+        assert betti_module._sub_homology([0b000011, 0b001100, 0b011000, 0b110000], 6, QQ) == {}
         assert ((0b0011, 0b0110, 0b1100), 0) in cache
 
     @given(framed_vertex_sets())
     @example((5, 0b11111, [0b00111, 0b11100]))
     @example((10, 0b1100000011, [0b1000000011, 0b1100000001]))
-    @settings(max_examples=200, deadline=None)
-    def test_relabelling_by_shifts_keeps_the_widest_gap_order(self, case):
-        frame, verts, members = case
+    @example((7, 0b1010101, [0b0000101, 0b1010000, 0b1000000]))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_keeps_the_vertex_order_and_ind(self, case):
+        # verts is the union of the members, as every caller passes; the
+        # facets reaching past the frame are not inside it and stay out
+        frame, _, members = case
+        verts = 0
+        for fm in members:
+            verts |= fm
         bits = [b for b in range(frame) if verts >> b & 1]
-        start = max(range(len(bits)), key=lambda k: (bits[k] - bits[k - 1]) % frame)
-        assert betti_module._relabelled(verts, members, frame) == \
-            betti_module._onto(bits[start:] + bits[:start], members)
+        m = len(bits)
+        shape = betti_module._relabelled(verts, members + [fm | 1 << frame for fm in members])
+        assert shape == tuple(sorted(sum(1 << k for k, b in enumerate(bits) if fm >> b & 1) for fm in members))
+        covered = 0
+        for fm in shape:
+            covered |= fm
+        assert covered == (1 << m) - 1
+        levels = [[] for _ in range(m + 1)]
+        for s in range(1 << frame):
+            if s & ~verts == 0 and all(fm & ~s for fm in members):
+                levels[s.bit_count()].append(s)
+        while not levels[-1]:
+            levels.pop()
+        assert levels_homology(levels, QQ) == levels_homology(_ind_by_brute_force(shape), QQ)
+
+    def test_every_relabelled_vertex_mask_is_a_block(self, monkeypatch):
+        # the traffic of cycles and lines on at most 12 vertices, of their
+        # full complements and of the run complexes on at most 12 vertices:
+        # every component the oracle keys is a block of consecutive
+        # vertices, so the shift alone moves it to bit 0
+        received = []
+        relabelled = betti_module._relabelled
+
+        def recording(verts, masks):
+            received.append(verts)
+            return relabelled(verts, masks)
+
+        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(betti_module, "_relabelled", recording)
+        for kind in ("cycle", "line"):
+            for n in range(3 if kind == "cycle" else 2, 13):
+                for t in range(2, n + 1):
+                    delta = build_path_complex(PathFamilySpec(kind, n, t))
+                    betti_hochster(delta)
+                    complement_homology(delta)
+        for t in (2, 3, 4):
+            for lengths in run_sequences(t, 12):
+                complement_homology(build_run_complex(RunSequence(lengths), t))
+        blocks = {verts >> (verts & -verts).bit_length() - 1 for verts in received}
+        assert received and all(not block & (block + 1) for block in blocks)
 
     def test_large_facets_take_the_complement_route(self, monkeypatch):
         # With no vertex splitting, the matrix route sees Ind of the 12-cycle
@@ -304,10 +341,10 @@ class TestOracleRoute:
         relabelled = []
         real = betti_module._component_homology
 
-        def counting(verts, masks, field, frame, memo):
+        def counting(verts, masks, field, memo):
             if verts not in memo:
                 relabelled.append(verts)
-            return real(verts, masks, field, frame, memo)
+            return real(verts, masks, field, memo)
 
         monkeypatch.setattr(betti_module, "_component_homology", counting)
         betti_hochster(delta)
@@ -400,7 +437,7 @@ class TestOracleScan:
         masks = betti_module.facet_masks(delta)
         n = len(delta.ambient)
         kept = _kept_by_filter(masks, n)
-        reached = list(betti_module._union_search(masks, QQ, n))
+        reached = list(betti_module._union_search(masks, QQ))
         unions = [y for y, _ in reached]
         assert len(set(unions)) == len(unions)
         assert set(unions) <= kept
@@ -433,7 +470,7 @@ class TestOracleScan:
 
         def cycle_lookups(facets):
             lookups.clear()
-            for _ in search(facets, QQ, 9):
+            for _ in search(facets, QQ):
                 pass
             return sum(1 for verts in lookups if not verts & 0b1111)
 
@@ -474,14 +511,14 @@ def circulant_complexes(draw) -> SimplicialComplex:
     return make_complex(range(1, n + 1), facets)
 
 
-def _searches(monkeypatch) -> list[tuple[list[int], int, int]]:
-    """The facets, the frame and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
+def _searches(monkeypatch) -> list[tuple[list[int], int]]:
+    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
     calls = []
     search = betti_module._union_search
 
-    def recording(masks, field, frame, lead=0):
-        calls.append((list(masks), frame, lead))
-        return search(masks, field, frame, lead)
+    def recording(masks, field, lead=0):
+        calls.append((list(masks), lead))
+        return search(masks, field, lead)
 
     monkeypatch.setattr(betti_module, "_union_search", recording)
     return calls
@@ -501,22 +538,21 @@ class TestRotationRoute:
             calls = _searches(monkeypatch)
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert calls and all(not fm >> n - 1 for masks, _, _ in calls for fm in masks)
+        assert calls and all(not fm >> n - 1 for masks, _ in calls for fm in masks)
 
     @given(circulant_complexes())
     @example(make_complex(range(1, 6), [(v,) for v in range(1, 6)]))
     @example(make_complex(range(1, 8), combinations(range(1, 8), 2)))
     @settings(max_examples=40, deadline=None)
     def test_searches_the_facets_missing_the_last_vertex_on_the_others(self, delta):
-        # one translation search with frame n - 1, even when the facets
-        # left rotate again, as single vertices do
+        # one translation search on the other n - 1 vertices, even when the
+        # facets left rotate again, as single vertices do
         n = len(delta.ambient)
         masks = betti_module.facet_masks(delta)
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _searches(monkeypatch)
             betti_hochster(delta, GF2)
-        [(searched, frame, lead)] = calls
-        assert frame == n - 1
+        [(searched, lead)] = calls
         assert sorted(searched) == sorted(fm for fm in masks if not fm >> n - 1)
         assert lead == sum(1 for fm in searched if fm & 1)
         assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
@@ -527,7 +563,7 @@ class TestRotationRoute:
             for t in range(2, n + 1):
                 delta = build_path_complex(PathFamilySpec("cycle", n, t))
                 everything = BettiTable()
-                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field, n):
+                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field):
                     for d, dim in ind.items():
                         everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
                 assert betti_hochster(delta, field).items() == everything.items(), (n, t)
@@ -544,8 +580,8 @@ class TestRotationRoute:
         calls = _searches(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert [(frame, found) for _, frame, found in calls] == [(8, lead), (8, lead)]
-        assert all(masks == betti_module.facet_masks(delta) for masks, _, _ in calls)
+        assert [found for _, found in calls] == [lead, lead]
+        assert all(masks == betti_module.facet_masks(delta) for masks, _ in calls)
 
     @pytest.mark.parametrize("delta", [
         make_complex((1,), [(1,)]),
@@ -559,12 +595,12 @@ class TestRotationRoute:
         for field in (QQ, GF2):
             assert betti_hochster(delta, field).entries == {(1, len(delta.ambient)): 1}
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert calls and all(masks == [] for masks, _, _ in calls)
+        assert calls and all(masks == [] for masks, _ in calls)
 
     def test_the_void_complex(self, monkeypatch):
         calls = _searches(monkeypatch)
         assert betti_hochster(make_complex((1, 2, 3), []), GF2).entries == {}
-        assert calls == [([], 3, 0)]
+        assert calls == [([], 0)]
 
     def test_a_sum_that_n_minus_j_does_not_divide_is_refused(self, monkeypatch):
         # vertices {0, 2} of the 5-cycle weigh their 2 translates on the
@@ -614,13 +650,11 @@ class TestTranslationRoute:
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         # a rotating complex is searched on the facets missing its last
-        # vertex, with frame n - 1; the rest on all n vertices
+        # vertex; the rest on all n vertices
         n = len(delta.ambient)
-        for searched, frame, lead in calls:
-            assert frame in (n, n - 1)
-            kept = [fm for fm in masks if not fm >> frame]
-            assert sorted(searched) == sorted(kept)
-            assert lead == sum(1 for fm in kept if fm & 1)
+        for searched, lead in calls:
+            assert sorted(searched) in (sorted(masks), sorted(fm for fm in masks if not fm >> n - 1))
+            assert lead == sum(1 for fm in searched if fm & 1)
             assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
 
     @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
@@ -629,7 +663,7 @@ class TestTranslationRoute:
             for t in range(2, n + 1):
                 delta = build_path_complex(PathFamilySpec("line", n, t))
                 everything = BettiTable()
-                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field, n):
+                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field):
                     for d, dim in ind.items():
                         everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
                 assert betti_hochster(delta, field).items() == everything.items(), (n, t)
@@ -643,26 +677,25 @@ class TestTranslationRoute:
         calls = _searches(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
-        assert calls == [(betti_module.facet_masks(delta), 8, 0)] * 2
+        assert calls == [(betti_module.facet_masks(delta), 0)] * 2
 
     def test_cycles_keep_the_rotation_route(self, monkeypatch):
         # the t facets through the last vertex are dropped and the rest,
-        # the line's on n - 1 vertices, are searched with frame n - 1
+        # the line's on n - 1 vertices, are searched
         calls = _searches(monkeypatch)
         for n in range(3, 12):
             for t in range(2, n):
                 calls.clear()
                 betti_hochster(build_path_complex(PathFamilySpec("cycle", n, t)))
-                [(searched, frame, lead)] = calls
+                [(searched, lead)] = calls
                 assert len(searched) == n - t and not any(fm >> n - 1 for fm in searched) and lead == 1
-                assert frame == n - 1
 
     def test_the_line_on_sixteen_vertices_yields_the_unions_through_vertex_0(self, monkeypatch):
         yielded = _yielded(monkeypatch)
         spec = PathFamilySpec("line", 16, 2)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_line(spec)
         assert len(yielded) == 1420 and all(y & 1 for y in yielded)
-        everything = betti_module._union_search(betti_module.facet_masks(build_path_complex(spec)), QQ, 16)
+        everything = betti_module._union_search(betti_module.facet_masks(build_path_complex(spec)), QQ)
         assert sum(1 for _ in everything) == 3457
 
     def test_the_cycle_on_sixteen_vertices_yields_the_unions_through_vertex_0_missing_vertex_15(self, monkeypatch):
@@ -701,7 +734,7 @@ def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
     masks = {sum(1 << v for v in vs) for vs in sets}
     antichain = [fm for fm in masks if not any(o != fm and o & ~fm == 0 for o in masks)]
     verts = max(betti_module._components(antichain), key=lambda c: (c.bit_count(), c))
-    return betti_module._onto([b for b in range(m) if verts >> b & 1], _inside(antichain, verts))
+    return betti_module._relabelled(verts, antichain)
 
 
 class TestIndSplitting:

@@ -340,6 +340,13 @@ class TestVerifyCommand:
         lines = [line for line in out.splitlines() if "line-closed-vs-oracle" in line]
         assert lines == [f"PASS n={n} t=2 char={c} line-closed-vs-oracle" for n in (3, 4, 5) for c in (0, 2, 32003)]
 
+    @pytest.mark.parametrize("repeated, once", [("0,0", "0"), ("0,2,2,0", "0,2")])
+    def test_a_repeated_characteristic_is_checked_once(self, capsys, repeated, once):
+        # each check line and the total are those of the list without repeats
+        got = _run(capsys, "verify", "--max-n", "6", "--char-list", repeated)
+        assert got == _run(capsys, "verify", "--max-n", "6", "--char-list", once)
+        assert got[0] == 0 and got[1].count("PASS n=6 t=2 char=0 cycle-closed-vs-oracle\n") == 1
+
     @pytest.mark.parametrize("t_range, code", [("2..", 2), ("..3", 2), ("2..3..4", 2), ("4", 0)])
     def test_each_bound_of_the_t_range_is_needed_once_given_a_separator(self, capsys, t_range, code):
         # "4" alone stands for 4..4; an empty bound is a usage error

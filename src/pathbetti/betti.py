@@ -38,7 +38,7 @@ other.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from math import comb
 
 from . import homology
@@ -68,44 +68,40 @@ def facet_masks(delta: SimplicialComplex) -> list[int]:
     return [sum(1 << position[v] for v in f) for f in delta.facets]
 
 
-class BettiTable:
-    """Sparse table of graded Betti numbers with per-entry provenance.
+def _by_degree(key: tuple[int, int]) -> tuple[int, int]:
+    """The (j, i) order of a table's entries: internal degree first."""
+    return key[1], key[0]
 
-    Only nonzero entries with homological degree i >= 1 are stored; the
-    rank-one entry in degree (0, 0) is implicit.  Absence means zero.
-    Equality compares values only, never provenance tags.
+
+class BettiTable:
+    """Sparse table of graded Betti numbers with per-entry provenance, built whole.
+
+    The constructor takes a mapping (i, j) -> (value, method) and keeps
+    the nonzero values in one dict, put in (j, i) order there once; every
+    reader takes that order as it stands.  Only entries with homological
+    degree i >= 1 are given; the rank-one entry in degree (0, 0) is
+    implicit.  Absence means zero.  Equality compares values only, never
+    provenance tags.
     """
 
-    __slots__ = ("_entries", "_methods")
+    __slots__ = ("_entries",)
 
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], int] = {}
-        self._methods: dict[tuple[int, int], str] = {}
-
-    def accumulate(self, i: int, j: int, amount: int, method: str) -> None:
-        if amount == 0:
-            return
-        key = (i, j)
-        self._entries[key] = self._entries.get(key, 0) + amount
-        self._methods.setdefault(key, method)
+    def __init__(self, entries: Mapping[tuple[int, int], tuple[int, str]] | None = None) -> None:
+        entries = entries or {}
+        self._entries = {key: entries[key] for key in sorted(entries, key=_by_degree) if entries[key][0]}
 
     def value(self, i: int, j: int) -> int:
-        return self._entries.get((i, j), 0)
-
-    def method(self, i: int, j: int) -> str | None:
-        return self._methods.get((i, j))
+        entry = self._entries.get((i, j))
+        return entry[0] if entry else 0
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
-        """Entries as (i, j) -> value, in the (j, i) order of ``items``."""
-        return {(i, j): value for i, j, value, _ in self.items()}
+        """Entries as (i, j) -> value, in (j, i) order."""
+        return {key: value for key, (value, _) in self._entries.items()}
 
     def items(self) -> list[tuple[int, int, int, str]]:
-        """Entries as (i, j, value, method), sorted by (j, i)."""
-        return [
-            (i, j, self._entries[(i, j)], self._methods[(i, j)])
-            for i, j in sorted(self._entries, key=lambda key: (key[1], key[0]))
-        ]
+        """Entries as (i, j, value, method), in (j, i) order."""
+        return [(i, j, value, method) for (i, j), (value, method) in self._entries.items()]
 
     @property
     def pd(self) -> int:
@@ -118,11 +114,10 @@ class BettiTable:
         return max((j - i for i, j in self._entries), default=0)
 
     def diff(self, other: "BettiTable") -> dict[tuple[int, int], tuple[int, int]]:
-        """Entries where the two tables disagree, as (i, j) -> (self, other)."""
+        """Entries where the two tables disagree, as (i, j) -> (self, other), in (j, i) order."""
         out = {}
-        for key in sorted(set(self._entries) | set(other._entries), key=lambda k: (k[1], k[0])):
-            a = self._entries.get(key, 0)
-            b = other._entries.get(key, 0)
+        for key in sorted(self._entries.keys() | other._entries.keys(), key=_by_degree):
+            a, b = self.value(*key), other.value(*key)
             if a != b:
                 out[key] = (a, b)
         return out
@@ -130,7 +125,7 @@ class BettiTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BettiTable):
             return NotImplemented
-        return self._entries == other._entries
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {v}" for i, j, v, _ in self.items())
@@ -489,8 +484,9 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     its facets and drops a branch once a finished component has an
     acyclic Ind, since every union below then contributes nothing too.
     Alexander duality turns each Ind left into the reduced homology of
-    the complement within Y, which goes into the table at homological
-    degree (homology degree + 2) and internal degree |Y|.
+    the complement within Y, which is summed at homological degree
+    (homology degree + 2) and internal degree |Y|.  The table is built
+    once from those sums, each entry tagged ``oracle``.
 
     When the facets are shift-closed, as the line's are, the facets
     missing the top vertex moved up one place are exactly the facets
@@ -505,11 +501,12 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     When the facets are invariant under rotating the n ambient vertices
     by one place, as the cycle's are, the full vertex set adds its term
     once, from ``complement_homology`` two degrees up, as in
-    ``betti_top_degree``.  The entries below degree n are those of the
-    facets that miss vertex n - 1, searched on the other n - 1 vertices
-    and scaled by ``_cycle_counts``.  Those facets are shift-closed,
-    since F avoids n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0,
-    so the search reaches only the unions holding 0 and missing n - 1.
+    ``betti_top_degree``, and goes into the table with the sums.  The
+    entries below degree n are those of the facets that miss vertex
+    n - 1, searched on the other n - 1 vertices and scaled by
+    ``_cycle_counts``.  Those facets are shift-closed, since F avoids
+    n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0, so the search
+    reaches only the unions holding 0 and missing n - 1.
 
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
@@ -521,15 +518,12 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     frame = len(delta.ambient)
     check_vertex_cap(frame)
     masks = facet_masks(delta)
-    table = BettiTable()
     if 0 in masks:
-        table.accumulate(1, 0, 1, "oracle")
-        return table
+        return BettiTable({(1, 0): (1, "oracle")})
     full = (1 << frame) - 1
     rotating = bool(masks) and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks)
     if rotating:
-        for d, dim in complement_homology(delta, field).items():
-            table.accumulate(d + 2, frame, dim, "oracle")
+        whole = {(d + 2, frame): dim for d, dim in complement_homology(delta, field).items()}
         frame -= 1
         masks = [fm for fm in masks if not fm >> frame]
     top = 1 << frame >> 1
@@ -548,9 +542,9 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
             # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
             key = (size - d - 1, size)
             sums[key] = sums.get(key, 0) + dim * weight
-    for (i, j), value in (_cycle_counts(frame + 1, sums) if rotating else sums).items():
-        table.accumulate(i, j, value, "oracle")
-    return table
+    if rotating:
+        sums = _cycle_counts(frame + 1, sums) | whole
+    return BettiTable({key: (value, "oracle") for key, value in sums.items()})
 
 
 def homology_run_sequence(t: int, seq: RunSequence) -> HomologySummary:
@@ -651,18 +645,18 @@ def betti_closed_cycle(spec: PathFamilySpec) -> BettiTable:
 
     The facets avoiding vertex n - 1 are the line's on the other n - 1
     vertices, so ``_cycle_counts`` scales the line's placement count into
-    the entries below degree n.  Degree n comes from the top-degree
-    formula.
+    the entries below degree n, tagged ``eligible_count``.  Degree n
+    comes from the top-degree formula, tagged ``closed_form``.  The table
+    is built once from both.
     """
     if spec.kind != "cycle":
         raise ValueError("expected a cycle spec")
     n = spec.n
-    table = BettiTable()
-    for (i, j), value in _cycle_counts(n, _placement_counts(n - 1, spec.t)).items():
-        table.accumulate(i, j, value, "eligible_count")
+    counts = _cycle_counts(n, _placement_counts(n - 1, spec.t))
+    entries = {key: (value, "eligible_count") for key, value in counts.items()}
     i_top, value = betti_top_degree(spec)
-    table.accumulate(i_top, n, value, "closed_form")
-    return table
+    entries[(i_top, n)] = (value, "closed_form")
+    return BettiTable(entries)
 
 
 def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
@@ -670,13 +664,13 @@ def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
 
     On the line no placement wraps, so the placement count covers every
     degree, the top one too: when t = n it is the single facet's (1, n).
+    The table is built once from that count, each entry tagged
+    ``eligible_count``.
     """
     if spec.kind != "line":
         raise ValueError("expected a line spec")
-    table = BettiTable()
-    for (i, j), count in _placement_counts(spec.n, spec.t).items():
-        table.accumulate(i, j, count, "eligible_count")
-    return table
+    counts = _placement_counts(spec.n, spec.t)
+    return BettiTable({key: (value, "eligible_count") for key, value in counts.items()})
 
 
 def pd_reg(spec: PathFamilySpec) -> tuple[int, int]:

@@ -44,10 +44,32 @@ from reference import (
 
 
 def _table(entries: dict) -> BettiTable:
-    table = BettiTable()
-    for (i, j), value in entries.items():
-        table.accumulate(i, j, value, "test")
-    return table
+    return BettiTable({key: (value, "test") for key, value in entries.items()})
+
+
+def _summed(terms) -> dict:
+    """(i, j) -> (value, method) from (i, j, amount, method) terms: repeated keys summed, the first tag kept."""
+    out: dict = {}
+    for i, j, amount, method in terms:
+        value, first = out.get((i, j), (0, method))
+        out[(i, j)] = (value + amount, first)
+    return out
+
+
+def _filled_term_by_term(terms) -> list[tuple[int, int, int, str]]:
+    """The items of a table filled one term at a time: sums, first tags, no zeros, sorted by (j, i)."""
+    summed = _summed(terms)
+    return [
+        (i, j, *summed[(i, j)])
+        for i, j in sorted(summed, key=lambda key: (key[1], key[0])) if summed[(i, j)][0]
+    ]
+
+
+def _unrestricted_terms(delta, field):
+    """The oracle's terms, tagged, from a search over every union of the facets."""
+    for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field):
+        for d, dim in ind.items():
+            yield y.bit_count() - d - 1, y.bit_count(), dim, "oracle"
 
 
 PENTAGON = {(1, 2): 5, (2, 3): 5, (3, 5): 1}
@@ -57,32 +79,64 @@ PATH4_T2 = {(1, 2): 3, (2, 3): 2}
 
 
 class TestBettiTable:
-    def test_accumulate_and_value(self):
-        table = BettiTable()
-        table.accumulate(1, 2, 3, "oracle")
-        table.accumulate(1, 2, 2, "oracle")
-        assert table.value(1, 2) == 5
-        assert table.value(9, 9) == 0
+    @pytest.mark.parametrize("other", [
+        {(1, 2): (5, "closed_form"), (2, 3): (5, "closed_form"), (3, 5): (1, "closed_form")},
+        {(1, 2): (5, "oracle"), (2, 3): (5, "eligible_count"), (3, 5): (1, "oracle"), (4, 9): (0, "oracle")},
+        {(9, 10): (0, "oracle"), (3, 5): (1, "test"), (2, 3): (5, "test"), (1, 2): (5, "test")},
+    ], ids=["another-tag", "mixed-tags-and-a-zero", "a-zero-first"])
+    def test_equality_ignores_provenance(self, other):
+        # a zero is not stored, so it changes neither ==, pd nor reg
+        table, other = _table(PENTAGON), BettiTable(other)
+        assert table == other and other == table
+        assert (other.pd, other.reg) == (table.pd, table.reg) == (3, 2)
+        assert [(i, j, value) for i, j, value, _ in other.items()] == [(1, 2, 5), (2, 3, 5), (3, 5, 1)]
+        assert table != _table({**PENTAGON, (3, 5): 2})
 
-    def test_equality_ignores_provenance(self):
-        a = BettiTable()
-        a.accumulate(1, 2, 5, "oracle")
-        b = BettiTable()
-        b.accumulate(1, 2, 5, "closed_form")
-        assert a == b
+    @pytest.mark.parametrize("entries", [
+        {(3, 5): 1, (1, 2): 5, (2, 3): 5},
+        {(2, 3): 5, (3, 5): 1, (1, 2): 5},
+        {(3, 5): 1, (2, 3): 5, (1, 2): 5},
+    ])
+    def test_items_sorted_by_internal_degree(self, entries):
+        # the constructor orders by (j, i): (4, 5) comes before (3, 6), though its i is larger
+        table = _table({**entries, (3, 6): 2, (4, 5): 3})
+        order = [(1, 2), (2, 3), (3, 5), (4, 5), (3, 6)]
+        assert [(i, j) for i, j, _, _ in table.items()] == order
+        assert list(table.entries) == order
+        assert table.value(4, 5) == 3 and table.value(9, 9) == 0
 
-    def test_items_sorted_by_internal_degree(self):
-        table = _table({(3, 5): 1, (1, 2): 5, (2, 3): 5})
-        assert [(i, j) for i, j, _, _ in table.items()] == [(1, 2), (2, 3), (3, 5)]
-
-    def test_pd_reg_of_empty_table(self):
-        assert BettiTable().pd == 0
-        assert BettiTable().reg == 0
+    @pytest.mark.parametrize("entries", [{}, {(5, 9): (0, "test")}], ids=["empty", "only-a-zero"])
+    def test_pd_reg_of_empty_table(self, entries):
+        table = BettiTable(entries)
+        assert (table.pd, table.reg) == (0, 0)
+        assert table.items() == [] and table.entries == {} and table == BettiTable()
 
     def test_diff(self):
-        a = _table({(1, 2): 5, (2, 3): 4})
-        b = _table({(1, 2): 5, (3, 5): 1})
-        assert a.diff(b) == {(2, 3): (4, 0), (3, 5): (0, 1)}
+        a = _table({(3, 6): 2, (1, 2): 5, (2, 3): 4, (4, 4): 0})
+        b = _table({(3, 5): 1, (1, 2): 5, (4, 5): 7})
+        assert list(a.diff(b).items()) == [((2, 3), (4, 0)), ((3, 5), (0, 1)), ((4, 5), (0, 7)), ((3, 6), (2, 0))]
+        assert list(b.diff(a)) == [(2, 3), (3, 5), (4, 5), (3, 6)]
+        assert a.diff(a) == {}
+
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_both_routes_give_the_items_of_a_table_filled_term_by_term(self, kind):
+        # the closed forms against the reference counts, the oracle against
+        # every union of the facets, each with the tags the routes give
+        for n in range(2 if kind == "line" else 3, 13):
+            for t in range(2, n + 1):
+                spec = PathFamilySpec(kind, n, t)
+                if kind == "cycle":
+                    closed = betti_closed_cycle(spec)
+                    counts = cycle_placement_counts(n, t)
+                    i_top, value = betti_top_degree(spec)
+                    top = [(i_top, n, value, "closed_form")]
+                else:
+                    closed = betti_closed_line(spec)
+                    counts, top = line_placement_counts(n, t), []
+                terms = [(i, j, value, "eligible_count") for (i, j), value in counts.items()] + top
+                assert closed.items() == _filled_term_by_term(terms), (n, t)
+                delta = build_path_complex(spec)
+                assert betti_hochster(delta).items() == _filled_term_by_term(_unrestricted_terms(delta, QQ)), (n, t)
 
 
 class TestHochsterOracle:
@@ -127,15 +181,15 @@ class TestHochsterOracle:
 
 def _direct_hochster(delta, field) -> BettiTable:
     """Hochster's sum taken literally: homology of the complement of every induced subcollection."""
-    table = BettiTable()
+    terms = []
     for size in range(len(delta.ambient) + 1):
         for y in combinations(delta.ambient, size):
             gamma = induced_subcollection(delta, y)
             if not gamma.facets or gamma.ambient != y:
                 continue
             for degree, dim in reduced_homology_dims(complement(gamma, y), field).items():
-                table.accumulate(degree + 2, size, dim, "direct")
-    return table
+                terms.append((degree + 2, size, dim, "direct"))
+    return BettiTable(_summed(terms))
 
 
 def _no_split(shape, field):
@@ -562,10 +616,7 @@ class TestRotationRoute:
         for n in range(3, 15):
             for t in range(2, n + 1):
                 delta = build_path_complex(PathFamilySpec("cycle", n, t))
-                everything = BettiTable()
-                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field):
-                    for d, dim in ind.items():
-                        everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
+                everything = BettiTable(_summed(_unrestricted_terms(delta, field)))
                 assert betti_hochster(delta, field).items() == everything.items(), (n, t)
 
     @pytest.mark.parametrize("facets, lead", [
@@ -662,10 +713,7 @@ class TestTranslationRoute:
         for n in range(2, 15):
             for t in range(2, n + 1):
                 delta = build_path_complex(PathFamilySpec("line", n, t))
-                everything = BettiTable()
-                for y, ind in betti_module._union_search(betti_module.facet_masks(delta), field):
-                    for d, dim in ind.items():
-                        everything.accumulate(y.bit_count() - d - 1, y.bit_count(), dim, "oracle")
+                everything = BettiTable(_summed(_unrestricted_terms(delta, field)))
                 assert betti_hochster(delta, field).items() == everything.items(), (n, t)
 
     @pytest.mark.parametrize("facets", [
@@ -1119,8 +1167,7 @@ class TestClosedCycle:
 
     def test_provenance_tags(self):
         table = betti_closed_cycle(PathFamilySpec("cycle", 5, 2))
-        assert table.method(1, 2) == "eligible_count"
-        assert table.method(3, 5) == "closed_form"
+        assert table.items() == [(1, 2, 5, "eligible_count"), (2, 3, 5, "eligible_count"), (3, 5, 1, "closed_form")]
 
 
 class TestClosedLine:

@@ -177,8 +177,7 @@ class TestBettiCommand:
         assert "cap" in err
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        wrong = BettiTable()
-        wrong.accumulate(9, 9, 1, "closed_form")
+        wrong = BettiTable({(9, 9): (1, "closed_form")})
         monkeypatch.setattr("pathbetti.cli.betti_closed_cycle", lambda spec: wrong)
         code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
                             "--method", "both")
@@ -418,14 +417,20 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--char-list", "0,4")
         assert code == 2
 
+    @pytest.mark.parametrize("char_list", ["", ",", "0,", "0,,2"])
+    def test_an_empty_characteristic_is_a_usage_error(self, capsys, char_list):
+        # as in homology --runs 3,,2: every item must be an integer
+        code, out, err = _run(capsys, "verify", "--max-n", "5", "--char-list", char_list)
+        assert (code, out) == (2, "")
+        assert "invalid verify arguments" in err
+
     def test_characteristic_above_int64_safe_range_is_a_usage_error(self, capsys):
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--char-list", "0,4294967311")
         assert code == 2
         assert "2^31" in err
 
     def test_failure_is_reported_and_exits_one(self, capsys, monkeypatch):
-        wrong = BettiTable()
-        wrong.accumulate(9, 9, 1, "closed_form")
+        wrong = BettiTable({(9, 9): (1, "closed_form")})
         monkeypatch.setattr("pathbetti.cli.betti_closed_cycle", lambda spec: wrong)
         code, out, _ = _run(capsys, "verify", "--max-n", "4", "--t-range", "2..2")
         assert code == 1

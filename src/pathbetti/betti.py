@@ -18,10 +18,11 @@ drops its whole branch.  When the facets are closed under moving each
 facet one vertex up or down where it fits, as the line's are, only the
 unions through vertex 0 are searched, each weighted by its n - hi(Y)
 translates.  Ind's homology comes from link/deletion splitting on a
-vertex, which recurses on smaller shapes through one bounded memo.  A
-shape whose complement is small, or on which no vertex splits, has its
-homology read off the boundary-matrix ranks of its own complement
-instead, moved to Ind by Alexander duality.  The join
+vertex, which recurses on smaller shapes through one memo, a
+``functools.lru_cache`` of 4096 shapes that drops the least recently
+used.  A shape whose complement is small, or on which no vertex splits,
+has its homology read off the boundary-matrix ranks of its own
+complement instead, moved to Ind by Alexander duality.  The join
 formula combines the components, and Alexander duality passes to the
 complement.  ``_sub_homology`` is the one join over the components of
 a facet set, for the splitting's sub-shapes and ``complement_homology``,
@@ -37,14 +38,15 @@ other.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from math import comb
 
 from . import homology
 from .complexes import SimplicialComplex
-from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, levels_homology
-from .paths import PathFamilySpec, RunSequence, _integer
+from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, _integer, levels_homology
+from .paths import PathFamilySpec, RunSequence
 
 # Most ambient vertices the oracle and the explicit complements accept;
 # homology._levels keeps the face budget.
@@ -161,14 +163,6 @@ class HomologySummary(namedtuple("HomologySummary", "nonzero_degree dimension"))
         if self.nonzero_degree is None:
             return {}
         return {self.nonzero_degree: self.dimension}
-
-
-# Independence-complex homology memo, keyed by the characteristic and a
-# connected component's facet masks shifted down to bit 0 with the gaps
-# between its vertices closed, as ``_relabelled`` gives them.  Bounded:
-# the oldest entry goes once it is full.
-_IND_CACHE_LIMIT = 4096
-_IND_HOMOLOGY_CACHE: dict[tuple, HomologyVector] = {}
 
 
 def _components(masks: list[int]) -> list[int]:
@@ -305,25 +299,23 @@ def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector 
     return None
 
 
+@functools.lru_cache(maxsize=4096)
 def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
     """Reduced homology of Ind of one connected component's facet masks, memoised.
 
-    The facets cover the bits 0..m-1.  ``_split_homology`` recurses on
-    the deletion and the link of a vertex, whose components come back
-    here, so every sub-shape shares the memo.  The boundary-matrix route
-    ``_matrix_homology``, with its face budget, is taken for a shape
-    whose complement is small or on which no vertex splits.
+    The facets cover the bits 0..m-1, as ``_relabelled`` gives them.
+    ``_split_homology`` recurses on the deletion and the link of a
+    vertex, whose components come back here, so every sub-shape shares
+    the memo: one least-recently-used cache of 4096 shapes, keyed by the
+    arguments, so each field keeps its own entries.  Every caller gets
+    the memo's own dict, to read and never to change.  The boundary-matrix
+    route ``_matrix_homology``, with its face budget, is taken for a
+    shape whose complement is small or on which no vertex splits.
     """
-    key = (shape, field.characteristic)
-    cached = _IND_HOMOLOGY_CACHE.get(key)
-    if cached is None:
-        cached = _split_homology(shape, field)
-        if cached is None:
-            cached = _matrix_homology(shape, field)
-        if len(_IND_HOMOLOGY_CACHE) >= _IND_CACHE_LIMIT:
-            del _IND_HOMOLOGY_CACHE[next(iter(_IND_HOMOLOGY_CACHE))]
-        _IND_HOMOLOGY_CACHE[key] = cached
-    return cached
+    out = _split_homology(shape, field)
+    if out is None:
+        out = _matrix_homology(shape, field)
+    return out
 
 
 def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:

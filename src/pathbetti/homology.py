@@ -51,6 +51,14 @@ class OracleCapError(RuntimeError):
     """
 
 
+def _integer(value, what: str) -> int:
+    """The value as an int if it is one (``operator.index`` accepts it), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -70,10 +78,7 @@ class FieldSpec(namedtuple("FieldSpec", "characteristic")):
     __slots__ = ()
 
     def __new__(cls, characteristic: int = 0) -> FieldSpec:
-        try:
-            c = operator.index(characteristic)
-        except TypeError:
-            raise ValueError(f"characteristic must be an integer, got {characteristic!r}") from None
+        c = _integer(characteristic, "characteristic")
         if c >= 1 << 31:
             raise ValueError(f"characteristic must be below 2^31, got {c}")
         if c != 0 and not _is_prime(c):

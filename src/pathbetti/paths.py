@@ -14,18 +14,10 @@ check their fields when built.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
 from .complexes import SimplicialComplex
-
-
-def _integer(value, what: str) -> int:
-    """The value as an int if it is one (``operator.index`` accepts it), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+from .homology import _integer
 
 
 class PathFamilySpec(namedtuple("PathFamilySpec", "kind n t")):

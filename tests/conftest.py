@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import strategies as st
 
-from pathbetti import SimplicialComplex, make_complex
+from pathbetti import SimplicialComplex, betti, make_complex
+
+
+@pytest.fixture
+def empty_ind_memo():
+    """The Ind homology memo, emptied before the test and again after it."""
+    betti._ind_homology.cache_clear()
+    yield
+    betti._ind_homology.cache_clear()
 
 
 @st.composite

@@ -27,6 +27,14 @@ from pathbetti.homology import _levels, levels_homology
 GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
 
+# The six-vertex triangulation of the real projective plane: H_1 = Z/2,
+# H_2 = 0, so over GF(2) both H~_1 and H~_2 are one-dimensional and over
+# a field of any other characteristic all reduced homology vanishes.
+RP2 = make_complex(range(1, 7), [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+])
+
 Placement = tuple[tuple[int, int], ...]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import inspect
 import sys
 from itertools import combinations
@@ -38,7 +39,7 @@ from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
 from reference import (
-    GF2, GF32003, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
+    GF2, GF32003, RP2, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
     line_placement_counts, reduced_homology_dims, run_sequence, run_sequences,
 )
 
@@ -234,14 +235,26 @@ class TestOracleRoute:
         for field in (QQ, GF2):
             assert betti_hochster(delta, field).entries == entries
 
-    def test_the_splitting_shares_the_keys_of_the_scan(self, monkeypatch):
+    def test_the_splitting_shares_the_keys_of_the_scan(self, empty_ind_memo):
         # facets {0, 1}, {2, 3}, {3, 4} and {4, 5} on 6 vertices: the
         # splitting keys the path 2-3-4-5 as the scan keys the same path on
-        # bits 0..3
-        cache: dict = {}
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
+        # bits 0..3, so looking that path up afterwards is a hit
         assert betti_module._sub_homology([0b000011, 0b001100, 0b011000, 0b110000], 6, QQ) == {}
-        assert ((0b0011, 0b0110, 0b1100), 0) in cache
+        hits = betti_module._ind_homology.cache_info().hits
+        betti_module._ind_homology((0b0011, 0b0110, 0b1100), QQ)
+        assert betti_module._ind_homology.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("first, second", [(GF2, QQ), (QQ, GF2)], ids=["GF2-then-QQ", "QQ-then-GF2"])
+    def test_the_memo_keeps_fields_apart(self, empty_ind_memo, first, second):
+        # the Stanley-Reisner ideal of the six-vertex real projective plane,
+        # whose facets are the 10 triangles missing from it: the full
+        # union's Ind is RP2, acyclic over Q but not over GF(2), and the
+        # second field runs on the memo the first one filled
+        delta = make_complex(range(1, 7), [f for f in combinations(range(1, 7), 3) if f not in RP2.facets])
+        want = {QQ: {(1, 3): 10, (2, 4): 15, (3, 5): 6}}
+        want[GF2] = {**want[QQ], (3, 6): 1, (4, 6): 1}
+        for field in (first, second):
+            assert betti_hochster(delta, field).entries == want[field]
 
     @given(framed_vertex_sets())
     @example((5, 0b11111, [0b00111, 0b11100]))
@@ -271,7 +284,7 @@ class TestOracleRoute:
             levels.pop()
         assert levels_homology(levels, QQ) == levels_homology(_ind_by_brute_force(shape), QQ)
 
-    def test_every_relabelled_vertex_mask_is_a_block(self, monkeypatch):
+    def test_every_relabelled_vertex_mask_is_a_block(self, monkeypatch, empty_ind_memo):
         # the traffic of cycles and lines on at most 12 vertices, of their
         # full complements and of the run complexes on at most 12 vertices:
         # every component the oracle keys is a block of consecutive
@@ -283,7 +296,6 @@ class TestOracleRoute:
             received.append(verts)
             return relabelled(verts, masks)
 
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_relabelled", recording)
         for kind in ("cycle", "line"):
             for n in range(3 if kind == "cycle" else 2, 13):
@@ -297,7 +309,7 @@ class TestOracleRoute:
         blocks = {verts >> (verts & -verts).bit_length() - 1 for verts in received}
         assert received and all(not block & (block + 1) for block in blocks)
 
-    def test_large_facets_take_the_complement_route(self, monkeypatch):
+    def test_large_facets_take_the_complement_route(self, monkeypatch, empty_ind_memo):
         # With no vertex splitting, the matrix route sees Ind of the 12-cycle
         # with t = 9, which holds every subset of at most 8 vertices; the
         # complements of its facets have 3 vertices each.
@@ -308,14 +320,15 @@ class TestOracleRoute:
             seen.append(levels)
             return homology(levels, field)
 
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "levels_homology", recording)
         spec = PathFamilySpec("cycle", 12, 9)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
         assert seen and max(len(levels) - 2 for levels in seen) <= 2
 
-    def test_component_over_the_face_budget_is_refused_before_any_column_is_built(self, monkeypatch):
+    def test_component_over_the_face_budget_is_refused_before_any_column_is_built(
+        self, monkeypatch, empty_ind_memo,
+    ):
         # With no vertex splitting, the matrix route sees Ind of the 10-cycle
         # with t = 2, whose complement has 1024 - 123 = 901 faces; counting
         # them passes a budget of 100 before any column is built
@@ -323,14 +336,15 @@ class TestOracleRoute:
             raise AssertionError("a column was built")
 
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(betti_module, "levels_homology", unbuilt)
         cycle = tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10)))
         with pytest.raises(OracleCapError, match="more than 100 faces exceeds the face budget"):
             betti_module._ind_homology(cycle, QQ)
 
-    def test_component_over_the_face_budget_is_refused_when_the_search_meets_it(self, monkeypatch):
+    def test_component_over_the_face_budget_is_refused_when_the_search_meets_it(
+        self, monkeypatch, empty_ind_memo,
+    ):
         # With no vertex splitting, every component's complement is counted.
         # The 10-cycle on 5..14 has 1024 - 123 = 901 complement faces, over a
         # budget of 890, while its paths have at most 1024 - 144 = 880 and
@@ -348,7 +362,6 @@ class TestOracleRoute:
         cycle = [(5 + v, 5 + (v + 1) % 10) for v in range(10)]
         delta = make_complex(range(1, 15), path + cycle)
         monkeypatch.setattr(homology_module, "MAX_FACES", 890)
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(homology_module, "_levels", levels)
         with pytest.raises(OracleCapError, match="face budget"):
@@ -356,23 +369,15 @@ class TestOracleRoute:
         assert counted[-1] and len(counted) > 1 and not any(counted[:-1])
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
-        # the size is read at every miss, nested misses of the splitting included
-        limit = 3
-        cache: dict = {}
-        sizes = []
-        split = betti_module._split_homology
-
-        def counting(shape, field):
-            sizes.append(len(cache))
-            return split(shape, field)
-
-        monkeypatch.setattr(betti_module, "_IND_CACHE_LIMIT", limit)
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", cache)
-        monkeypatch.setattr(betti_module, "_split_homology", counting)
+        # the same memo with room for 3 shapes: the splitting's nested
+        # lookups go through it too, and the table is still right
+        assert betti_module._ind_homology.cache_info().maxsize == 4096
+        small = functools.lru_cache(maxsize=3)(betti_module._ind_homology.__wrapped__)
+        monkeypatch.setattr(betti_module, "_ind_homology", small)
         spec = PathFamilySpec("cycle", 9, 2)
         table = betti_hochster(build_path_complex(spec))
-        assert len(sizes) > limit
-        assert max(sizes) <= limit and len(cache) <= limit
+        info = small.cache_info()
+        assert info.misses > 3 and info.currsize <= 3
         assert table == betti_closed_cycle(spec)
 
     @pytest.mark.parametrize("kind", ["cycle", "line"])
@@ -414,7 +419,7 @@ class TestOracleRoute:
     @pytest.mark.parametrize("kind, n, t", [
         ("cycle", 22, 12), ("line", 22, 12), ("cycle", 22, 17), ("cycle", 21, 8),
     ])
-    def test_complement_side_near_the_cap_matches_the_closed_form(self, monkeypatch, kind, n, t):
+    def test_complement_side_near_the_cap_matches_the_closed_form(self, monkeypatch, empty_ind_memo, kind, n, t):
         # with no vertex splitting, every component goes through its complement
         complements = []
         real = homology_module._levels
@@ -423,7 +428,6 @@ class TestOracleRoute:
             complements.append(facets)
             return real(facets)
 
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
         monkeypatch.setattr(homology_module, "_levels", recording)
         spec = PathFamilySpec(kind, n, t)
@@ -434,10 +438,10 @@ class TestOracleRoute:
     @pytest.mark.parametrize("kind, n, t", [
         ("cycle", 21, 5), ("cycle", 22, 4), ("cycle", 22, 5), ("cycle", 22, 6), ("line", 21, 4), ("line", 22, 4),
     ])
-    def test_points_over_the_face_budget_match_the_closed_form(self, monkeypatch, kind, n, t):
+    @pytest.mark.usefixtures("empty_ind_memo")
+    def test_points_over_the_face_budget_match_the_closed_form(self, kind, n, t):
         # the matrix route alone refused these: some component's Ind and its
         # complement both have more than MAX_FACES faces
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         spec = PathFamilySpec(kind, n, t)
         closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
         assert betti_hochster(build_path_complex(spec), GF32003) == closed
@@ -541,12 +545,12 @@ class TestOracleScan:
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
             assert leaves and all(y & 0b1111 != 0b1111 for y in leaves)
 
-    def test_the_search_keeps_its_own_stack(self, monkeypatch):
+    @pytest.mark.usefixtures("empty_ind_memo")
+    def test_the_search_keeps_its_own_stack(self):
         # 120 facets, the 3-subsets of 10 vertices: a Python frame per facet
         # would pass a recursion limit 60 frames above the caller
         delta = make_complex(range(1, 11), combinations(range(1, 11), 3))
         want = _direct_hochster(delta, QQ)
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 60)
         try:
@@ -753,6 +757,54 @@ class TestTranslationRoute:
         assert len(yielded) == 836 and all(y & 1 and not y >> 15 for y in yielded)
 
 
+def _eligible_unions(n: int, t: int) -> dict[int, tuple[int, ...]]:
+    """The vertex masks on the line of n vertices whose maximal blocks all hold eligible runs, with those runs.
+
+    A block of L >= t consecutive vertices holds a run of L - t + 1
+    facets, eligible when its residue mod t + 1 is 1 or 2, and the blocks
+    are apart by at least one vertex.
+    """
+    out = {}
+
+    def place(start: int, mask: int, runs: tuple[int, ...]) -> None:
+        for low in range(start, n - t + 1):
+            for length in range(t, n - low + 1):
+                if (length - t + 1) % (t + 1) in (1, 2):
+                    grown, longer = mask | ((1 << length) - 1) << low, runs + (length - t + 1,)
+                    out[grown] = longer
+                    place(low + length + 1, grown, longer)
+
+    place(0, 0, ())
+    return out
+
+
+class TestUnionByUnion:
+    """Hochster's formula per union of the line's facets, not only per (i, j) sum, against the run lemma."""
+
+    def test_the_line_search_yields_the_eligible_unions_each_once_with_the_run_homology(self):
+        for n in range(2, 15):
+            for t in range(2, n + 1):
+                masks = betti_module.facet_masks(build_path_complex(PathFamilySpec("line", n, t)))
+                reached = list(betti_module._union_search(masks, QQ))
+                found = dict(reached)
+                assert len(found) == len(reached), (n, t)
+                dual = {y: {y.bit_count() - d - 3: dim for d, dim in ind.items()} for y, ind in found.items()}
+                want = {
+                    y: homology_run_sequence(t, RunSequence(runs)).as_vector()
+                    for y, runs in _eligible_unions(n, t).items()
+                }
+                assert dual == want, (n, t)
+                # the lead search's unions, each moved to every place it
+                # fits, are the full search's, each once, with the same Ind
+                lead = [fm for fm in masks if fm & 1]
+                translates = [
+                    (y << shift, ind)
+                    for y, ind in betti_module._union_search(lead + [fm for fm in masks if not fm & 1], QQ, len(lead))
+                    for shift in range(n + 1 - y.bit_length())
+                ]
+                assert len(translates) == len(found) and dict(translates) == found, (n, t)
+
+
 def _yielded(monkeypatch) -> list[int]:
     """Every union that the ``_union_search`` runs of ``betti_hochster`` yield, recorded."""
     yielded = []
@@ -796,13 +848,12 @@ class TestIndSplitting:
         levels = _ind_by_brute_force(shape)
         for field in (QQ, GF2, GF32003):
             want = levels_homology(levels, field)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
-                assert betti_module._ind_homology(shape, field) == want
-                split = betti_module._split_homology(shape, field)
-                assert split is None or split == want
+            betti_module._ind_homology.cache_clear()
+            assert betti_module._ind_homology(shape, field) == want
+            split = betti_module._split_homology(shape, field)
+            assert split is None or split == want
 
-    def test_small_complements_are_ranked_without_splitting(self, monkeypatch):
+    def test_small_complements_are_ranked_without_splitting(self, monkeypatch, empty_ind_memo):
         # splitting alone made thousands of sub-shapes for t = n - 2 and ran for minutes at n = 22
         searches = []
         split = betti_module._split_homology
@@ -811,13 +862,12 @@ class TestIndSplitting:
             searches.append(shape)
             return split(shape, field)
 
-        monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
         monkeypatch.setattr(betti_module, "_split_homology", counting)
         spec = PathFamilySpec("cycle", 22, 20)
         assert betti_hochster(build_path_complex(spec), GF32003) == betti_closed_cycle(spec)
         assert len(searches) < 10
 
-    def test_the_matrix_route_ranks_the_complement_alone(self, monkeypatch):
+    def test_the_matrix_route_ranks_the_complement_alone(self, monkeypatch, empty_ind_memo):
         # the path on 4 vertices: its complement bound, 3 * 2^2 faces, is at
         # most 4 per facet, so it is ranked without splitting
         shape = (0b0011, 0b0110, 0b1100)
@@ -830,13 +880,12 @@ class TestIndSplitting:
 
         monkeypatch.setattr(homology_module, "_levels", recording)
         for field in (QQ, GF2):
-            monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
             built.clear()
             assert betti_module._ind_homology(shape, field) == \
                 levels_homology(_ind_by_brute_force(shape), field)
             assert built == [[0b1100, 0b1001, 0b0011]]
 
-    def test_no_vertex_splitting_falls_back_to_the_matrix_route(self, monkeypatch):
+    def test_no_vertex_splitting_falls_back_to_the_matrix_route(self, monkeypatch, empty_ind_memo):
         taken = []
         matrix = betti_module._matrix_homology
 
@@ -853,13 +902,12 @@ class TestIndSplitting:
         ]
         for shape in shapes:
             for field in (QQ, GF2):
-                monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
                 taken.clear()
                 assert betti_module._ind_homology(shape, field) == \
                     levels_homology(_ind_by_brute_force(shape), field)
                 assert taken == [shape]
 
-    def test_a_shape_on_which_no_vertex_splits_reaches_the_matrix_route(self, monkeypatch):
+    def test_a_shape_on_which_no_vertex_splits_reaches_the_matrix_route(self, monkeypatch, empty_ind_memo):
         # found by a random search over connected antichains of 2- to 4-sets:
         # Ind has homology in degrees 1 and 2, and at every vertex the link
         # and the deletion share a degree; the complement is not small
@@ -877,7 +925,6 @@ class TestIndSplitting:
         monkeypatch.setattr(betti_module, "_matrix_homology", recording)
         delta = make_complex(range(1, m + 1), [[b + 1 for b in range(m) if fm >> b & 1] for fm in shape])
         for field in (QQ, GF2):
-            monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
             taken.clear()
             assert betti_module._split_homology(shape, field) is None
             assert betti_module._ind_homology(shape, field) == \

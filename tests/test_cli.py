@@ -30,7 +30,7 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
 
 
 @pytest.fixture
-def tiny_face_budget(monkeypatch):
+def tiny_face_budget(monkeypatch, empty_ind_memo):
     """A face budget every complex with more than one face exceeds, an empty memo, and no vertex splitting.
 
     The tests named for the dense budget now exercise the face budget that
@@ -38,7 +38,6 @@ def tiny_face_budget(monkeypatch):
     no vertex splits.
     """
     monkeypatch.setattr(homology, "MAX_FACES", 1)
-    monkeypatch.setattr(betti_module, "_IND_HOMOLOGY_CACHE", {})
     monkeypatch.setattr(betti_module, "_split_homology", lambda shape, field: None)
 
 

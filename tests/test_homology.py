@@ -14,19 +14,11 @@ from pathbetti import homology
 from pathbetti.betti import facet_masks
 
 from conftest import small_complexes
-from reference import GF2, GF32003, cone, faces_of_dim, reduced_homology_dims
+from reference import GF2, GF32003, RP2, cone, faces_of_dim, reduced_homology_dims
 
 FIELDS = [QQ, GF2, GF32003]
 
 HOLLOW_TRIANGLE = make_complex((1, 2, 3), [(1, 2), (2, 3), (1, 3)])
-
-# The six-vertex triangulation of the real projective plane: H_1 = Z/2,
-# H_2 = 0, so over GF(2) both H~_1 and H~_2 are one-dimensional and over
-# a field of any other characteristic all reduced homology vanishes.
-RP2 = make_complex(range(1, 7), [
-    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-])
 
 # Two points beside a hollow triangle: homology in degrees 0 and 1.
 S0_SQCUP_S1 = make_complex(range(1, 6), [(1,), (2,), (3, 4), (4, 5), (3, 5)])

@@ -31,9 +31,9 @@ facets shifted down to bit 0 with the gaps between its vertices closed
 (``_relabelled``).  The face budget is checked in one place, where
 ``homology._levels`` counts a complement's faces.
 The closed-form route counts eligible run placements on the line as one
-product of two binomials per entry, in time polynomial in n, and its
-top-degree value for the cycle is explicit.  Either route checks the
-other.
+product of two binomials per entry, walked from entry to entry by one
+exact ratio, in time polynomial in n, and its top-degree value for the
+cycle is explicit.  Either route checks the other.
 """
 
 from __future__ import annotations
@@ -603,12 +603,31 @@ def _placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
     Vandermonde then sums C(m - a, r - a)·C(u - 1, u - r) over r to
     C(m - a + u - 1, u - a).  Within the loop's bounds, u(t + 1) <= n + 1
     and a >= u(t + 1) - n, every entry is positive.
+
+    Put c = n + 1 - u(t + 1), the free slots when every run has its
+    least length, so that the entry is C(c + a, a)·C(n - ut, u - a) and
+    only a moves within a fixed u.  Only the first entry of each u takes
+    two ``comb`` calls.  Each next entry, at a + 1 and j - 1, comes from
+    the last one, x, by one exact ratio:
+
+        x·(c + a + 1)(u - a) // ((a + 1)(c + a)),
+
+    that is x·(n + 2 - j)(u - a) // ((a + 1)(n - u(t + 1) + a + 1)).
+    The division is exact, because C(A + 1, a + 1)(a + 1) = C(A, a)(A + 1)
+    with A = c + a, and C(B, u - a - 1)(B - u + a + 1) = C(B, u - a)(u - a)
+    with B = n - ut = c + u - 1.  It needs no zero guard: the loop's bounds
+    keep a >= 0 and c + a >= 1, so both factors of the divisor are at
+    least 1.  The step past a = u multiplies by 0, and its result is never
+    stored.
     """
     counts: dict[tuple[int, int], int] = {}
     for u in range(1, (n + 1) // (t + 1) + 1):
-        for a in range(max(0, u * (t + 1) - n), u + 1):
-            j = u * (t + 1) - a
-            counts[(2 * u - a, j)] = comb(n + 1 - j, a) * comb(n - j - a + u, u - a)
+        c = n + 1 - u * (t + 1)
+        lo = max(0, 1 - c)
+        x = comb(c + lo, lo) * comb(n - u * t, u - lo)
+        for a in range(lo, u + 1):
+            counts[(2 * u - a, u * (t + 1) - a)] = x
+            x = x * ((c + a + 1) * (u - a)) // ((a + 1) * (c + a))
     return counts
 
 

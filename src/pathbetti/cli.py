@@ -13,7 +13,10 @@ budget, into 3, with the error on stderr and nothing on stdout.
 JSON is rendered by ``_json``, byte for byte what ``json.dumps(indent=2)``
 gives: with an indent, ``json.dumps`` leaves its C encoder for a Python
 generator per container, which on small tables took longer than
-computing them.
+computing them.  The ``betti`` record's entries all have the same four
+keys, so each comes from one fixed ``%`` template, fed straight from
+``BettiTable.items()``, and ``_json`` writes that text as it stands; the
+CSV rows come from one template too, printed at once.
 """
 
 from __future__ import annotations
@@ -84,7 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # The C encoder's string escaping; it raises TypeError on anything but a str.
 _string = json.encoder.encode_basestring_ascii
 
+
+class _Rendered(str):
+    """JSON text rendered already, which ``_json`` writes as it stands."""
+
+
 _SCALARS = {
+    _Rendered: lambda text: text,
     str: _string,
     int: int.__repr__,
     float: json.dumps,  # float.__repr__, and NaN and Infinity as json.dumps spells them
@@ -118,11 +127,14 @@ def _json(value, indent: str = "\n") -> str:
     return _SCALARS[kind](value)
 
 
-def _table_record(table: BettiTable) -> list[dict]:
-    return [
-        {"i": i, "j": j, "value": value, "method": method}
-        for i, j, value, method in table.items()
-    ]
+# One entry of the betti record's "entries", laid out as json.dumps(indent=2) lays it out there.
+_ENTRY = '{\n      "i": %d,\n      "j": %d,\n      "value": %d,\n      "method": %s\n    }'
+
+
+def _table_record(table: BettiTable) -> _Rendered:
+    """The table's entries as the JSON list of {i, j, value, method} records at the betti record's top level."""
+    entries = [_ENTRY % (i, j, value, _string(method)) for i, j, value, method in table.items()]
+    return _Rendered("[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]")
 
 
 def _render_diagram(table: BettiTable) -> str:
@@ -162,40 +174,36 @@ def cmd_betti(args: argparse.Namespace) -> int:
     timing_ms = (time.perf_counter() - start) * 1000.0
 
     table = closed if closed is not None else oracle
-    record = {
-        "kind": spec.kind,
-        "n": spec.n,
-        "t": spec.t,
-        "p": spec.p,
-        "d": spec.d,
-        "method": args.method,
-        "field_characteristic": field.characteristic,
-        "entries": _table_record(table),
-        "pd": table.pd,
-        "reg": table.reg,
-        "timing_ms": round(timing_ms, 3),
-    }
-    mismatch = False
-    if args.method == "both":
-        diff = closed.diff(oracle)
-        record["diff"] = [
-            {"i": i, "j": j, "closed": a, "oracle": b}
-            for (i, j), (a, b) in diff.items()
-        ]
-        mismatch = bool(diff)
-
+    diff = closed.diff(oracle) if args.method == "both" else {}
     if args.format == "json":
+        record = {
+            "kind": spec.kind,
+            "n": spec.n,
+            "t": spec.t,
+            "p": spec.p,
+            "d": spec.d,
+            "method": args.method,
+            "field_characteristic": field.characteristic,
+            "entries": _table_record(table),
+            "pd": table.pd,
+            "reg": table.reg,
+            "timing_ms": round(timing_ms, 3),
+        }
+        if args.method == "both":
+            record["diff"] = [
+                {"i": i, "j": j, "closed": a, "oracle": b}
+                for (i, j), (a, b) in diff.items()
+            ]
         print(_json(record))
     elif args.format == "csv":
-        print("kind,n,t,i,j,beta,method")
-        for i, j, value, method in table.items():
-            print(f"{spec.kind},{spec.n},{spec.t},{i},{j},{value},{method}")
+        row = f"{spec.kind},{spec.n},{spec.t},%d,%d,%d,%s"
+        print("\n".join(["kind,n,t,i,j,beta,method", *[row % item for item in table.items()]]))
     else:
         print(_render_diagram(table))
         print(f"pd = {table.pd}, reg = {table.reg}  ({spec.kind}, n={spec.n}, t={spec.t})")
         if args.method == "both":
-            print("oracle and closed form " + ("DISAGREE" if mismatch else "agree"))
-    return EXIT_VERIFY if mismatch else EXIT_OK
+            print("oracle and closed form " + ("DISAGREE" if diff else "agree"))
+    return EXIT_VERIFY if diff else EXIT_OK
 
 
 def cmd_homology(args: argparse.Namespace) -> int:

@@ -6,11 +6,12 @@ Alexander duality, so a test that compares the oracle with them compares
 two independent computations.  ``reduced_homology_dims`` ranks every
 boundary map of a complex built this way; ``enumerate_placements`` lists
 the run placements that the closed forms count.  The package counts
-them as one product of two binomials per entry; ``line_placement_counts``
-counts those on the line by the binomial sum over (r, b, P) that the
-product collapses, and ``cycle_placement_counts`` counts those on the
-cycle directly, with its own wrap-around gaps, where the package derives
-them from the line.
+them as one product of two binomials per entry, each walked from the
+last by an exact ratio; ``line_product_counts`` takes every product
+afresh, ``line_placement_counts`` counts those on the line by the
+binomial sum over (r, b, P) that the product collapses, and
+``cycle_placement_counts`` counts those on the cycle directly, with its
+own wrap-around gaps, where the package derives them from the line.
 """
 
 from __future__ import annotations
@@ -218,4 +219,19 @@ def line_placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
                     break
                 key = (2 * p_total + r + b, (t + 1) * p_total + r * t + b)
                 counts[key] = counts.get(key, 0) + residues * spread * gaps[free]
+    return counts
+
+
+def line_product_counts(n: int, t: int) -> dict[tuple[int, int], int]:
+    """Eligible run placements on the line of n vertices, each (i, j) as its own product of two binomials.
+
+    With u = (j - i)/(t - 1) and a = 2u - i, the entry is C(n + 1 - j,
+    a)·C(n - j - a + u, u - a), two ``comb`` calls each, none derived
+    from another entry.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for u in range(1, (n + 1) // (t + 1) + 1):
+        for a in range(max(0, u * (t + 1) - n), u + 1):
+            j = u * (t + 1) - a
+            counts[(2 * u - a, j)] = comb(n + 1 - j, a) * comb(n - j - a + u, u - a)
     return counts

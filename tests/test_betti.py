@@ -40,7 +40,7 @@ from pathbetti.homology import levels_homology
 from conftest import small_complexes
 from reference import (
     GF2, GF32003, RP2, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
-    line_placement_counts, reduced_homology_dims, run_sequence, run_sequences,
+    line_placement_counts, line_product_counts, reduced_homology_dims, run_sequence, run_sequences,
 )
 
 
@@ -1082,6 +1082,21 @@ class TestProductFormula:
             for key, value in betti_module._placement_counts(n, t).items() if value <= 0
         ]
         assert zero == []
+
+
+class TestPlacementWalk:
+    """``_placement_counts`` walks each u's entries by one exact ratio; every product taken afresh checks the walk."""
+
+    def test_matches_the_products_up_to_n_200(self):
+        wrong = [
+            (n, t) for n in range(201) for t in range(2, n + 2)
+            if betti_module._placement_counts(n, t) != line_product_counts(n, t)
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize("n,t", [(600, 2), (600, 5)])
+    def test_matches_the_products_far_past_the_oracle(self, n, t):
+        assert betti_module._placement_counts(n, t) == line_product_counts(n, t)
 
 
 class TestClosedCycleBeyondTheOracle:

@@ -13,7 +13,9 @@ from dispatch import CASES, outcome, reference
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathbetti import BettiTable, cli, homology
+from pathbetti import (
+    BettiTable, PathFamilySpec, betti_closed_cycle, betti_closed_line, betti_hochster, build_path_complex, cli, homology,
+)
 from pathbetti import betti as betti_module
 from pathbetti.cli import main
 
@@ -102,6 +104,61 @@ class TestJson:
     def test_other_types_and_keys_raise_type_error(self, value):
         with pytest.raises(TypeError):
             cli._json(value)
+
+
+_ENTRY_TABLES = st.dictionaries(
+    st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+    st.tuples(st.integers().filter(bool) | st.integers(min_value=2**64), _TEXT),
+    max_size=6,
+)
+
+
+class TestBettiRendering:
+    """The betti record's entries come from one template per entry, the CSV rows from one template per row."""
+
+    @staticmethod
+    def _same_as_json_dumps(out: str) -> bool:
+        return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("kind,n", [("cycle", 9), ("line", 10)])
+    @pytest.mark.parametrize("method", ["oracle", "closed", "both"])
+    def test_stdout_is_json_dumps_of_itself(self, capsys, kind, n, method):
+        code, out, _ = _run(capsys, "betti", "--kind", kind, "--n", str(n), "--t", "2", "--method", method)
+        assert code == 0
+        assert self._same_as_json_dumps(out)
+        tags = {entry["method"] for entry in json.loads(out)["entries"]}
+        assert tags == ({"oracle"} if method == "oracle" else
+                        {"eligible_count", "closed_form"} if kind == "cycle" else {"eligible_count"})
+
+    def test_stdout_with_a_diff_is_json_dumps_of_itself(self, capsys, monkeypatch):
+        monkeypatch.setattr(betti_module, "_placement_counts", lambda n, t: {(1, 2): 1})
+        code, out, _ = _run(capsys, "betti", "--kind", "line", "--n", "6", "--t", "2", "--method", "both")
+        assert code == 1
+        assert json.loads(out)["diff"]
+        assert self._same_as_json_dumps(out)
+
+    def test_an_empty_table_renders_an_empty_list(self):
+        assert cli._json({"entries": cli._table_record(BettiTable())}) == '{\n  "entries": []\n}'
+
+    @given(_ENTRY_TABLES)
+    def test_entries_are_json_dumps_of_their_records(self, entries):
+        table = BettiTable(entries)
+        records = [{"i": i, "j": j, "value": value, "method": method} for i, j, value, method in table.items()]
+        assert cli._json({"n": 1, "entries": cli._table_record(table), "pd": table.pd}) == json.dumps(
+            {"n": 1, "entries": records, "pd": table.pd}, indent=2)
+
+    @pytest.mark.parametrize("kind,n,t,method", [
+        ("cycle", 9, 2, "oracle"), ("cycle", 40, 3, "closed"), ("line", 10, 2, "both"), ("line", 3, 3, "closed"),
+    ])
+    def test_csv_rows_are_the_per_row_f_string(self, capsys, kind, n, t, method):
+        code, out, _ = _run(capsys, "betti", "--kind", kind, "--n", str(n), "--t", str(t),
+                            "--method", method, "--format", "csv")
+        assert code == 0
+        spec = PathFamilySpec(kind, n, t)
+        closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        table = betti_hochster(build_path_complex(spec)) if method == "oracle" else closed
+        rows = [f"{kind},{n},{t},{i},{j},{value},{tag}\n" for i, j, value, tag in table.items()]
+        assert out == "kind,n,t,i,j,beta,method\n" + "".join(rows)
 
 
 class TestBettiCommand:

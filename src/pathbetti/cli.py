@@ -17,16 +17,24 @@ computing them.  The ``betti`` record's entries all have the same four
 keys, so each comes from one fixed ``%`` template, fed straight from
 ``BettiTable.items()``, and ``_json`` writes that text as it stands; the
 CSV rows come from one template too, printed at once.
+
+Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
+well-formed command line (a command, then its options in full, each with
+a value that converts and is allowed) into the namespace argparse would
+give; anything else goes to the argparse parser built from the same
+table, so help, usage errors and their exit codes are argparse's own.
+argparse is imported only then: a well-formed command neither imports it
+nor builds a parser, which took longer than computing a small table.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import time
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .betti import (
     BettiTable,
@@ -50,37 +58,94 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+_REQUIRED = object()  # the default of an option that must be given
+
+# Each command's help line and options, in the order --help lists them.  An
+# option is (type, choices, default, help): a type of None keeps the string,
+# and a default of False makes a flag, which takes no value.
+_OPTIONS = {
+    "betti": ("compute a Betti table", {
+        "--kind": (None, ("cycle", "line"), _REQUIRED, None),
+        "--n": (int, None, _REQUIRED, "number of vertices"),
+        "--t": (int, None, _REQUIRED, "path length parameter"),
+        "--method": (None, ("oracle", "closed", "both"), "both", None),
+        "--char": (int, None, 0, "field characteristic for the oracle (0 or a prime)"),
+        "--format": (None, ("json", "csv", "pretty"), "json", None),
+    }),
+    "homology": ("homology of run complements or the full cycle complement", {
+        "--runs": (None, None, None, "comma-separated run lengths, e.g. 4,2,1"),
+        "--kind": (None, ("cycle",), None, "full-complement mode"),
+        "--n": (int, None, None, "number of vertices, with --kind cycle"),
+        "--t": (int, None, _REQUIRED, None),
+        "--explicit": (None, None, False, "also compute the homology by the oracle's route and compare"),
+        "--char": (int, None, 0, None),
+    }),
+    "verify": ("run the oracle/closed-form cross-check matrix", {
+        "--max-n": (int, None, 10, None),
+        "--t-range": (None, None, "2..5", "inclusive range a..b of t values, or one value a"),
+        "--char-list": (None, None, "0",
+                        "comma-separated characteristics, e.g. 0,2,32003, each checked once; none may be empty"),
+    }),
+}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``parse_args`` gives a well-formed command line, or None for any other.
+
+    Well formed is exactly: a command's name, then its options, each
+    spelt in full and followed by its value, or alone for a flag.  No
+    value starts with "-", each converts by the option's type and is one
+    of its choices, every required option is given, and a repeated
+    option's last value counts.  Everything else, help, abbreviations,
+    ``--opt=value``, ``--`` and every error included, is argparse's.
+    """
+    command = _OPTIONS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = command[1]
+    given = {}
+    rest = iter(argv[1:])
+    for option in rest:
+        if option not in options:
+            return None
+        kind, choices, default, _ = options[option]
+        if default is False:
+            given[option] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[option] = value
+    values = {option[2:].replace("-", "_"): given.get(option, spec[2]) for option, spec in options.items()}
+    return None if _REQUIRED in values.values() else SimpleNamespace(command=argv[0], **values)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built once; ``parser.commands`` holds the three command parsers by name."""
+def _build_parser():
+    """argparse's parser for ``_OPTIONS``, built once, for the command lines ``_read`` refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pathbetti",
         description="Exact Betti tables, homology, pd and regularity of path ideals of cycles and lines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    betti = sub.add_parser("betti", help="compute a Betti table")
-    betti.add_argument("--kind", choices=("cycle", "line"), required=True)
-    betti.add_argument("--n", type=int, required=True, help="number of vertices")
-    betti.add_argument("--t", type=int, required=True, help="path length parameter")
-    betti.add_argument("--method", choices=("oracle", "closed", "both"), default="both")
-    betti.add_argument("--char", type=int, default=0, help="field characteristic for the oracle (0 or a prime)")
-    betti.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-
-    hom = sub.add_parser("homology", help="homology of run complements or the full cycle complement")
-    hom.add_argument("--runs", help="comma-separated run lengths, e.g. 4,2,1")
-    hom.add_argument("--kind", choices=("cycle",), help="full-complement mode")
-    hom.add_argument("--n", type=int, help="number of vertices, with --kind cycle")
-    hom.add_argument("--t", type=int, required=True)
-    hom.add_argument("--explicit", action="store_true", help="also compute the homology by the oracle's route and compare")
-    hom.add_argument("--char", type=int, default=0)
-
-    verify = sub.add_parser("verify", help="run the oracle/closed-form cross-check matrix")
-    verify.add_argument("--max-n", type=int, default=10)
-    verify.add_argument("--t-range", default="2..5", help="inclusive range a..b of t values, or one value a")
-    verify.add_argument("--char-list", default="0",
-                        help="comma-separated characteristics, e.g. 0,2,32003, each checked once; none may be empty")
-    parser.commands = {"betti": betti, "homology": hom, "verify": verify}
+    for name, (summary, options) in _OPTIONS.items():
+        command = sub.add_parser(name, help=summary)
+        for option, (kind, choices, default, text) in options.items():
+            if default is False:
+                command.add_argument(option, action="store_true", help=text)
+            else:
+                required = default is _REQUIRED
+                command.add_argument(option, type=kind, choices=choices, required=required,
+                                     default=None if required else default, help=text)
     return parser
 
 
@@ -155,7 +220,7 @@ def _render_diagram(table: BettiTable) -> str:
     return "\n".join([head, total, *body])
 
 
-def cmd_betti(args: argparse.Namespace) -> int:
+def cmd_betti(args: SimpleNamespace) -> int:
     try:
         spec = PathFamilySpec(args.kind, args.n, args.t)
         field = FieldSpec(args.char)
@@ -206,7 +271,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
     return EXIT_VERIFY if diff else EXIT_OK
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
+def cmd_homology(args: SimpleNamespace) -> int:
     if (args.runs is None) == (args.kind is None):
         print("error: give exactly one of --runs or --kind cycle", file=sys.stderr)
         return EXIT_USAGE
@@ -329,7 +394,7 @@ def run_verification(
     return lines, failures
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     try:
         lo, sep, hi = args.t_range.partition("..")
         t_lo, t_hi = int(lo), int(hi if sep else lo)
@@ -360,17 +425,7 @@ _COMMANDS = {"betti": cmd_betti, "homology": cmd_homology, "verify": cmd_verify}
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    # The top-level parser hands everything after a command's name to that
-    # command's parser, so that parser alone gives the same namespace and
-    # the same errors.  Anything else, and arguments the command leaves
-    # over, go through the full parse for argparse's own usage and errors.
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if command is None or rest:
-        args = parser.parse_args(argv)
+    args = _read(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         return _COMMANDS[args.command](args)
     except OracleCapError as exc:

@@ -1,10 +1,10 @@
 """``cli.main`` against a plain ``parse_args`` of the whole command line.
 
-``main`` hands a command's arguments straight to that command's parser
-and falls back to the full parse when anything is left over.  Each case
-below runs both ways in-process; stdout (``timing_ms`` blanked), stderr
-and the returned or ``SystemExit`` code must be equal.  Standard library
-only, so that it also runs where pytest is not installed:
+``main`` reads a well-formed command line itself and hands anything
+else to the full parse.  Each case below runs both ways in-process;
+stdout (``timing_ms`` blanked), stderr and the returned or ``SystemExit``
+code must be equal.  Standard library only, so that it also runs where
+pytest is not installed:
 
     PYTHONPATH=src python tests/dispatch.py
 """
@@ -60,6 +60,19 @@ CASES = [
     ["verify", "--max-n", "x"],
     ["verify", "--t", "2..3", "--max-n", "4"],
     ["verify", "--max-n", "30"],
+    ["betti", *_CYCLE, "--method", "closed", "--method", "oracle"],
+    ["homology", "--runs", "4,2,1", "--explicit", "--t", "2", "--explicit"],
+    ["homology", "--runs", "4,2", "--explicit", "yes", "--t", "2"],
+    ["betti", *_CYCLE, "--char", "-1"],
+    ["betti", "--kind", "cycle", "--n", "+5", "--t", "2"],
+    ["betti", "--kind", "cycle", "--n", " 5", "--t", "2"],
+    ["betti", "--kind", "cycle", "--n", "1_0", "--t", "2"],
+    ["betti", "--kind", "cycle", "--n", "\u0665", "--t", "2"],
+    ["homology", "--runs", "", "--t", "2"],
+    ["homology", "--t", "2", "--runs", "-h"],
+    ["verify", "--t-range", "4"],
+    ["betti", *_CYCLE, "--format"],
+    ["homology", "--kind", "cycle", "--runs", "3", "--t", "2"],
 ]
 
 

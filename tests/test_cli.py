@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -43,8 +48,50 @@ def tiny_face_budget(monkeypatch, empty_ind_memo):
     monkeypatch.setattr(betti_module, "_split_homology", lambda shape, field: None)
 
 
+_WELL_FORMED = ["betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "closed", "--format", "csv"]
+_NAMES = sorted({option for _, options in cli._OPTIONS.values() for option in options})
+_WORDS = st.sampled_from(sorted(
+    {choice for _, options in cli._OPTIONS.values() for spec in options.values() for choice in spec[1] or ()}
+    | {"", "-h", "--", "x", "2..3", "4,2,1", "0,2", " 5", "1_0", "\u0665"}
+)) | st.integers(-30, 30).map(str) | st.integers(0, 30).map("+{}".format)
+_OPTION_FORMS = (
+    st.sampled_from(_NAMES) | st.sampled_from(_NAMES).map(lambda name: name[:3])
+    | st.builds("{}={}".format, st.sampled_from(_NAMES), _WORDS)
+)
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A well-formed command line, or one with a token replaced, added or dropped."""
+    command = draw(st.sampled_from(sorted(cli._OPTIONS)))
+    options = cli._OPTIONS[command][1]
+    required = [name for name, spec in options.items() if spec[2] is cli._REQUIRED]
+    argv = [command]
+    for name in required + draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        kind, choices, default, _ = options[name]
+        argv.append(name)
+        if default is not False:
+            argv.append(draw(st.sampled_from(choices) if choices else st.integers(0, 30).map(str) if kind
+                             else st.sampled_from(["2..3", "4,2,1", "0,2"])))
+    edit = draw(st.sampled_from(["keep", "replace", "insert", "drop"]))
+    index = draw(st.integers(0, len(argv)))
+    token = draw(_OPTION_FORMS | _WORDS)
+    if edit == "insert":
+        argv.insert(index, token)
+    elif edit != "keep" and index < len(argv):
+        argv[index:index + 1] = [token] if edit == "replace" else []
+    return argv
+
+
 class TestParser:
     def test_built_once_across_calls(self, capsys, monkeypatch):
+        script = (f"import sys\nfrom pathbetti.cli import main\ncode = main({_WELL_FORMED!r})\n"
+                  "print(code, 'argparse' in sys.modules, file=sys.stderr)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-S", "-c", script], check=True, env=env, capture_output=True, text=True)
+        assert done.stdout.startswith("kind,n,t,i,j,beta,method")
+        assert done.stderr == "0 False\n"
+
         cli._build_parser.cache_clear()
         builds = []
         init = argparse.ArgumentParser.__init__
@@ -54,21 +101,31 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2",
-                            "--method", "closed", "--format", "csv")
+        code, out, _ = _run(capsys, *_WELL_FORMED)
         assert code == 0
         assert out.startswith("kind,n,t,i,j,beta,method")
-        assert builds == ["pathbetti", "pathbetti betti", "pathbetti homology", "pathbetti verify"]
+        assert builds == []
         with pytest.raises(SystemExit) as exc:
             main(["betti", "--kind", "square"])
         assert exc.value.code == 2
+        assert builds == ["pathbetti", "pathbetti betti", "pathbetti homology", "pathbetti verify"]
         capsys.readouterr()
-        code, out, _ = _run(capsys, "betti", "--kind", "cycle", "--n", "5", "--t", "2")
+        code, out, _ = _run(capsys, "betti", "--kind=cycle", "--n", "5", "--t", "2")
         assert code == 0
         assert json.loads(out)["method"] == "both"
         with pytest.raises(SystemExit):
             main(["betti", "--kind", "cycle", "--n", "5", "--t", "2", "extra"])
         assert len(builds) == 4
+
+    @given(_argvs())
+    def test_read_gives_parse_args_namespace_or_none(self, argv):
+        args = cli._read(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(cli._build_parser().parse_args(argv))
+            except SystemExit:
+                parsed = None
+        assert args is None or vars(args) == parsed
 
     @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) or "empty" for argv in CASES])
     def test_same_as_one_parse_of_the_whole_line(self, argv):

@@ -39,13 +39,12 @@ cycle is explicit.  Either route checks the other.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from math import comb
 
 from . import homology
 from .complexes import SimplicialComplex
-from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, _integer, levels_homology
+from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, _checked, _integer, levels_homology
 from .paths import PathFamilySpec, RunSequence
 
 # Most ambient vertices the oracle and the explicit complements accept;
@@ -134,7 +133,7 @@ class BettiTable:
         return f"BettiTable({{{body}}})"
 
 
-class HomologySummary(namedtuple("HomologySummary", "nonzero_degree dimension")):
+class HomologySummary(_checked("HomologySummary", "nonzero_degree dimension")):
     """At most one nonzero reduced homology group: its degree (an int, or None) and dimension."""
 
     __slots__ = ()
@@ -149,11 +148,6 @@ class HomologySummary(namedtuple("HomologySummary", "nonzero_degree dimension"))
         elif dimension < 1:
             raise ValueError("a nonzero summary needs dimension >= 1")
         return super().__new__(cls, nonzero_degree, dimension)
-
-    # ``_replace`` builds through ``_make``, so it checks the fields too
-    @classmethod
-    def _make(cls, fields) -> HomologySummary:
-        return cls(*fields)
 
     @classmethod
     def zero(cls) -> HomologySummary:

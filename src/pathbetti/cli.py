@@ -10,12 +10,14 @@ error, 3 resource limit.  Each command returns 0, 1 or 2 itself;
 ``main`` alone turns an OracleCapError, from the vertex cap or the face
 budget, into 3, with the error on stderr and nothing on stdout.
 
-JSON is rendered by ``_json``, byte for byte what ``json.dumps(indent=2)``
-gives: with an indent, ``json.dumps`` leaves its C encoder for a Python
+JSON is written byte for byte as ``json.dumps(indent=2)`` writes it:
+with an indent, ``json.dumps`` leaves its C encoder for a Python
 generator per container, which on small tables took longer than
-computing them.  The ``betti`` record's entries all have the same four
-keys, so each comes from one fixed ``%`` template, fed straight from
-``BettiTable.items()``, and ``_json`` writes that text as it stands; the
+computing them.  The ``betti`` record always has the same keys, and its
+entries the same four, so ``_table_record`` fills one fixed ``%``
+template for the record and one per entry, fed straight from
+``BettiTable.items()``.  ``_json`` renders what has no fixed shape: the
+``diff`` list of ``--method both`` and the ``homology`` records.  The
 CSV rows come from one template too, printed at once.
 
 Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
@@ -153,12 +155,7 @@ def _build_parser():
 _string = json.encoder.encode_basestring_ascii
 
 
-class _Rendered(str):
-    """JSON text rendered already, which ``_json`` writes as it stands."""
-
-
 _SCALARS = {
-    _Rendered: lambda text: text,
     str: _string,
     int: int.__repr__,
     float: json.dumps,  # float.__repr__, and NaN and Infinity as json.dumps spells them
@@ -192,14 +189,23 @@ def _json(value, indent: str = "\n") -> str:
     return _SCALARS[kind](value)
 
 
-# One entry of the betti record's "entries", laid out as json.dumps(indent=2) lays it out there.
+# The betti record and one entry of its "entries", laid out as json.dumps(indent=2) lays them out;
+# the record's last %s is empty, or the "diff" key and its list.
+_RECORD = ('{\n  "kind": %s,\n  "n": %d,\n  "t": %d,\n  "p": %d,\n  "d": %d,\n  "method": %s,\n'
+           '  "field_characteristic": %d,\n  "entries": %s,\n  "pd": %d,\n  "reg": %d,\n  "timing_ms": %s%s\n}')
 _ENTRY = '{\n      "i": %d,\n      "j": %d,\n      "value": %d,\n      "method": %s\n    }'
 
 
-def _table_record(table: BettiTable) -> _Rendered:
-    """The table's entries as the JSON list of {i, j, value, method} records at the betti record's top level."""
-    entries = [_ENTRY % (i, j, value, _string(method)) for i, j, value, method in table.items()]
-    return _Rendered("[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]")
+def _table_record(spec: PathFamilySpec, method: str, characteristic: int, table: BettiTable, timing_ms: float,
+                  diff: dict[tuple[int, int], tuple[int, int]]) -> str:
+    """The betti command's JSON record of the table, with the tables' ``diff`` when the method is ``both``."""
+    entries = ",\n    ".join([_ENTRY % (i, j, value, _string(tag)) for i, j, value, tag in table.items()])
+    rows = [{"i": i, "j": j, "closed": a, "oracle": b} for (i, j), (a, b) in diff.items()]
+    return _RECORD % (
+        _string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic,
+        f"[\n    {entries}\n  ]" if entries else "[]", table.pd, table.reg, json.dumps(round(timing_ms, 3)),
+        ',\n  "diff": ' + _json(rows, "\n  ") if method == "both" else "",
+    )
 
 
 def _render_diagram(table: BettiTable) -> str:
@@ -241,25 +247,7 @@ def cmd_betti(args: SimpleNamespace) -> int:
     table = closed if closed is not None else oracle
     diff = closed.diff(oracle) if args.method == "both" else {}
     if args.format == "json":
-        record = {
-            "kind": spec.kind,
-            "n": spec.n,
-            "t": spec.t,
-            "p": spec.p,
-            "d": spec.d,
-            "method": args.method,
-            "field_characteristic": field.characteristic,
-            "entries": _table_record(table),
-            "pd": table.pd,
-            "reg": table.reg,
-            "timing_ms": round(timing_ms, 3),
-        }
-        if args.method == "both":
-            record["diff"] = [
-                {"i": i, "j": j, "closed": a, "oracle": b}
-                for (i, j), (a, b) in diff.items()
-            ]
-        print(_json(record))
+        print(_table_record(spec, args.method, field.characteristic, table, timing_ms, diff))
     elif args.format == "csv":
         row = f"{spec.kind},{spec.n},{spec.t},%d,%d,%d,%s"
         print("\n".join(["kind,n,t,i,j,beta,method", *[row % item for item in table.items()]]))
@@ -272,13 +260,11 @@ def cmd_betti(args: SimpleNamespace) -> int:
 
 
 def cmd_homology(args: SimpleNamespace) -> int:
-    if (args.runs is None) == (args.kind is None):
-        print("error: give exactly one of --runs or --kind cycle", file=sys.stderr)
-        return EXIT_USAGE
-    if args.runs is not None and args.n is not None:
-        print("error: --n goes with --kind cycle, not with --runs", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if (args.runs is None) == (args.kind is None):
+            raise ValueError("give exactly one of --runs or --kind cycle")
+        if args.runs is not None and args.n is not None:
+            raise ValueError("--n goes with --kind cycle, not with --runs")
         field = FieldSpec(args.char)
         if args.runs is not None:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
@@ -286,8 +272,7 @@ def cmd_homology(args: SimpleNamespace) -> int:
             record: dict = {"runs": list(seq.lengths), "t": args.t}
         else:
             if args.n is None:
-                print("error: --kind cycle needs --n", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("--kind cycle needs --n")
             spec = PathFamilySpec("cycle", args.n, args.t)
             summary = homology_cycle_complement(spec)
             record = {"kind": "cycle", "n": spec.n, "t": spec.t}

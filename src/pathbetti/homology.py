@@ -59,6 +59,19 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _checked(name: str, fields: str) -> type:
+    """A ``namedtuple(name, fields)`` base whose ``_make`` builds through the subclass's own ``__new__``.
+
+    namedtuple's ``_make`` calls ``tuple.__new__``, and ``_replace``
+    builds through ``_make``; on this base both make the checks of the
+    constructor.  Each value type that checks its fields derives from
+    one, with its own ``__new__`` and ``__slots__ = ()``.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -72,7 +85,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class FieldSpec(namedtuple("FieldSpec", "characteristic")):
+class FieldSpec(_checked("FieldSpec", "characteristic")):
     """Coefficient field: characteristic 0 for the rationals, else a prime below 2^31."""
 
     __slots__ = ()
@@ -84,11 +97,6 @@ class FieldSpec(namedtuple("FieldSpec", "characteristic")):
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
         return super().__new__(cls, c)
-
-    # ``_replace`` builds through ``_make``, so it checks the field too
-    @classmethod
-    def _make(cls, fields) -> FieldSpec:
-        return cls(*fields)
 
 
 QQ = FieldSpec(0)

@@ -14,13 +14,11 @@ check their fields when built.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .complexes import SimplicialComplex
-from .homology import _integer
+from .homology import _checked, _integer
 
 
-class PathFamilySpec(namedtuple("PathFamilySpec", "kind n t")):
+class PathFamilySpec(_checked("PathFamilySpec", "kind n t")):
     """Parameters (kind, n, t) of a path complex of a cycle or a line.
 
     The derived quotient/remainder (p, d) with n = (t+1)p + d and
@@ -39,11 +37,6 @@ class PathFamilySpec(namedtuple("PathFamilySpec", "kind n t")):
             raise ValueError(f"a cycle needs at least 3 vertices, got n={n}")
         return super().__new__(cls, kind, n, t)
 
-    # ``_replace`` builds through ``_make``, so it checks the fields too
-    @classmethod
-    def _make(cls, fields) -> PathFamilySpec:
-        return cls(*fields)
-
     @property
     def p(self) -> int:
         return self.n // (self.t + 1)
@@ -53,7 +46,7 @@ class PathFamilySpec(namedtuple("PathFamilySpec", "kind n t")):
         return self.n % (self.t + 1)
 
 
-class RunSequence(namedtuple("RunSequence", "lengths")):
+class RunSequence(_checked("RunSequence", "lengths")):
     """Lengths of a disjoint collection of runs.
 
     The residues of the lengths mod t+1 decide everything: writing
@@ -70,11 +63,6 @@ class RunSequence(namedtuple("RunSequence", "lengths")):
         if any(s < 1 for s in lengths):
             raise ValueError(f"run lengths must be positive, got {lengths}")
         return super().__new__(cls, lengths)
-
-    # ``_replace`` builds through ``_make``, so it checks the fields too
-    @classmethod
-    def _make(cls, fields) -> RunSequence:
-        return cls(*fields)
 
 
 def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:

@@ -778,8 +778,29 @@ def _eligible_unions(n: int, t: int) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def _cyclic_blocks(n: int) -> dict[int, list[int]]:
+    """Every vertex mask on the cycle of n vertices but the empty and the full one, with its maximal blocks' lengths.
+
+    The mask is turned so that one of its gaps sits at bit 0, so no block
+    wraps around, and its blocks are read off as on the line.
+    """
+    full = (1 << n) - 1
+    out = {}
+    for mask in range(1, full):
+        gap = (~mask & (mask + 1)).bit_length() - 1  # the lowest missing vertex
+        rest = (mask >> gap | mask << (n - gap)) & full
+        blocks = []
+        while rest:
+            rest >>= (rest & -rest).bit_length() - 1
+            length = (~rest & (rest + 1)).bit_length() - 1
+            blocks.append(length)
+            rest >>= length
+        out[mask] = blocks
+    return out
+
+
 class TestUnionByUnion:
-    """Hochster's formula per union of the line's facets, not only per (i, j) sum, against the run lemma."""
+    """Hochster's formula per union of the line's or the cycle's facets, not only per (i, j) sum, against the run lemma."""
 
     def test_the_line_search_yields_the_eligible_unions_each_once_with_the_run_homology(self):
         for n in range(2, 15):
@@ -803,6 +824,23 @@ class TestUnionByUnion:
                     for shift in range(n + 1 - y.bit_length())
                 ]
                 assert len(translates) == len(found) and dict(translates) == found, (n, t)
+
+    def test_the_cycle_search_yields_the_unions_with_homology_each_once_with_the_run_homology(self):
+        # a union short of the whole cycle is its blocks, each L >= t vertices holding a run of L - t + 1 facets
+        for n in range(3, 14):
+            blocks = _cyclic_blocks(n)
+            for t in range(2, n + 1):
+                spec = PathFamilySpec("cycle", n, t)
+                reached = list(betti_module._union_search(betti_module.facet_masks(build_path_complex(spec)), QQ))
+                found = dict(reached)
+                assert len(found) == len(reached), (n, t)
+                dual = {y: {y.bit_count() - d - 3: dim for d, dim in ind.items()} for y, ind in found.items()}
+                want = {
+                    y: homology_run_sequence(t, RunSequence([length - t + 1 for length in lengths])).as_vector()
+                    for y, lengths in blocks.items() if min(lengths) >= t
+                }
+                want[(1 << n) - 1] = homology_cycle_complement(spec).as_vector()
+                assert dual == {y: vector for y, vector in want.items() if vector}, (n, t)
 
 
 def _yielded(monkeypatch) -> list[int]:

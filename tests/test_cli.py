@@ -163,15 +163,38 @@ class TestJson:
             cli._json(value)
 
 
+_BIG = st.integers() | st.integers(min_value=2**64)
 _ENTRY_TABLES = st.dictionaries(
+    st.tuples(st.integers(min_value=0), st.integers(min_value=0)), st.tuples(_BIG.filter(bool), _TEXT), max_size=6,
+)
+_DIFFS = st.dictionaries(
     st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
-    st.tuples(st.integers().filter(bool) | st.integers(min_value=2**64), _TEXT),
-    max_size=6,
+    st.tuples(_BIG, _BIG).filter(lambda pair: pair[0] != pair[1]), max_size=4,
 )
 
 
+def _record_dict(spec, method, characteristic, table, timing_ms, diff) -> dict:
+    """The betti record as a dict, built key by key as the command once built it before dumping it."""
+    record = {
+        "kind": spec.kind,
+        "n": spec.n,
+        "t": spec.t,
+        "p": spec.p,
+        "d": spec.d,
+        "method": method,
+        "field_characteristic": characteristic,
+        "entries": [{"i": i, "j": j, "value": value, "method": tag} for i, j, value, tag in table.items()],
+        "pd": table.pd,
+        "reg": table.reg,
+        "timing_ms": round(timing_ms, 3),
+    }
+    if method == "both":
+        record["diff"] = [{"i": i, "j": j, "closed": a, "oracle": b} for (i, j), (a, b) in diff.items()]
+    return record
+
+
 class TestBettiRendering:
-    """The betti record's entries come from one template per entry, the CSV rows from one template per row."""
+    """The betti record comes from one template, each of its entries from another, the CSV rows from one per row."""
 
     @staticmethod
     def _same_as_json_dumps(out: str) -> bool:
@@ -195,14 +218,20 @@ class TestBettiRendering:
         assert self._same_as_json_dumps(out)
 
     def test_an_empty_table_renders_an_empty_list(self):
-        assert cli._json({"entries": cli._table_record(BettiTable())}) == '{\n  "entries": []\n}'
+        spec = PathFamilySpec("cycle", 5, 2)
+        for method, diff in [("closed", {}), ("oracle", {}), ("both", {}), ("both", {(1, 2): (0, 5), (3, 5): (0, 1)})]:
+            args = (spec, method, 0, BettiTable(), 1.5, diff)
+            assert cli._table_record(*args) == json.dumps(_record_dict(*args), indent=2)
+            assert '"entries": []' in cli._table_record(*args)
 
-    @given(_ENTRY_TABLES)
-    def test_entries_are_json_dumps_of_their_records(self, entries):
-        table = BettiTable(entries)
-        records = [{"i": i, "j": j, "value": value, "method": method} for i, j, value, method in table.items()]
-        assert cli._json({"n": 1, "entries": cli._table_record(table), "pd": table.pd}) == json.dumps(
-            {"n": 1, "entries": records, "pd": table.pd}, indent=2)
+    @given(
+        st.sampled_from([PathFamilySpec("cycle", 5, 2), PathFamilySpec("line", 300, 7)]),
+        st.sampled_from(["oracle", "closed", "both"]), st.sampled_from([0, 2, 2147483647]), _ENTRY_TABLES,
+        st.floats(min_value=0, allow_infinity=False), _DIFFS,
+    )
+    def test_entries_are_json_dumps_of_their_records(self, spec, method, characteristic, entries, timing_ms, diff):
+        args = (spec, method, characteristic, BettiTable(entries), timing_ms, diff if method == "both" else {})
+        assert cli._table_record(*args) == json.dumps(_record_dict(*args), indent=2)
 
     @pytest.mark.parametrize("kind,n,t,method", [
         ("cycle", 9, 2, "oracle"), ("cycle", 40, 3, "closed"), ("line", 10, 2, "both"), ("line", 3, 3, "closed"),
@@ -360,17 +389,17 @@ class TestHomologyCommand:
         assert record["closed_form"] == {"degree": 2, "dimension": 2}
         assert record["match"] is True
 
-    def test_needs_exactly_one_mode(self, capsys):
-        code, _, err = _run(capsys, "homology", "--t", "2")
-        assert code == 2
-        code, _, err = _run(capsys, "homology", "--runs", "2", "--kind", "cycle", "--n", "5", "--t", "2")
-        assert code == 2
-
-    def test_n_without_kind_cycle_is_a_usage_error(self, capsys):
-        code, out, err = _run(capsys, "homology", "--runs", "3", "--n", "5", "--t", "2")
-        assert code == 2
-        assert out == ""
-        assert "--n" in err
+    @pytest.mark.parametrize("argv,message", [
+        ("--t 2", "give exactly one of --runs or --kind cycle"),
+        ("--t 2 --char 4", "give exactly one of --runs or --kind cycle"),
+        ("--runs 3 --kind cycle --n 5 --t 2", "give exactly one of --runs or --kind cycle"),
+        ("--runs 3 --n 5 --t 2 --char 4", "--n goes with --kind cycle, not with --runs"),
+        ("--kind cycle --t 2", "--kind cycle needs --n"),
+        ("--kind cycle --t 2 --char 4", "characteristic must be 0 or a prime, got 4"),
+    ], ids=["no-mode", "no-mode-bad-char", "both-modes", "runs-with-n", "cycle-without-n", "cycle-bad-char"])
+    def test_usage_errors_in_their_order(self, capsys, argv, message):
+        # the mode checks come before the field's, and --kind cycle's need of --n after it
+        assert _run(capsys, "homology", *argv.split()) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("--runs", "40", "--t", "2"),

@@ -150,6 +150,20 @@ def test_replace_makes_the_same_checks():
     with pytest.raises(ValueError, match="dimension must be an integer"):
         HomologySummary(2, 3)._replace(dimension=3.0)
     assert PathFamilySpec("cycle", 5, 2)._replace(n=7) == PathFamilySpec("cycle", 7, 2)
+    # ``_replace`` builds through ``_make``, which checks as the constructor does
+    for kind, bad, good in [
+        (PathFamilySpec, ("cycle", 5, 6), ("line", 7, 2)),
+        (RunSequence, ((2.7,),), ((4, 2),)),
+        (FieldSpec, (4,), (32003,)),
+        (HomologySummary, (2, 0), (2, 3)),
+        (HomologySummary, (1.5, 3), (None, 0)),
+    ]:
+        with pytest.raises(ValueError) as built:
+            kind(*bad)
+        with pytest.raises(ValueError, match=re.escape(str(built.value))):
+            kind._make(bad)
+        made = kind._make(good)
+        assert type(made) is kind and made == kind(*good), kind
 
 
 def _after(code: str, modules: tuple[str, ...]) -> tuple[list[str], list[str]]:

@@ -13,11 +13,12 @@ budget, into 3, with the error on stderr and nothing on stdout.
 JSON is written byte for byte as ``json.dumps(indent=2)`` writes it:
 with an indent, ``json.dumps`` leaves its C encoder for a Python
 generator per container, which on small tables took longer than
-computing them.  The ``betti`` record always has the same keys, and its
-entries the same four, so ``_table_record`` fills one fixed ``%``
-template for the record and one per entry, fed straight from
-``BettiTable.items()``.  ``_json`` renders what has no fixed shape: the
-``diff`` list of ``--method both`` and the ``homology`` records.  The
+computing them.  Every record has a fixed shape, so each is one ``%``
+template, and so is each item of its lists: a ``betti`` entry, fed
+straight from ``BettiTable.items()``, a ``diff`` row of ``--method
+both``, and an ``explicit`` pair of ``homology``.  ``_list`` lays the
+rendered items out as a list.  A string goes through the C encoder's
+escaping, ``_string``, and a float or None through ``json.dumps``.  The
 CSV rows come from one template too, printed at once.
 
 Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
@@ -155,56 +156,37 @@ def _build_parser():
 _string = json.encoder.encode_basestring_ascii
 
 
-_SCALARS = {
-    str: _string,
-    int: int.__repr__,
-    float: json.dumps,  # float.__repr__, and NaN and Infinity as json.dumps spells them
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "null",
-}
+def _list(items: list[str], indent: str) -> str:
+    """The rendered items as ``json.dumps(indent=2)`` lays out a list opened on a line indented by ``indent``.
 
-
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` of str, int, float, bool, None, and lists and str-keyed dicts of them.
-
-    Types are matched exactly, so a bool is not taken for an int; any
-    other type, and any key that is not a str, raises TypeError.
-    ``indent`` is the line break and indentation that precede the value.
+    ``[]`` for none.  The items are joined and bracketed in one f-string,
+    so a large list's text is copied once, not once per ``+``.
     """
-    kind = type(value)
-    if kind is list or kind is dict:
-        if not value:
-            return "[]" if kind is list else "{}"
-        inner = indent + "  "
-        if kind is list:
-            parts = [_json(item, inner) for item in value]
-            return "[" + inner + ("," + inner).join(parts) + indent + "]"
-        parts = []
-        for key, item in value.items():
-            scalar = _SCALARS.get(type(item))
-            parts.append(_string(key) + ": " + (scalar(item) if scalar else _json(item, inner)))
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    if kind not in _SCALARS:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return _SCALARS[kind](value)
+    inner = "\n" + indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
 
 
-# The betti record and one entry of its "entries", laid out as json.dumps(indent=2) lays them out;
-# the record's last %s is empty, or the "diff" key and its list.
+# The records and the items of their lists, laid out as json.dumps(indent=2) lays them out.  The betti
+# record's last %s is empty, or the "diff" key and its list; the homology record's first %s is its mode's
+# keys, and its last is empty, or the "explicit" and "match" keys.
 _RECORD = ('{\n  "kind": %s,\n  "n": %d,\n  "t": %d,\n  "p": %d,\n  "d": %d,\n  "method": %s,\n'
            '  "field_characteristic": %d,\n  "entries": %s,\n  "pd": %d,\n  "reg": %d,\n  "timing_ms": %s%s\n}')
 _ENTRY = '{\n      "i": %d,\n      "j": %d,\n      "value": %d,\n      "method": %s\n    }'
+_DIFF = '{\n      "i": %d,\n      "j": %d,\n      "closed": %d,\n      "oracle": %d\n    }'
+_HOMOLOGY = '{\n  %s,\n  "closed_form": {\n    "degree": %s,\n    "dimension": %d\n  }%s\n}'
+_EXPLICIT = ',\n  "explicit": %s,\n  "match": %s'
+_PAIR = '[\n      %d,\n      %d\n    ]'
 
 
 def _table_record(spec: PathFamilySpec, method: str, characteristic: int, table: BettiTable, timing_ms: float,
                   diff: dict[tuple[int, int], tuple[int, int]]) -> str:
     """The betti command's JSON record of the table, with the tables' ``diff`` when the method is ``both``."""
-    entries = ",\n    ".join([_ENTRY % (i, j, value, _string(tag)) for i, j, value, tag in table.items()])
-    rows = [{"i": i, "j": j, "closed": a, "oracle": b} for (i, j), (a, b) in diff.items()]
+    entries = _list([_ENTRY % (i, j, value, _string(tag)) for i, j, value, tag in table.items()], "  ")
+    rows = [_DIFF % (i, j, a, b) for (i, j), (a, b) in diff.items()]
     return _RECORD % (
         _string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic,
-        f"[\n    {entries}\n  ]" if entries else "[]", table.pd, table.reg, json.dumps(round(timing_ms, 3)),
-        ',\n  "diff": ' + _json(rows, "\n  ") if method == "both" else "",
+        entries, table.pd, table.reg, json.dumps(round(timing_ms, 3)),
+        ',\n  "diff": ' + _list(rows, "  ") if method == "both" else "",
     )
 
 
@@ -269,63 +251,47 @@ def cmd_homology(args: SimpleNamespace) -> int:
         if args.runs is not None:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
-            record: dict = {"runs": list(seq.lengths), "t": args.t}
+            keys = '"runs": %s,\n  "t": %d' % (_list(["%d" % s for s in seq.lengths], "  "), args.t)
+            vertices, build = vertex_count_of_runs(seq, args.t), functools.partial(build_run_complex, seq, args.t)
         else:
             if args.n is None:
                 raise ValueError("--kind cycle needs --n")
             spec = PathFamilySpec("cycle", args.n, args.t)
             summary = homology_cycle_complement(spec)
-            record = {"kind": "cycle", "n": spec.n, "t": spec.t}
+            keys = '"kind": "cycle",\n  "n": %d,\n  "t": %d' % (spec.n, spec.t)
+            vertices, build = spec.n, functools.partial(build_path_complex, spec)
         if args.explicit:
-            check_vertex_cap(vertex_count_of_runs(seq, args.t) if args.runs is not None else spec.n)
+            check_vertex_cap(vertices)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    record["closed_form"] = {
-        "degree": summary.nonzero_degree,
-        "dimension": summary.dimension,
-    }
-    exit_code = EXIT_OK
+    tail, match = "", True
     if args.explicit:
-        gamma = build_run_complex(seq, args.t) if args.runs is not None else build_path_complex(spec)
-        vector = complement_homology(gamma, field)
-        record["explicit"] = [[degree, dim] for degree, dim in sorted(vector.items())]
-        record["match"] = vector == summary.as_vector()
-        if not record["match"]:
-            exit_code = EXIT_VERIFY
-    print(_json(record))
-    return exit_code
+        vector = complement_homology(build(), field)
+        match = vector == summary.as_vector()
+        tail = _EXPLICIT % (_list([_PAIR % pair for pair in sorted(vector.items())], "  "), json.dumps(match))
+    print(_HOMOLOGY % (keys, json.dumps(summary.nonzero_degree), summary.dimension, tail))
+    return EXIT_OK if match else EXIT_VERIFY
 
 
-def run_verification(
-    cells: Sequence[tuple[int, int]], fields: Sequence[FieldSpec],
-) -> tuple[list[str], int]:
-    """Cross-check matrix over the cycle cells (n, t); returns (report lines, number of failures).
+def run_verification(cells: Sequence[tuple[int, int]], fields: Sequence[FieldSpec]) -> list[str]:
+    """Cross-check matrix over the cycle cells (n, t), t = n included; returns one PASS or FAIL line per check.
 
-    The oracle's vertex cap is not checked here; ``cmd_verify`` checks
-    the largest n against it before calling.
+    A FAIL line ends with what disagreed.  The oracle's vertex cap is not
+    checked here; ``cmd_verify`` checks the largest n against it before
+    calling.
     """
     lines: list[str] = []
-    failures = 0
 
-    def check(ok: bool, label: str, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            lines.append(f"PASS {label}")
-        else:
-            failures += 1
-            lines.append(f"FAIL {label}{': ' + detail if detail else ''}")
+    def check(ok: bool, label: str, detail: str) -> None:
+        lines.append(f"PASS {label}" if ok else f"FAIL {label}: {detail}")
 
     def check_tables(closed: BettiTable, oracle: BettiTable, label: str) -> None:
         diff = closed.diff(oracle)
         bad = next(iter(diff), None)
         detail = f"first mismatch at (i,j)={bad}: closed={diff[bad][0]} oracle={diff[bad][1]}" if diff else ""
         check(not diff, label, detail)
-
-    if not cells:
-        lines.append("warning: empty verification range, nothing to do")
-        return lines, 0
 
     for n, t in cells:
         spec = PathFamilySpec("cycle", n, t)
@@ -338,8 +304,6 @@ def run_verification(
                 f"n={n} t={t} char={field.characteristic} cycle-complement-homology",
                 f"explicit={got} closed={expected}",
             )
-        if t >= n:
-            continue
         closed = betti_closed_cycle(spec)
         oracles = [betti_hochster(delta, field) for field in fields]
         for field, oracle in zip(fields, oracles):
@@ -376,7 +340,7 @@ def run_verification(
                 line_closed, betti_hochster(line, field),
                 f"n={n} t={t} char={field.characteristic} line-closed-vs-oracle",
             )
-    return lines, failures
+    return lines
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
@@ -396,11 +360,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
     except ValueError as exc:
         print(f"error: invalid verify arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    lines, failures = run_verification(cells, fields)
+    if not cells:
+        print("warning: empty verification range, nothing to do")
+    lines = run_verification(cells, fields)
     for line in lines:
         print(line)
-    checked = sum(1 for line in lines if not line.startswith("warning"))
-    print(f"{checked} checks, {failures} failures")
+    failures = sum(line.startswith("FAIL") for line in lines)
+    print(f"{len(lines)} checks, {failures} failures")
     return EXIT_VERIFY if failures else EXIT_OK
 
 

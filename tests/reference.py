@@ -11,7 +11,9 @@ last by an exact ratio; ``line_product_counts`` takes every product
 afresh, ``line_placement_counts`` counts those on the line by the
 binomial sum over (r, b, P) that the product collapses, and
 ``cycle_placement_counts`` counts those on the cycle directly, with its
-own wrap-around gaps, where the package derives them from the line.
+own wrap-around gaps, where the package derives them from the line, and
+``cycle_product_counts`` takes each of the cycle's entries as one product
+of the cyclic binomial and a plain one.
 """
 
 from __future__ import annotations
@@ -234,4 +236,24 @@ def line_product_counts(n: int, t: int) -> dict[tuple[int, int], int]:
         for a in range(max(0, u * (t + 1) - n), u + 1):
             j = u * (t + 1) - a
             counts[(2 * u - a, j)] = comb(n + 1 - j, a) * comb(n - j - a + u, u - a)
+    return counts
+
+
+def cycle_product_counts(n: int, t: int) -> dict[tuple[int, int], int]:
+    """The cycle's entries below degree n, each (i, j) as its own product, with neither the line nor a sum.
+
+    With u = (j - i)/(t - 1) and a = 2u - i, the entry is n/(n - ut)·C(n -
+    ut, u)·C(u, a).  The first two factors count the ways to place u
+    disjoint arcs of t + 1 vertices on the n-cycle, an integer, so the
+    division is exact; the remainder is asserted to be 0.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for u in range(1, n // (t + 1) + 1):
+        rest = n - u * t
+        arcs, remainder = divmod(n * comb(rest, u), rest)
+        assert not remainder, (n, t, u)
+        for a in range(u + 1):
+            j = u * (t + 1) - a
+            if j < n:
+                counts[(2 * u - a, j)] = arcs * comb(u, a)
     return counts

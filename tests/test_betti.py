@@ -39,8 +39,9 @@ from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
 from reference import (
-    GF2, GF32003, RP2, complement, cycle_placement_counts, enumerate_placements, induced_subcollection,
-    line_placement_counts, line_product_counts, reduced_homology_dims, run_sequence, run_sequences,
+    GF2, GF32003, RP2, complement, cycle_placement_counts, cycle_product_counts, enumerate_placements,
+    induced_subcollection, line_placement_counts, line_product_counts, reduced_homology_dims, run_sequence,
+    run_sequences,
 )
 
 
@@ -842,6 +843,30 @@ class TestUnionByUnion:
                 want[(1 << n) - 1] = homology_cycle_complement(spec).as_vector()
                 assert dual == {y: vector for y, vector in want.items() if vector}, (n, t)
 
+    def test_the_cycle_rotation_route_reaches_each_union_once_per_missed_vertex(self):
+        # betti_hochster searches the facets that miss vertex n - 1, those through vertex 0 first, with
+        # lead their count; each union it yields, moved to each place among the n - 1 vertices and each
+        # of those rotated to all n places, is a union Y' != V of the unrestricted search, with its Ind,
+        # and Y' is reached once for each vertex it misses
+        rotations = 0
+        for n in range(3, 14):
+            full = (1 << n) - 1
+            for t in range(2, n + 1):
+                masks = betti_module.facet_masks(build_path_complex(PathFamilySpec("cycle", n, t)))
+                found = dict(betti_module._union_search(masks, QQ))
+                below = [fm for fm in masks if not fm >> n - 1]
+                lead = [fm for fm in below if fm & 1]
+                reached: dict[int, int] = {}
+                for y, ind in betti_module._union_search(lead + [fm for fm in below if not fm & 1], QQ, len(lead)):
+                    for shift in range(n - y.bit_length()):
+                        for turn in range(n):
+                            moved = (y << shift + turn | y << shift >> n - turn) & full
+                            assert found.get(moved) == ind, (n, t, moved)
+                            reached[moved] = reached.get(moved, 0) + 1
+                assert reached == {y: n - y.bit_count() for y in found if y != full}, (n, t)
+                rotations += sum(reached.values())
+        assert rotations == 19204
+
 
 def _yielded(monkeypatch) -> list[int]:
     """Every union that the ``_union_search`` runs of ``betti_hochster`` yield, recorded."""
@@ -1155,6 +1180,25 @@ class TestClosedCycleBeyondTheOracle:
         # the line's count on n - 1 vertices, scaled, against the cycle's own wrap-around sum
         table = betti_closed_cycle(PathFamilySpec("cycle", n, t))
         assert {(i, j): value for i, j, value, _ in table.items() if j < n} == cycle_placement_counts(n, t)
+
+
+class TestCycleProductFormula:
+    """Below degree n, the cycle's entries against the cyclic product, which uses neither the line's count nor a sum."""
+
+    @staticmethod
+    def _below_n(n: int, t: int) -> dict[tuple[int, int], int]:
+        return {(i, j): value for i, j, value, _ in betti_closed_cycle(PathFamilySpec("cycle", n, t)).items() if j < n}
+
+    def test_every_cycle_up_to_n_60(self):
+        wrong = [
+            (n, t) for n in range(3, 61) for t in range(2, n + 1)
+            if self._below_n(n, t) != cycle_product_counts(n, t)
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize("n,t", [(300, 2), (300, 3), (300, 5), (1000, 5)])
+    def test_far_past_the_oracle(self, n, t):
+        assert self._below_n(n, t) == cycle_product_counts(n, t)
 
 
 def _height(kind: str, n: int, t: int) -> int:

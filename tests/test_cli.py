@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -19,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pathbetti import (
-    BettiTable, PathFamilySpec, betti_closed_cycle, betti_closed_line, betti_hochster, build_path_complex, cli, homology,
+    BettiTable, PathFamilySpec, RunSequence, betti_closed_cycle, betti_closed_line, betti_hochster, build_path_complex,
+    cli, homology, homology_cycle_complement, homology_run_sequence,
 )
 from pathbetti import betti as betti_module
 from pathbetti.cli import main
@@ -139,29 +139,6 @@ class TestParser:
 
 # What the command records hold, and the characters JSON escapes.
 _TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028'))
-_SCALAR_VALUES = (
-    _TEXT | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
-    | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False)
-)
-_VALUES = st.recursive(
-    _SCALAR_VALUES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=20,
-)
-
-
-class TestJson:
-    @given(_VALUES)
-    def test_same_text_as_json_dumps(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2)
-
-    def test_empty_containers_and_non_finite_floats(self):
-        for value in ([], {}, [[], {}], {"a": [], "b": {}}, math.inf, -math.inf, math.nan, [math.nan]):
-            assert cli._json(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize("value", [(1, 2), {1, 2}, {1: "a"}, {"a": {None: 1}}, [b"x"], {"a": 1j}])
-    def test_other_types_and_keys_raise_type_error(self, value):
-        with pytest.raises(TypeError):
-            cli._json(value)
-
 
 _BIG = st.integers() | st.integers(min_value=2**64)
 _ENTRY_TABLES = st.dictionaries(
@@ -245,6 +222,56 @@ class TestBettiRendering:
         table = betti_hochster(build_path_complex(spec)) if method == "oracle" else closed
         rows = [f"{kind},{n},{t},{i},{j},{value},{tag}\n" for i, j, value, tag in table.items()]
         assert out == "kind,n,t,i,j,beta,method\n" + "".join(rows)
+
+
+def _homology_dict(keys: dict, summary, vector=None) -> dict:
+    """The homology record as a dict, built key by key as the command once built it before dumping it."""
+    record = {**keys, "closed_form": {"degree": summary.nonzero_degree, "dimension": summary.dimension}}
+    if vector is not None:
+        record["explicit"] = [[degree, dim] for degree, dim in sorted(vector.items())]
+        record["match"] = vector == summary.as_vector()
+    return record
+
+
+class TestHomologyRendering:
+    """The homology record comes from one template, filled with its mode's keys and its explicit pairs."""
+
+    @staticmethod
+    def _dumped(record: dict, code: int = 0) -> tuple:
+        return json.dumps(record, indent=2) + "\n", "", "return", code
+
+    @given(st.lists(st.integers(1, 10**30), min_size=1, max_size=6), st.integers(2, 50))
+    def test_run_sequences(self, lengths, t):
+        argv = ["homology", "--runs", ",".join(map(str, lengths)), "--t", str(t)]
+        summary = homology_run_sequence(t, RunSequence(lengths))
+        assert outcome(main, argv) == self._dumped(_homology_dict({"runs": lengths, "t": t}, summary))
+
+    @pytest.mark.parametrize("n,t", [(3, 2), (3, 3), (6, 2), (9, 2), (40, 3), (10**30, 7)])
+    def test_cycles(self, n, t):
+        argv = ["homology", "--kind", "cycle", "--n", str(n), "--t", str(t)]
+        summary = homology_cycle_complement(PathFamilySpec("cycle", n, t))
+        assert outcome(main, argv) == self._dumped(_homology_dict({"kind": "cycle", "n": n, "t": t}, summary))
+
+    @pytest.mark.parametrize("argv,keys,summary,vector", [
+        ("--runs 4,2 --t 2", {"runs": [4, 2], "t": 2}, homology_run_sequence(2, RunSequence((4, 2))), {3: 1}),
+        ("--runs 3 --t 2", {"runs": [3], "t": 2}, homology_run_sequence(2, RunSequence((3,))), {}),
+        ("--kind cycle --n 6 --t 2", {"kind": "cycle", "n": 6, "t": 2},
+         homology_cycle_complement(PathFamilySpec("cycle", 6, 2)), {2: 2}),
+    ], ids=["runs", "vanishing-runs", "cycle"])
+    def test_explicit(self, argv, keys, summary, vector):
+        record = _homology_dict(keys, summary, vector)
+        assert record["match"] is True
+        got = outcome(main, ["homology", *argv.split(), "--explicit"])
+        assert got == self._dumped(record)
+        if not vector:
+            assert '"degree": null' in got[0] and '"explicit": []' in got[0]
+
+    def test_a_mismatch_renders_false_and_exits_one(self, monkeypatch):
+        monkeypatch.setattr(cli, "complement_homology", lambda gamma, field: {0: 2, 3: 1})
+        got = outcome(main, ["homology", "--runs", "4,2", "--t", "2", "--explicit"])
+        record = _homology_dict({"runs": [4, 2], "t": 2}, homology_run_sequence(2, RunSequence((4, 2))), {0: 2, 3: 1})
+        assert record["match"] is False
+        assert got == self._dumped(record, 1)
 
 
 class TestBettiCommand:
@@ -499,13 +526,24 @@ class TestVerifyCommand:
             assert (got, out, err) == _run(capsys, "verify", "--max-n", "5", "--t-range", "4..4")
             assert "t=4" in out and "t=3" not in out and "t=5" not in out
 
+    def test_every_check_runs_at_t_equal_to_n(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--max-n", "8", "--t-range", "2..8")
+        assert code == 0
+        kinds = sorted(["cycle-complement-homology", "cycle-closed-vs-oracle", "vanishing-soundness",
+                        "nonzero-completeness", "pd-reg", "line-closed-vs-oracle"])
+        for k in range(3, 9):
+            labels = [line.split()[-1] for line in out.splitlines() if line.startswith(f"PASS n={k} t={k} ")]
+            assert sorted(labels) == kinds, k
+        lines = out.splitlines()
+        assert lines[-1] == f"{len(lines) - 1} checks, 0 failures"
+
     def test_empty_range_warns(self, capsys):
         code, out, _ = _run(capsys, "verify", "--max-n", "2", "--t-range", "2..5")
         assert code == 0
-        assert "warning" in out
+        assert out == "warning: empty verification range, nothing to do\n0 checks, 0 failures\n"
 
     def test_cycle_complement_check_above_the_cap_exits_three(self, capsys, monkeypatch):
-        # t = n has no oracle check, so only the complement check meets the cap
+        # the one cell, t = n = 5, is refused before its complement is checked
         monkeypatch.setattr(betti_module, "MAX_VERTICES", 4)
         code, _, err = _run(capsys, "verify", "--max-n", "5", "--t-range", "5..5")
         assert code == 3
@@ -578,3 +616,11 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "(i,j)" in out
+        # every line but the last is one check, and the failures are the FAIL lines, the first one included
+        monkeypatch.setattr(cli, "complement_homology", lambda delta, field: {})
+        code, out, _ = _run(capsys, "verify", "--max-n", "4", "--t-range", "2..2")
+        assert code == 1
+        assert out.startswith("FAIL n=3 t=2 char=0 cycle-complement-homology: explicit={} closed=")
+        *lines, total = out.splitlines()
+        assert total == f"{len(lines)} checks, {sum(line.startswith('FAIL ') for line in lines)} failures"
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)

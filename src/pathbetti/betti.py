@@ -13,11 +13,12 @@ subsets whose induced subcollection has the whole subset as support
 depth-first search over the facets.  The search carries the connected
 components of each union's facets, and a component no later facet meets
 is finished: the homology of its independence complex Ind is looked up
-once per scan by its vertex mask, and a component whose Ind is acyclic
-drops its whole branch.  When the facets are closed under moving each
-facet one vertex up or down where it fits, as the line's are, only the
-unions through vertex 0 are searched, each weighted by its n - hi(Y)
-translates.  Ind's homology comes from link/deletion splitting on a
+by its vertex mask in the scan's own ``functools.cache``, so that each
+component is relabelled at most once per scan, and a component whose
+Ind is acyclic drops its whole branch.  When the facets are closed
+under moving each facet one vertex up or down where it fits, as the
+line's are, only the unions through vertex 0 are searched, each
+weighted by its n - hi(Y) translates.  Ind's homology comes from link/deletion splitting on a
 vertex, which recurses on smaller shapes through one memo, a
 ``functools.lru_cache`` of 4096 shapes that drops the least recently
 used.  A shape whose complement is small, or on which no vertex splits,
@@ -25,8 +26,10 @@ has its homology read off the boundary-matrix ranks of its own
 complement instead, moved to Ind by Alexander duality.  The join
 formula combines the components, and Alexander duality passes to the
 complement.  ``_sub_homology`` is the one join over the components of
-a facet set, for the splitting's sub-shapes and ``complement_homology``,
-and every component, the search's too, is keyed in the memo by its
+a facet set, for the splitting's sub-shapes, ``complement_homology``
+and the full vertex set of a rotation-invariant facet set, whose term
+the oracle reads from Ind at the key every union uses, and every
+component, the search's too, is keyed in the memo by its
 facets shifted down to bit 0 with the gaps between its vertices closed
 (``_relabelled``).  The face budget is checked in one place, where
 ``homology._levels`` counts a complement's faces.
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator, Mapping
 from math import comb
+from operator import itemgetter
 
 from . import homology
 from .complexes import SimplicialComplex
@@ -69,11 +73,6 @@ def facet_masks(delta: SimplicialComplex) -> list[int]:
     return [sum(1 << position[v] for v in f) for f in delta.facets]
 
 
-def _by_degree(key: tuple[int, int]) -> tuple[int, int]:
-    """The (j, i) order of a table's entries: internal degree first."""
-    return key[1], key[0]
-
-
 class BettiTable:
     """Sparse table of graded Betti numbers with per-entry provenance, built whole.
 
@@ -89,7 +88,7 @@ class BettiTable:
 
     def __init__(self, entries: Mapping[tuple[int, int], tuple[int, str]] | None = None) -> None:
         entries = entries or {}
-        self._entries = {key: entries[key] for key in sorted(entries, key=_by_degree) if entries[key][0]}
+        self._entries = {key: entries[key] for key in sorted(entries, key=itemgetter(1, 0)) if entries[key][0]}
 
     def value(self, i: int, j: int) -> int:
         entry = self._entries.get((i, j))
@@ -117,7 +116,7 @@ class BettiTable:
     def diff(self, other: "BettiTable") -> dict[tuple[int, int], tuple[int, int]]:
         """Entries where the two tables disagree, as (i, j) -> (self, other), in (j, i) order."""
         out = {}
-        for key in sorted(self._entries.keys() | other._entries.keys(), key=_by_degree):
+        for key in sorted(self._entries.keys() | other._entries.keys(), key=itemgetter(1, 0)):
             a, b = self.value(*key), other.value(*key)
             if a != b:
                 out[key] = (a, b)
@@ -321,24 +320,6 @@ def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:
     return out
 
 
-def _component_homology(
-    verts: int, masks: list[int], field: FieldSpec, memo: dict[int, HomologyVector],
-) -> HomologyVector:
-    """Ind homology of one connected component, looked up in the scan's memo first.
-
-    Within one complex a component of an induced subcollection is fixed
-    by its vertex mask, its members being exactly the facets inside it,
-    so the memo is keyed by that mask and lives as long as the scan.
-    Only a miss runs ``_relabelled``, which takes those facets from
-    ``masks`` and shifts them down to bit 0 with the gaps closed, the key
-    of ``_ind_homology``.
-    """
-    ind = memo.get(verts)
-    if ind is None:
-        ind = memo[verts] = _ind_homology(_relabelled(verts, masks), field)
-    return ind
-
-
 def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
     """Reduced homology of the complement of gamma within its ambient vertices.
 
@@ -373,12 +354,15 @@ def _union_search(
     would cover an excluded facet is cut, so each union is reached once,
     with exactly the facets inside it included.  The vertex masks of the
     components of the included facets are carried along.  Once no later
-    facet meets a component, it is finished: ``_component_homology``
-    looks its Ind up by its vertex mask in a memo of the search's own,
-    and by its facets shifted down to bit 0, gaps closed, in the shared
-    one, and it is joined into the branch's Ind.  A join that comes out
-    acyclic stays so for every union below, so the branch is dropped
-    there.  Once the first ``lead`` facets are decided, a branch whose
+    facet meets a component, it is finished: ``ind_of`` looks its Ind up,
+    and it is joined into the branch's Ind.  Within one facet list a
+    component is fixed by its vertex mask, its members being exactly the
+    facets inside it, so ``ind_of`` is a ``functools.cache`` keyed by
+    that mask that lives as long as the search, and its ``cache_info()``
+    counts the hits and misses.  Only a miss runs ``_relabelled``, whose
+    facets shifted down to bit 0, gaps closed, are the key of the shared
+    memo ``_ind_homology``.  A join that comes out acyclic stays so for
+    every union below, so the branch is dropped there.  Once the first ``lead`` facets are decided, a branch whose
     union misses bit 0 is dropped too; only these facets may hold bit 0,
     and lead = 0 drops nothing.  The search keeps its own stack, which
     holds at most one entry per facet plus one, not Python recursion.
@@ -391,7 +375,7 @@ def _union_search(
     steps = [(fm, after[i], [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
     stack: list[tuple[int, int, tuple[int, ...], HomologyVector]] = [(0, 0, (), {-1: 1})]
     push, pop = stack.append, stack.pop
-    memo: dict[int, HomologyVector] = {}
+    ind_of = functools.cache(lambda verts: _ind_homology(_relabelled(verts, masks), field))
     while stack:
         i, union, comps, ind = pop()
         if i == count:
@@ -420,7 +404,7 @@ def _union_search(
             if i != lead or union & 1:
                 out = ind
                 for verts in finished:
-                    out = _join(out, _component_homology(verts, masks, field, memo))
+                    out = _join(out, ind_of(verts))
                     if not out:
                         break
                 if out:
@@ -437,7 +421,7 @@ def _union_search(
         if merged & later:
             push((i, grown, (*untouched, merged), ind))
         else:
-            ind = _join(ind, _component_homology(merged, masks, field, memo))
+            ind = _join(ind, ind_of(merged))
             if ind:
                 push((i, grown, tuple(untouched), ind))
 
@@ -481,16 +465,17 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     Ind up to relabelling and the same |Y|.  Each union through vertex 0
     stands for its n - hi(Y) translates that fit, hi(Y) being its highest
     vertex, so only those are searched, with the facets through 0 first
-    and a branch that has decided them without reaching 0 dropped, and
-    each adds its term times n - hi(Y), an exact integer weight.
+    (one stable sort, so each part keeps its order) and a branch that
+    has decided them without reaching 0 dropped, and each adds its term
+    times n - hi(Y), an exact integer weight.
 
     When the facets are invariant under rotating the n ambient vertices
     by one place, as the cycle's are, the full vertex set adds its term
-    once, from ``complement_homology`` two degrees up, as in
-    ``betti_top_degree``, and goes into the table with the sums.  The
-    entries below degree n are those of the facets that miss vertex
-    n - 1, searched on the other n - 1 vertices and scaled by
-    ``_cycle_counts``.  Those facets are shift-closed, since F avoids
+    once, from the Ind of all the facets by ``_sub_homology``, at the key
+    (n - d - 1, n) that every union's H_d(Ind) takes, and goes into the
+    table with the sums.  The entries below degree n are those of the
+    facets that miss vertex n - 1, searched on the other n - 1 vertices
+    and scaled by ``_cycle_counts``.  Those facets are shift-closed, since F avoids
     n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0, so the search
     reaches only the unions holding 0 and missing n - 1.
 
@@ -509,16 +494,17 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     full = (1 << frame) - 1
     rotating = bool(masks) and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks)
     if rotating:
-        whole = {(d + 2, frame): dim for d, dim in complement_homology(delta, field).items()}
+        # the full vertex set's term, keyed as every union's is below
+        whole = {(frame - d - 1, frame): dim for d, dim in _sub_homology(masks, frame, field).items()}
         frame -= 1
         masks = [fm for fm in masks if not fm >> frame]
     top = 1 << frame >> 1
     shifting = sorted(fm << 1 for fm in masks if not fm & top) == sorted(fm for fm in masks if not fm & 1)
     lead, searched = 0, masks
     if shifting:
-        searched = [fm for fm in masks if fm & 1]
-        lead = len(searched)
-        searched += [fm for fm in masks if not fm & 1]
+        # the facets through vertex 0 first, each part in its own order
+        searched = sorted(masks, key=lambda fm: not fm & 1)
+        lead = sum(fm & 1 for fm in masks)
     sums: dict[tuple[int, int], int] = {}
     for y, ind in _union_search(searched, field, lead):
         size = y.bit_count()

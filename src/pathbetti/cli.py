@@ -156,14 +156,15 @@ def _build_parser():
 _string = json.encoder.encode_basestring_ascii
 
 
-def _list(items: list[str], indent: str) -> str:
-    """The rendered items as ``json.dumps(indent=2)`` lays out a list opened on a line indented by ``indent``.
+def _list(items: list[str]) -> str:
+    """The rendered items as ``json.dumps(indent=2)`` lays out a list that a record's top-level key opens.
 
-    ``[]`` for none.  The items are joined and bracketed in one f-string,
-    so a large list's text is copied once, not once per ``+``.
+    ``[]`` for none.  The items sit four spaces in and the closing
+    bracket two.  They are joined and bracketed in one f-string, so a
+    large list's text is copied once, not once per ``+``.
     """
-    inner = "\n" + indent + "  "
-    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
+    sep = ",\n    "
+    return f"[\n    {sep.join(items)}\n  ]" if items else "[]"
 
 
 # The records and the items of their lists, laid out as json.dumps(indent=2) lays them out.  The betti
@@ -181,12 +182,12 @@ _PAIR = '[\n      %d,\n      %d\n    ]'
 def _table_record(spec: PathFamilySpec, method: str, characteristic: int, table: BettiTable, timing_ms: float,
                   diff: dict[tuple[int, int], tuple[int, int]]) -> str:
     """The betti command's JSON record of the table, with the tables' ``diff`` when the method is ``both``."""
-    entries = _list([_ENTRY % (i, j, value, _string(tag)) for i, j, value, tag in table.items()], "  ")
+    entries = _list([_ENTRY % (i, j, value, _string(tag)) for i, j, value, tag in table.items()])
     rows = [_DIFF % (i, j, a, b) for (i, j), (a, b) in diff.items()]
     return _RECORD % (
         _string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic,
         entries, table.pd, table.reg, json.dumps(round(timing_ms, 3)),
-        ',\n  "diff": ' + _list(rows, "  ") if method == "both" else "",
+        ',\n  "diff": ' + _list(rows) if method == "both" else "",
     )
 
 
@@ -251,7 +252,7 @@ def cmd_homology(args: SimpleNamespace) -> int:
         if args.runs is not None:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
-            keys = '"runs": %s,\n  "t": %d' % (_list(["%d" % s for s in seq.lengths], "  "), args.t)
+            keys = '"runs": %s,\n  "t": %d' % (_list(["%d" % s for s in seq.lengths]), args.t)
             vertices, build = vertex_count_of_runs(seq, args.t), functools.partial(build_run_complex, seq, args.t)
         else:
             if args.n is None:
@@ -270,7 +271,7 @@ def cmd_homology(args: SimpleNamespace) -> int:
     if args.explicit:
         vector = complement_homology(build(), field)
         match = vector == summary.as_vector()
-        tail = _EXPLICIT % (_list([_PAIR % pair for pair in sorted(vector.items())], "  "), json.dumps(match))
+        tail = _EXPLICIT % (_list([_PAIR % pair for pair in sorted(vector.items())]), json.dumps(match))
     print(_HOMOLOGY % (keys, json.dumps(summary.nonzero_degree), summary.dimension, tail))
     return EXIT_OK if match else EXIT_VERIFY
 

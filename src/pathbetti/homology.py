@@ -135,20 +135,20 @@ def _levels(facets: list[int]) -> list[list[int]]:
     return levels
 
 
-def _boundary(face: int, index: dict[int, int], p: int) -> dict[int, int]:
-    """The boundary column of a face mask as {row: sign} over GF(p), or the integers when p is 0.
+def _boundary(face: int, index: dict[int, int]) -> dict[int, int]:
+    """The boundary column of a face mask as {row: sign} over the integers.
 
-    Removing the face's i-th lowest vertex has sign (-1)^i, and -1 is
-    p - 1 over GF(p).
+    Removing the face's i-th lowest vertex has sign (-1)^i.  The column
+    serves every field: ``_reduce`` takes each entry it computes mod p,
+    and -1 is as good a pivot or row entry as p - 1.
     """
     out = {}
-    signs = (1, p - 1 if p else -1)
-    rest, k = face, 0
+    rest, sign = face, 1
     while rest:
         bit = rest & -rest
-        out[index[face ^ bit]] = signs[k]
+        out[index[face ^ bit]] = sign
         rest ^= bit
-        k ^= 1
+        sign = -sign
     return out
 
 
@@ -196,7 +196,7 @@ def _homology(levels: list[list[int]], p: int) -> HomologyVector:
     for s in range(len(levels) - 1, 0, -1):
         index = {f: i for i, f in enumerate(levels[s - 1])}
         cleared = _reduce(
-            (_boundary(f, index, p) for i, f in enumerate(levels[s]) if i not in cleared), p,
+            (_boundary(f, index) for i, f in enumerate(levels[s]) if i not in cleared), p,
         )
         ranks[s] = len(cleared)
     dims: HomologyVector = {}

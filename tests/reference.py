@@ -13,7 +13,10 @@ binomial sum over (r, b, P) that the product collapses, and
 ``cycle_placement_counts`` counts those on the cycle directly, with its
 own wrap-around gaps, where the package derives them from the line, and
 ``cycle_product_counts`` takes each of the cycle's entries as one product
-of the cyclic binomial and a plain one.
+of the cyclic binomial and a plain one.  Two more routes share nothing
+with the package's: ``cycle_independence_at_minus_one`` pins the cycle's
+top-degree entry through the K-polynomial, and ``lcm_lattice_betti``
+reads a whole table off the lattice of unions of the facets.
 """
 
 from __future__ import annotations
@@ -257,3 +260,65 @@ def cycle_product_counts(n: int, t: int) -> dict[tuple[int, int], int]:
             if j < n:
                 counts[(2 * u - a, j)] = arcs * comb(u, a)
     return counts
+
+
+def cycle_independence_at_minus_one(n: int, t: int) -> int:
+    """The sum of (-1)^|σ| over the vertex sets σ of the n-cycle with no t cyclically consecutive vertices.
+
+    These σ are the faces of the Stanley-Reisner complex of the cycle's
+    path ideal, so the coefficient of x_1...x_n in its K-polynomial, the
+    alternating sum of the Betti numbers in degree n, is (-1)^n times
+    this sum.  It is taken by a transfer matrix over the length of the
+    current run of chosen vertices, O(t²n): the leading run 0..a - 1, a <
+    t, is fixed and vertex a left out; the vertices a + 1..n - 1 are
+    walked, each run kept below t; and the trailing run b must keep the
+    run a + b that wraps round below t.  Every σ but the full vertex set
+    leaves some vertex out, and the full set holds t consecutive vertices
+    since t <= n.
+    """
+    if not 2 <= t <= n:
+        raise ValueError(f"need 2 <= t <= n, got n = {n}, t = {t}")
+    total = 0
+    for a in range(t):
+        runs = [1] + [0] * (t - 1)  # runs[r]: the signed sets whose current run has r vertices
+        for _ in range(n - 1 - a):
+            runs = [sum(runs)] + [-x for x in runs[:-1]]
+        total += (-1) ** a * sum(runs[:t - a])
+    return total
+
+
+def lcm_lattice_betti(masks: list[int], field: FieldSpec = QQ) -> dict[tuple[int, int], int]:
+    """The Betti numbers β_{i,j}, i >= 1, of the ideal of the facet masks, from its lcm lattice.
+
+    The lattice is that of the unions of facets.  By Gasharov, Peeva and
+    Welker ("The lcm-lattice in monomial resolutions", 1999) β_{i,Y} is
+    the dimension of H~_{i-2} of the open interval (0̂, Y), and by the
+    crosscut theorem that interval has the homology of its crosscut
+    complex: the sets of the facets inside Y whose union is not Y, Ø
+    included.  Each crosscut complex is listed outright, its faces being
+    sets of facet indices, and ranked by ``levels_homology``: no
+    Hochster, Ind, Alexander duality or splitting.  The masks must be a
+    nonempty antichain without Ø.  Exponential in the number of facets.
+    """
+    count = len(masks)
+    unions = [0] * (1 << count)  # unions[s]: the union of the facets in the index set s
+    for s in range(1, 1 << count):
+        low = s & -s
+        unions[s] = unions[s ^ low] | masks[low.bit_length() - 1]
+    out: dict[tuple[int, int], int] = {}
+    for y in set(unions[1:]):
+        below = sum(1 << i for i, fm in enumerate(masks) if fm & ~y == 0)
+        levels: list[list[int]] = [[] for _ in range(below.bit_count())]
+        s = below
+        while True:
+            s = (s - 1) & below
+            if unions[s] != y:
+                levels[s.bit_count()].append(s)
+            if not s:
+                break
+        while not levels[-1]:
+            levels.pop()
+        for degree, dim in levels_homology([sorted(level) for level in levels], field).items():
+            key = (degree + 2, y.bit_count())
+            out[key] = out.get(key, 0) + dim
+    return out

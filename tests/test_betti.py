@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import inspect
 import sys
+import types
 from itertools import combinations
 from math import comb
 
@@ -39,9 +40,9 @@ from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
 from reference import (
-    GF2, GF32003, RP2, complement, cycle_placement_counts, cycle_product_counts, enumerate_placements,
-    induced_subcollection, line_placement_counts, line_product_counts, reduced_homology_dims, run_sequence,
-    run_sequences,
+    GF2, GF32003, RP2, complement, cycle_independence_at_minus_one, cycle_placement_counts, cycle_product_counts,
+    enumerate_placements, induced_subcollection, lcm_lattice_betti, line_placement_counts, line_product_counts,
+    reduced_homology_dims, run_sequence, run_sequences,
 )
 
 
@@ -384,11 +385,11 @@ class TestOracleRoute:
     @pytest.mark.parametrize("kind", ["cycle", "line"])
     def test_each_component_is_relabelled_once_per_scan(self, monkeypatch, kind):
         # every component of a contributing union is looked up, and no
-        # component of another union misses the search's memo twice.  On
-        # the cycle only the unions holding vertex 0 and missing vertex 8
-        # are searched, and the full union goes through
-        # complement_homology instead; on the line only the unions holding
-        # vertex 0 are searched.
+        # component of another union misses the search's memo twice: the
+        # search relabels each at most once.  On the cycle only the unions
+        # holding vertex 0 and missing vertex 8 are searched, and the full
+        # union's term is read from the Ind of all the facets instead; on
+        # the line only the unions holding vertex 0 are searched.
         delta = build_path_complex(PathFamilySpec(kind, 9, 2))
         masks = betti_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
@@ -398,15 +399,7 @@ class TestOracleRoute:
         else:
             searched = {y for y in unions if y & 1 and not y >> 8}
         needed = {verts for y in searched if _complement_outright(delta, y) for verts in components[y]}
-        relabelled = []
-        real = betti_module._component_homology
-
-        def counting(verts, masks, field, memo):
-            if verts not in memo:
-                relabelled.append(verts)
-            return real(verts, masks, field, memo)
-
-        monkeypatch.setattr(betti_module, "_component_homology", counting)
+        relabelled = _count_search_relabels(monkeypatch)
         betti_hochster(delta)
         assert len(set(relabelled)) == len(relabelled)
         assert needed <= set(relabelled) <= {verts for found in components.values() for verts in found}
@@ -446,6 +439,29 @@ class TestOracleRoute:
         spec = PathFamilySpec(kind, n, t)
         closed = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
         assert betti_hochster(build_path_complex(spec), GF32003) == closed
+
+
+def _count_search_relabels(monkeypatch) -> list[int]:
+    """Patch the oracle to record the vertex mask of each component its union search relabels.
+
+    ``_relabelled`` also serves the splitting's sub-shapes, so only the
+    calls on the facet list the search was given are kept.
+    """
+    relabelled, searched = [], []
+    relabel, search = betti_module._relabelled, betti_module._union_search
+
+    def recording(verts, masks):
+        if any(masks is given for given in searched):
+            relabelled.append(verts)
+        return relabel(verts, masks)
+
+    def searching(masks, *args):
+        searched.append(masks)
+        return search(masks, *args)
+
+    monkeypatch.setattr(betti_module, "_relabelled", recording)
+    monkeypatch.setattr(betti_module, "_union_search", searching)
+    return relabelled
 
 
 def _inside(masks: list[int], y: int) -> list[int]:
@@ -515,17 +531,22 @@ class TestOracleScan:
         # first.  Of their seven closed choices (none, 12, 23, 34, 123, 234 and
         # 1234) only the last finishes the path as one component, whose Ind is
         # acyclic, so the 5-cycle's components are looked up under the other
-        # six alone, and no union holding the path reaches the table.
+        # six alone, and no union holding the path reaches the table.  The
+        # lookups are the calls of the search's own cache, memo hits too.
         path = [(1, 2), (2, 3), (3, 4)]
         cycle = [(5 + v, 5 + (v + 1) % 5) for v in range(5)]
         delta = make_complex(range(1, 10), path + cycle)
         masks = betti_module.facet_masks(delta)
         lookups, leaves = [], []
-        lookup, search = betti_module._component_homology, betti_module._union_search
+        search = betti_module._union_search
 
-        def looking(verts, *args):
-            lookups.append(verts)
-            return lookup(verts, *args)
+        def looking_cache(function):
+            cached = functools.cache(function)
+
+            def looking(verts):
+                lookups.append(verts)
+                return cached(verts)
+            return looking
 
         def cycle_lookups(facets):
             lookups.clear()
@@ -538,7 +559,7 @@ class TestOracleScan:
                 leaves.append(y)
                 yield y, ind
 
-        monkeypatch.setattr(betti_module, "_component_homology", looking)
+        monkeypatch.setattr(betti_module, "functools", types.SimpleNamespace(cache=looking_cache))
         assert cycle_lookups(masks) == 6 * cycle_lookups(masks[3:]) > 0
         monkeypatch.setattr(betti_module, "_union_search", searching)
         for field in (QQ, GF2):
@@ -664,6 +685,44 @@ class TestRotationRoute:
         monkeypatch.setattr(betti_module, "_union_search", lambda *args: iter([(0b101, {-1: 1})]))
         with pytest.raises(RuntimeError, match="not divisible"):
             betti_hochster(build_path_complex(PathFamilySpec("cycle", 5, 2)))
+
+
+@st.composite
+def small_antichains(draw) -> SimplicialComplex:
+    """Up to 8 random sets of 2 to 4 vertices on at most 8 vertices, the non-maximal ones dropped."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    facets = draw(st.lists(st.sets(st.integers(1, n), min_size=2, max_size=4), min_size=1, max_size=8))
+    return make_complex(range(1, n + 1), facets)
+
+
+def _lcm_route_agrees(delta: SimplicialComplex) -> bool:
+    """Whether the oracle's table is the lcm lattice's over QQ and over GF(2)."""
+    masks = betti_module.facet_masks(delta)
+    return all(lcm_lattice_betti(masks, field) == betti_hochster(delta, field).entries for field in (QQ, GF2))
+
+
+class TestLcmLatticeRoute:
+    """The oracle against the crosscut complexes of the lcm lattice, a route with no Hochster, Ind or duality."""
+
+    def test_every_cycle_and_line_up_to_nine_vertices(self):
+        specs = [
+            PathFamilySpec(kind, n, t) for kind, least in (("cycle", 3), ("line", 2))
+            for n in range(least, 10) for t in range(2, n + 1)
+        ]
+        assert len(specs) == 71
+        assert [spec for spec in specs if not _lcm_route_agrees(build_path_complex(spec))] == []
+
+    @given(small_antichains())
+    @example(make_complex(range(1, 9), combinations(range(1, 5), 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_random_antichains(self, delta):
+        assert _lcm_route_agrees(delta)
+
+    @given(circulant_complexes().filter(lambda delta: len(delta.facets) <= 8))
+    @settings(max_examples=25, deadline=None)
+    def test_circulant_draws(self, delta):
+        # the rotation route, its full vertex set read from Ind, against the lattice
+        assert _lcm_route_agrees(delta)
 
 
 def _shift_closed(delta: SimplicialComplex) -> bool:
@@ -1180,6 +1239,30 @@ class TestClosedCycleBeyondTheOracle:
         # the line's count on n - 1 vertices, scaled, against the cycle's own wrap-around sum
         table = betti_closed_cycle(PathFamilySpec("cycle", n, t))
         assert {(i, j): value for i, j, value, _ in table.items() if j < n} == cycle_placement_counts(n, t)
+
+
+class TestCycleTopDegreeFromTheKPolynomial:
+    """The top-degree entry against the independence sum at -1, which uses no Hochster and no table."""
+
+    def test_every_cycle_up_to_n_30_and_four_far_past_the_oracle(self):
+        # degree n holds one entry, (i, value), so the alternating sum of the
+        # Betti numbers there, the coefficient of x_1...x_n of the
+        # K-polynomial, is (-1)^i value, and it is (-1)^n I(-1)
+        cases = [(n, t) for n in range(3, 31) for t in range(2, n + 1)] + [(300, 2), (500, 3), (1000, 5), (2000, 7)]
+        wrong = []
+        for n, t in cases:
+            i, value = betti_top_degree(PathFamilySpec("cycle", n, t))
+            if (-1) ** (n + i) * cycle_independence_at_minus_one(n, t) != value:
+                wrong.append((n, t))
+        assert len(cases) == 438 and wrong == []
+
+    def test_small_cycles_by_counting_the_sets(self):
+        for n in range(3, 11):
+            for t in range(2, n + 1):
+                full = (1 << n) - 1
+                arcs = [((1 << t) - 1 << v | (1 << t) - 1 >> n - v) & full for v in range(n)]
+                brute = sum((-1) ** s.bit_count() for s in range(1 << n) if all(arc & ~s for arc in arcs))
+                assert cycle_independence_at_minus_one(n, t) == brute, (n, t)
 
 
 class TestCycleProductFormula:

@@ -32,7 +32,11 @@ the oracle reads from Ind at the key every union uses, and every
 component, the search's too, is keyed in the memo by its
 facets shifted down to bit 0 with the gaps between its vertices closed
 (``_relabelled``).  The face budget is checked in one place, where
-``homology._levels`` counts a complement's faces.
+``homology._levels`` counts a complement's faces.  One search serves
+every field and the cycle from the line: ``_search_memo`` keeps the
+sums of the last 64 searches with the shapes each met, and another
+field reuses them where every one of those shapes has the same Ind,
+the only way a field reaches the search.
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, walked from entry to entry by one
 exact ratio, in time polynomial in n, and its top-degree value for the
@@ -345,7 +349,7 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
 
 
 def _union_search(
-    masks: list[int], field: FieldSpec, lead: int = 0,
+    masks: list[int], field: FieldSpec, lead: int = 0, met: dict | None = None,
 ) -> Iterator[tuple[int, HomologyVector]]:
     """Each nonempty union of the facets Y whose Ind is not acyclic, with that Ind's homology.
 
@@ -361,8 +365,10 @@ def _union_search(
     that mask that lives as long as the search, and its ``cache_info()``
     counts the hits and misses.  Only a miss runs ``_relabelled``, whose
     facets shifted down to bit 0, gaps closed, are the key of the shared
-    memo ``_ind_homology``.  A join that comes out acyclic stays so for
-    every union below, so the branch is dropped there.  Once the first ``lead`` facets are decided, a branch whose
+    memo ``_ind_homology``, and stores that shape with its Ind in ``met``:
+    the field reaches the search only there.  A join that comes out
+    acyclic stays so for every union below, so the branch is dropped
+    there.  Once the first ``lead`` facets are decided, a branch whose
     union misses bit 0 is dropped too; only these facets may hold bit 0,
     and lead = 0 drops nothing.  The search keeps its own stack, which
     holds at most one entry per facet plus one, not Python recursion.
@@ -375,7 +381,14 @@ def _union_search(
     steps = [(fm, after[i], [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
     stack: list[tuple[int, int, tuple[int, ...], HomologyVector]] = [(0, 0, (), {-1: 1})]
     push, pop = stack.append, stack.pop
-    ind_of = functools.cache(lambda verts: _ind_homology(_relabelled(verts, masks), field))
+    met = {} if met is None else met
+
+    def evaluate(verts: int) -> HomologyVector:
+        shape = _relabelled(verts, masks)
+        met[shape] = ind = _ind_homology(shape, field)
+        return ind
+
+    ind_of = functools.cache(evaluate)
     while stack:
         i, union, comps, ind = pop()
         if i == count:
@@ -444,6 +457,19 @@ def _cycle_counts(n: int, counts: dict[tuple[int, int], int]) -> dict[tuple[int,
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _search_memo(searched: tuple[int, ...], lead: int, frame: int) -> list:
+    """The slot of one union search's record, empty until ``betti_hochster`` fills it.
+
+    The record is [sums, met]: the (i, j) sums, and the Ind homology of
+    every shape the search's ``ind_of`` evaluated, over the field it ran
+    on.  The key is all the sums depend on: the facets in their searched
+    order, ``lead`` and the frame that the translation weight reads.  One
+    least-recently-used cache of 64 slots holds them, process-wide.
+    """
+    return []
+
+
 def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTable:
     """Graded Betti numbers by enumeration over induced subcollections.
 
@@ -479,12 +505,26 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0, so the search
     reaches only the unions holding 0 and missing n - 1.
 
+    The sums are searched once per facet order, lead and frame, and kept
+    in ``_search_memo`` with the shapes the search met and their Ind over
+    its field.  The search reads the field only through those Ind: it
+    joins them and drops a branch where a join is acyclic.  So over a
+    field F on which every met shape has the same Ind, the search would
+    meet the same shapes, drop the same branches and yield the same
+    weighted unions, and the sums are reused; otherwise it runs over F
+    and replaces the record.  No field independence is assumed: the
+    facets of RP2's Stanley-Reisner ideal, whose full union has Ind RP2,
+    search again between Q and GF(2).  The cycle's facets missing vertex
+    n - 1 are the line's on n - 1 vertices, so a cycle reuses that line's
+    record; its full-set term and ``_cycle_counts`` are taken on every
+    call.
+
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
     budget is refused with OracleCapError when the search meets it.
     Inputs above the vertex cap are refused first, by
     ``check_vertex_cap``, as they are by the command line.  Memory
-    follows the search's depth and the memo, not the number of unions.
+    follows the search's depth and the memos, not the number of unions.
     """
     frame = len(delta.ambient)
     check_vertex_cap(frame)
@@ -505,15 +545,21 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
         # the facets through vertex 0 first, each part in its own order
         searched = sorted(masks, key=lambda fm: not fm & 1)
         lead = sum(fm & 1 for fm in masks)
-    sums: dict[tuple[int, int], int] = {}
-    for y, ind in _union_search(searched, field, lead):
-        size = y.bit_count()
-        # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
-        weight = frame + 1 - y.bit_length() if shifting else 1
-        for d, dim in ind.items():
-            # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
-            key = (size - d - 1, size)
-            sums[key] = sums.get(key, 0) + dim * weight
+    # with no lead every weight is 1, and the frame is not read
+    record = _search_memo(tuple(searched), lead, frame if lead else 0)
+    if not record or any(_ind_homology(shape, field) != ind for shape, ind in record[1].items()):
+        sums: dict[tuple[int, int], int] = {}
+        met: dict[tuple[int, ...], HomologyVector] = {}
+        for y, ind in _union_search(searched, field, lead, met):
+            size = y.bit_count()
+            # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
+            weight = frame + 1 - y.bit_length() if lead else 1
+            for d, dim in ind.items():
+                # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
+                key = (size - d - 1, size)
+                sums[key] = sums.get(key, 0) + dim * weight
+        record[:] = sums, met
+    sums = record[0]
     if rotating:
         sums = _cycle_counts(frame + 1, sums) | whole
     return BettiTable({key: (value, "oracle") for key, value in sums.items()})

@@ -6,6 +6,14 @@ from hypothesis import strategies as st
 from pathbetti import SimplicialComplex, betti, make_complex
 
 
+@pytest.fixture(autouse=True)
+def empty_search_memo():
+    """The memo of union searches, emptied around every test, so that no search's record outlives its test."""
+    betti._search_memo.cache_clear()
+    yield
+    betti._search_memo.cache_clear()
+
+
 @pytest.fixture
 def empty_ind_memo():
     """The Ind homology memo, emptied before the test and again after it."""

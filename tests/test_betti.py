@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import random
 import sys
 import types
 from itertools import combinations
@@ -214,6 +215,11 @@ def framed_vertex_sets(draw, max_frame: int = 12) -> tuple[int, int, list[int]]:
     return frame, verts, members
 
 
+def _rp2_ideal() -> SimplicialComplex:
+    """The complex of the 10 triangles missing from the six-vertex real projective plane, its Stanley-Reisner ideal."""
+    return make_complex(range(1, 7), [f for f in combinations(range(1, 7), 3) if f not in RP2.facets])
+
+
 class TestOracleRoute:
     """The oracle passes through Alexander duality and components; the direct sum checks it."""
 
@@ -252,7 +258,7 @@ class TestOracleRoute:
         # whose facets are the 10 triangles missing from it: the full
         # union's Ind is RP2, acyclic over Q but not over GF(2), and the
         # second field runs on the memo the first one filled
-        delta = make_complex(range(1, 7), [f for f in combinations(range(1, 7), 3) if f not in RP2.facets])
+        delta = _rp2_ideal()
         want = {QQ: {(1, 3): 10, (2, 4): 15, (3, 5): 6}}
         want[GF2] = {**want[QQ], (3, 6): 1, (4, 6): 1}
         for field in (first, second):
@@ -441,12 +447,19 @@ class TestOracleRoute:
         assert betti_hochster(build_path_complex(spec), GF32003) == closed
 
 
+def _without_search_memo(monkeypatch) -> None:
+    """Give every ``betti_hochster`` call an empty record slot, so that each call starts its own search."""
+    monkeypatch.setattr(betti_module, "_search_memo", lambda *key: [])
+
+
 def _count_search_relabels(monkeypatch) -> list[int]:
     """Patch the oracle to record the vertex mask of each component its union search relabels.
 
     ``_relabelled`` also serves the splitting's sub-shapes, so only the
-    calls on the facet list the search was given are kept.
+    calls on the facet list the search was given are kept.  Every call
+    searches.
     """
+    _without_search_memo(monkeypatch)
     relabelled, searched = [], []
     relabel, search = betti_module._relabelled, betti_module._union_search
 
@@ -562,6 +575,7 @@ class TestOracleScan:
         monkeypatch.setattr(betti_module, "functools", types.SimpleNamespace(cache=looking_cache))
         assert cycle_lookups(masks) == 6 * cycle_lookups(masks[3:]) > 0
         monkeypatch.setattr(betti_module, "_union_search", searching)
+        _without_search_memo(monkeypatch)
         for field in (QQ, GF2):
             leaves.clear()
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
@@ -592,15 +606,16 @@ def circulant_complexes(draw) -> SimplicialComplex:
 
 
 def _searches(monkeypatch) -> list[tuple[list[int], int]]:
-    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
+    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts; every call searches."""
     calls = []
     search = betti_module._union_search
 
-    def recording(masks, field, lead=0):
+    def recording(masks, field, lead=0, met=None):
         calls.append((list(masks), lead))
-        return search(masks, field, lead)
+        return search(masks, field, lead, met)
 
     monkeypatch.setattr(betti_module, "_union_search", recording)
+    _without_search_memo(monkeypatch)
     return calls
 
 
@@ -817,6 +832,90 @@ class TestTranslationRoute:
         assert len(yielded) == 836 and all(y & 1 and not y >> 15 for y in yielded)
 
 
+def _started(monkeypatch) -> list[list[int]]:
+    """The facets of every ``_union_search`` that ``betti_hochster`` starts, recorded; the search memo stays in use."""
+    started = []
+    search = betti_module._union_search
+
+    def recording(masks, *args):
+        started.append(list(masks))
+        return search(masks, *args)
+
+    monkeypatch.setattr(betti_module, "_union_search", recording)
+    return started
+
+
+def _fresh(delta: SimplicialComplex, field: FieldSpec) -> list[tuple[int, int, int, str]]:
+    """The items of the oracle's table from a call made with the search memo emptied first."""
+    betti_module._search_memo.cache_clear()
+    return betti_hochster(delta, field).items()
+
+
+class TestSearchMemo:
+    """One search per facet set, lead and frame, reused over another field only where every shape it met agrees."""
+
+    def test_every_cycle_and_line_in_a_shuffled_order_over_four_fields(self):
+        calls = [
+            (build_path_complex(PathFamilySpec(kind, n, t)), field)
+            for kind, least in (("cycle", 3), ("line", 2)) for n in range(least, 13) for t in range(2, n + 1)
+            for field in (QQ, GF2, FieldSpec(3), GF32003)
+        ]
+        want = [_fresh(delta, field) for delta, field in calls]
+        order = list(range(len(calls)))
+        random.Random(32).shuffle(order)
+        betti_module._search_memo.cache_clear()
+        got = {k: betti_hochster(*calls[k]).items() for k in order}
+        assert [got[k] for k in range(len(calls))] == want
+        assert betti_module._search_memo.cache_info().hits > len(calls) / 2
+
+    @given(small_antichains())
+    @example(_rp2_ideal())
+    @settings(max_examples=40, deadline=None)
+    def test_random_antichains_over_two_fields_in_both_orders(self, delta):
+        want = {field: _fresh(delta, field) for field in (QQ, GF2)}
+        for fields in ((QQ, GF2), (GF2, QQ)):
+            betti_module._search_memo.cache_clear()
+            assert [betti_hochster(delta, field).items() for field in fields] == [want[field] for field in fields]
+
+    @pytest.mark.parametrize("first, second", [(GF2, QQ), (QQ, GF2)], ids=["GF2-then-QQ", "QQ-then-GF2"])
+    def test_a_shape_whose_ind_differs_over_the_second_field_starts_its_own_search(self, monkeypatch, first, second):
+        # the full union's Ind is RP2, acyclic over Q but not over GF(2)
+        delta = _rp2_ideal()
+        started = _started(monkeypatch)
+        betti_hochster(delta, first)
+        table = betti_hochster(delta, second)
+        assert len(started) == 2
+        assert table.items() == _fresh(delta, second)
+
+    def test_a_cycle_after_the_line_on_one_vertex_fewer_starts_no_search(self, monkeypatch):
+        # the facets of the cycle (n, t) that miss vertex n - 1 are the line's (n - 1, t), in its order; at
+        # t = n - 1 the line's one facet holds every vertex, and the line takes the rotation route itself
+        started = _started(monkeypatch)
+        for n in range(4, 13):
+            for t in range(2, n - 1):
+                line = build_path_complex(PathFamilySpec("line", n - 1, t))
+                cycle = build_path_complex(PathFamilySpec("cycle", n, t))
+                betti_hochster(line, QQ)
+                searches = len(started)
+                assert betti_hochster(cycle, GF32003) == betti_closed_cycle(PathFamilySpec("cycle", n, t))
+                assert len(started) == searches, (n, t)
+
+    def test_the_memo_stays_within_its_bound(self):
+        memo = betti_module._search_memo
+        bound = memo.cache_info().maxsize
+        assert bound == 64
+        # one edge on 14 vertices each: distinct facet sets, each one search
+        deltas = [make_complex(range(1, 15), [edge]) for edge in list(combinations(range(1, 15), 2))[:bound + 8]]
+        for delta in deltas:
+            betti_hochster(delta, QQ)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, bound + 8, bound)
+        betti_hochster(deltas[-1], GF2)
+        assert memo.cache_info()[:2] == (1, bound + 8)
+        betti_hochster(deltas[0], QQ)
+        assert memo.cache_info()[:2] == (1, bound + 9) and memo.cache_info().currsize == bound
+
+
 def _eligible_unions(n: int, t: int) -> dict[int, tuple[int, ...]]:
     """The vertex masks on the line of n vertices whose maximal blocks all hold eligible runs, with those runs.
 
@@ -928,7 +1027,7 @@ class TestUnionByUnion:
 
 
 def _yielded(monkeypatch) -> list[int]:
-    """Every union that the ``_union_search`` runs of ``betti_hochster`` yield, recorded."""
+    """Every union that the ``_union_search`` runs of ``betti_hochster`` yield, recorded; every call searches."""
     yielded = []
     search = betti_module._union_search
 
@@ -938,6 +1037,7 @@ def _yielded(monkeypatch) -> list[int]:
             yield y, ind
 
     monkeypatch.setattr(betti_module, "_union_search", counting)
+    _without_search_memo(monkeypatch)
     return yielded
 
 

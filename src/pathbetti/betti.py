@@ -32,11 +32,16 @@ the oracle reads from Ind at the key every union uses, and every
 component, the search's too, is keyed in the memo by its
 facets shifted down to bit 0 with the gaps between its vertices closed
 (``_relabelled``).  The face budget is checked in one place, where
-``homology._levels`` counts a complement's faces.  One search serves
-every field and the cycle from the line: ``_search_memo`` keeps the
-sums of the last 64 searches with the shapes each met, and another
-field reuses them where every one of those shapes has the same Ind,
-the only way a field reaches the search.
+``homology._levels`` counts a complement's faces.  A field reaches
+Ind's homology only at those boundary-matrix leaves, so a shape is
+first asked for under the field None (``_ind``): the splitting with
+leaves reduced over the integers, which holds over every field when
+every pivot is 1 or -1, and is None otherwise.  Only then is the shape
+found over the field itself, as the RP2 ideal's full union is.  One
+search serves every field and the cycle from the line: ``_search_memo``
+keeps the sums of the last 64 searches with the shapes each met, and
+another field reuses them where every one of those shapes has the same
+Ind, the only way a field reaches the search.
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, walked from entry to entry by one
 exact ratio, in time polynomial in n, and its top-degree value for the
@@ -52,7 +57,7 @@ from operator import itemgetter
 
 from . import homology
 from .complexes import SimplicialComplex
-from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, _checked, _integer, levels_homology
+from .homology import FieldSpec, HomologyVector, OracleCapError, QQ, _checked, _integer
 from .paths import PathFamilySpec, RunSequence
 
 # Most ambient vertices the oracle and the explicit complements accept;
@@ -209,7 +214,7 @@ def _relabelled(verts: int, masks: list[int]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
+def _matrix_homology(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVector:
     """Reduced homology of Ind of the facet masks from boundary-matrix ranks.
 
     The route of ``_ind_homology`` for a shape whose complement is small
@@ -218,22 +223,25 @@ def _matrix_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector
     Ind by Alexander duality, H_k(Ind) = H_{m-k-3}(complement).
     ``homology._levels`` refuses a complement over the face budget with
     OracleCapError while it counts the faces, before any column is built.
+    With the field None the complement is reduced over the integers, and
+    a pivot other than 1 or -1 raises ``homology._NonUnitPivot``.
     """
     m = max(shape).bit_length()
     full = (1 << m) - 1
-    comp = levels_homology(homology._levels([full ^ fm for fm in shape]), field)
+    levels = homology._levels([full ^ fm for fm in shape])
+    comp = homology._homology(levels, None if field is None else field.characteristic)
     return {m - d - 3: dim for d, dim in comp.items()}
 
 
-def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
+def _sub_homology(masks: list[int], m: int, field: FieldSpec | None) -> HomologyVector:
     """Reduced homology of Ind of the facet masks on the vertices 0..m-1.
 
     A vertex in no facet is a cone point of Ind, giving {}; no vertex at
     all gives {-1: 1}.  Otherwise Ind is the join of the independence
     complexes of the connected components, each keyed, as the oracle's
     components are, by its facets shifted down to bit 0 with the gaps
-    closed (``_relabelled``); the join stops at the first acyclic one.
-    Ø must not be a facet.
+    closed (``_relabelled``) and looked up by ``_ind``; the join stops at
+    the first acyclic one.  Ø must not be a facet.
     """
     covered = 0
     for fm in masks:
@@ -242,13 +250,13 @@ def _sub_homology(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
         return {}
     out: HomologyVector = {-1: 1}
     for verts in _components(masks):
-        out = _join(out, _ind_homology(_relabelled(verts, masks), field))
+        out = _join(out, _ind(_relabelled(verts, masks), field))
         if not out:
             break
     return out
 
 
-def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector | None:
+def _split_homology(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVector | None:
     """Reduced homology of Ind of one connected shape by splitting on a vertex, or None.
 
     For a vertex v, the deletion del = Ind(H - v) is Ind of the facets
@@ -297,21 +305,47 @@ def _split_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector 
 
 
 @functools.lru_cache(maxsize=4096)
-def _ind_homology(shape: tuple[int, ...], field: FieldSpec) -> HomologyVector:
+def _ind_homology(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVector | None:
     """Reduced homology of Ind of one connected component's facet masks, memoised.
 
     The facets cover the bits 0..m-1, as ``_relabelled`` gives them.
     ``_split_homology`` recurses on the deletion and the link of a
-    vertex, whose components come back here, so every sub-shape shares
-    the memo: one least-recently-used cache of 4096 shapes, keyed by the
-    arguments, so each field keeps its own entries.  Every caller gets
-    the memo's own dict, to read and never to change.  The boundary-matrix
-    route ``_matrix_homology``, with its face budget, is taken for a
-    shape whose complement is small or on which no vertex splits.
+    vertex, whose components come back through ``_ind``, so every
+    sub-shape shares the memo: one least-recently-used cache of 4096
+    shapes, keyed by the arguments.  Every caller gets the memo's own
+    dict, to read and never to change.  The boundary-matrix route
+    ``_matrix_homology``, with its face budget, is taken for a shape
+    whose complement is small or on which no vertex splits.
+
+    The field None asks for the homology over every field.  Splitting,
+    joining and duality read the field only through the boundary-matrix
+    leaves, and a leaf reduced over the integers with pivots 1 and -1
+    alone has the same homology over every field (see ``homology``).  So
+    that entry is found by the same splitting with such leaves, or is
+    None once some leaf, or some sub-shape's entry, meets another pivot.
     """
-    out = _split_homology(shape, field)
+    try:
+        out = _split_homology(shape, field)
+        if out is None:
+            out = _matrix_homology(shape, field)
+    except homology._NonUnitPivot:
+        return None
+    return out
+
+
+def _ind(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVector:
+    """Reduced homology of Ind of a shape over the field: its every-field entry where it has one.
+
+    Only a shape whose every-field entry is None is looked up under the
+    field itself.  With the field None, such a shape raises
+    ``homology._NonUnitPivot``, so that the shape that asked gets None
+    too.
+    """
+    out = _ind_homology(shape, None)
     if out is None:
-        out = _matrix_homology(shape, field)
+        if field is None:
+            raise homology._NonUnitPivot
+        out = _ind_homology(shape, field)
     return out
 
 
@@ -364,11 +398,11 @@ def _union_search(
     facets inside it, so ``ind_of`` is a ``functools.cache`` keyed by
     that mask that lives as long as the search, and its ``cache_info()``
     counts the hits and misses.  Only a miss runs ``_relabelled``, whose
-    facets shifted down to bit 0, gaps closed, are the key of the shared
-    memo ``_ind_homology``, and stores that shape with its Ind in ``met``:
-    the field reaches the search only there.  A join that comes out
-    acyclic stays so for every union below, so the branch is dropped
-    there.  Once the first ``lead`` facets are decided, a branch whose
+    facets shifted down to bit 0, gaps closed, are looked up by ``_ind``
+    in the shared memo ``_ind_homology``, and stores that shape with its
+    Ind in ``met``: the field reaches the search only there.  A join that
+    comes out acyclic stays so for every union below, so the branch is
+    dropped there.  Once the first ``lead`` facets are decided, a branch whose
     union misses bit 0 is dropped too; only these facets may hold bit 0,
     and lead = 0 drops nothing.  The search keeps its own stack, which
     holds at most one entry per facet plus one, not Python recursion.
@@ -385,7 +419,7 @@ def _union_search(
 
     def evaluate(verts: int) -> HomologyVector:
         shape = _relabelled(verts, masks)
-        met[shape] = ind = _ind_homology(shape, field)
+        met[shape] = ind = _ind(shape, field)
         return ind
 
     ind_of = functools.cache(evaluate)
@@ -547,7 +581,7 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
         lead = sum(fm & 1 for fm in masks)
     # with no lead every weight is 1, and the frame is not read
     record = _search_memo(tuple(searched), lead, frame if lead else 0)
-    if not record or any(_ind_homology(shape, field) != ind for shape, ind in record[1].items()):
+    if not record or any(_ind(shape, field) != ind for shape, ind in record[1].items()):
         sums: dict[tuple[int, int], int] = {}
         met: dict[tuple[int, ...], HomologyVector] = {}
         for y, ind in _union_search(searched, field, lead, met):

@@ -10,14 +10,16 @@ homology computation with a twist"): a k-face that is the pivot row of
 a column of the map above reduces to zero in its own column, so it is
 skipped.
 
-Over GF(p) that is the whole computation.  Over the rationals the
-reduction first runs over GF(q), q = 2^61 - 1, a prime above every
-characteristic FieldSpec accepts.  For an integer matrix rank over Q is
-at least rank over GF(q), so each Q homology dimension is at most the
-GF(q) one, and the reduced Euler characteristic is the same over both
-fields; so when the GF(q) homology lies in at most one degree it is the
-Q homology.  Otherwise the same reduction runs over exact fractions.
-No floating point is used anywhere.
+Over GF(p) that is the whole computation.  Over the integers the same
+reduction runs for as long as every new pivot is 1 or -1; a column
+whose new pivot is -1 is negated.  Such an elimination is a unimodular
+column transform whose reduced columns keep a unit at distinct pivot
+rows over Q and mod every prime, so its pivot count is the rank over
+every field, clearing skips the same faces over every field, and the
+homology it gives holds over every field.  Over
+the rationals the elimination goes on over exact fractions from the
+first other pivot; in the every-field mode that pivot raises
+``_NonUnitPivot`` instead.  No floating point is used anywhere.
 
 The engine knows no complex type: faces are bitmasks, held level by
 level, ``levels[s]`` being the sorted faces of s vertices.  ``_levels``
@@ -40,8 +42,6 @@ HomologyVector = dict[int, int]
 # Most faces, the empty face included, one complex may have before its homology is refused.
 MAX_FACES = 1 << 20
 
-_CERTIFICATE_PRIME = (1 << 61) - 1
-
 
 class OracleCapError(RuntimeError):
     """An exact computation refused an input above one of its budgets.
@@ -49,6 +49,10 @@ class OracleCapError(RuntimeError):
     The budgets are the oracle's vertex cap and the faces of one complex
     (``MAX_FACES``).
     """
+
+
+class _NonUnitPivot(ArithmeticError):
+    """The every-field reduction met a pivot that is not 1 or -1, so its homology may depend on the field."""
 
 
 def _integer(value, what: str) -> int:
@@ -152,24 +156,36 @@ def _boundary(face: int, index: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
-    """Reduce the columns over GF(p), or over the rationals when p is 0.
+def _reduce(columns, p: int | None) -> dict[int, dict[int, int]]:
+    """Reduce the columns over GF(p), over the rationals when p is 0, over every field when p is None.
 
     Each column is cleared of its largest row by the stored column with
     that pivot row until the row is new, when the column is scaled to 1
     there (unless it is 1 already) and stored, or the column is empty.
-    Returns the stored columns by pivot row; their number is the rank.
+    When p is 0 or None the entries stay integers while every new pivot
+    is 1 or -1, which negates its column.  At another pivot the
+    rationals go on over exact fractions and p = None raises
+    ``_NonUnitPivot``.  Returns the stored columns by pivot row; their
+    number is the rank.
     """
-    if not p:
-        from fractions import Fraction  # only here, so that importing the package skips it
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         while col:
             low = max(col)
             pivot = pivots.get(low)
             if pivot is None:
-                if col[low] != 1:
-                    inv = pow(col[low], -1, p) if p else 1 / Fraction(col[low])
+                c = col[low]
+                if c != 1:
+                    if p:
+                        inv = pow(c, -1, p)
+                    elif c == -1:
+                        inv = -1
+                    elif p is None:
+                        raise _NonUnitPivot
+                    else:
+                        from fractions import Fraction  # only here, so that importing the package skips it
+
+                        inv = 1 / Fraction(c)
                     col = {r: v * inv % p if p else v * inv for r, v in col.items()}
                 pivots[low] = col
                 break
@@ -185,8 +201,8 @@ def _reduce(columns, p: int) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _homology(levels: list[list[int]], p: int) -> HomologyVector:
-    """Reduced homology of the faces over GF(p), or the rationals when p is 0.
+def _homology(levels: list[list[int]], p: int | None) -> HomologyVector:
+    """Reduced homology of the faces over GF(p), the rationals when p is 0, or every field when p is None.
 
     The map from level s to level s - 1 is reduced for s from the top
     down, skipping the faces that are pivot rows of the map above.
@@ -213,13 +229,8 @@ def levels_homology(levels: list[list[int]], field: FieldSpec = QQ) -> HomologyV
     ``levels[s]`` holds the faces of s vertices as bitmasks, sorted, and
     ``levels[0]`` is ``[0]``, the empty face, so ``[[0]]`` is the
     irrelevant complex, with homology ``{-1: 1}``; ``_levels`` builds
-    them from facet masks.  Over the rationals the GF(2^61 - 1) homology
-    is returned when it lies in at most one degree (see the module
-    docstring), else the homology over exact fractions.
+    them from facet masks.  Over the rationals the reduction stays in
+    the integers until its first pivot that is not 1 or -1 (see the
+    module docstring).
     """
-    p = field.characteristic
-    dims = _homology(levels, p or _CERTIFICATE_PRIME)
-    if not p and len(dims) > 1:
-        dims = _homology(levels, 0)
-    return dims
-
+    return _homology(levels, field.characteristic)

@@ -246,10 +246,11 @@ class TestOracleRoute:
     def test_the_splitting_shares_the_keys_of_the_scan(self, empty_ind_memo):
         # facets {0, 1}, {2, 3}, {3, 4} and {4, 5} on 6 vertices: the
         # splitting keys the path 2-3-4-5 as the scan keys the same path on
-        # bits 0..3, so looking that path up afterwards is a hit
+        # bits 0..3, under the field None of its every-field entry, so
+        # looking that path up afterwards is a hit
         assert betti_module._sub_homology([0b000011, 0b001100, 0b011000, 0b110000], 6, QQ) == {}
         hits = betti_module._ind_homology.cache_info().hits
-        betti_module._ind_homology((0b0011, 0b0110, 0b1100), QQ)
+        betti_module._ind_homology((0b0011, 0b0110, 0b1100), None)
         assert betti_module._ind_homology.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("first, second", [(GF2, QQ), (QQ, GF2)], ids=["GF2-then-QQ", "QQ-then-GF2"])
@@ -322,14 +323,14 @@ class TestOracleRoute:
         # with t = 9, which holds every subset of at most 8 vertices; the
         # complements of its facets have 3 vertices each.
         seen = []
-        homology = betti_module.levels_homology
+        homology = homology_module._homology
 
-        def recording(levels, field):
+        def recording(levels, p):
             seen.append(levels)
-            return homology(levels, field)
+            return homology(levels, p)
 
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
-        monkeypatch.setattr(betti_module, "levels_homology", recording)
+        monkeypatch.setattr(homology_module, "_homology", recording)
         spec = PathFamilySpec("cycle", 12, 9)
         assert betti_hochster(build_path_complex(spec)) == betti_closed_cycle(spec)
         assert seen and max(len(levels) - 2 for levels in seen) <= 2
@@ -345,7 +346,7 @@ class TestOracleRoute:
 
         monkeypatch.setattr(homology_module, "MAX_FACES", 100)
         monkeypatch.setattr(betti_module, "_split_homology", _no_split)
-        monkeypatch.setattr(betti_module, "levels_homology", unbuilt)
+        monkeypatch.setattr(homology_module, "_homology", unbuilt)
         cycle = tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10)))
         with pytest.raises(OracleCapError, match="more than 100 faces exceeds the face budget"):
             betti_module._ind_homology(cycle, QQ)
@@ -1153,6 +1154,50 @@ class TestIndSplitting:
                 levels_homology(_ind_by_brute_force(shape), field) == {1: 2, 2: 2}
             assert shape in taken
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
+
+
+FOUR_FIELDS = (QQ, GF2, FieldSpec(3), GF32003)
+
+
+def _rp2_ideal_shape() -> tuple[int, ...]:
+    """The facet masks of the RP2 ideal's full union: its Ind is RP2, whose homology depends on the field."""
+    return tuple(sorted(betti_module.facet_masks(_rp2_ideal())))
+
+
+class TestFieldFreeInd:
+    """One memo entry under the field None for a shape whose homology every field shares, and per field otherwise."""
+
+    @pytest.mark.parametrize("shape", [
+        tuple(sorted(1 << v | 1 << (v + 1) % 10 for v in range(10))),  # the 10-cycle, t = 2, split
+        tuple(0b111 << v for v in range(7)),  # the line on 9 vertices, t = 3
+        tuple(sorted(0b111111111 << v & 0xfff | 0b111111111 << v >> 12 for v in range(12))),  # the 12-cycle, t = 9
+    ], ids=["cycle-10-2", "line-9-3", "cycle-12-9"])
+    def test_a_shape_every_field_shares_costs_one_miss_over_four_fields(self, empty_ind_memo, shape):
+        levels = _ind_by_brute_force(shape)
+        assert betti_module._ind(shape, QQ) == levels_homology(levels, QQ)
+        misses = betti_module._ind_homology.cache_info().misses
+        assert betti_module._ind_homology(shape, None) is not None
+        for field in FOUR_FIELDS:
+            assert betti_module._ind(shape, field) == levels_homology(levels, field)
+        assert betti_module._ind_homology.cache_info().misses == misses
+
+    @pytest.mark.parametrize("first, second", [(QQ, GF2), (GF2, QQ)], ids=["QQ-then-GF2", "GF2-then-QQ"])
+    def test_the_full_union_of_the_rp2_ideal_is_found_per_field(self, empty_ind_memo, first, second):
+        shape = _rp2_ideal_shape()
+        levels = _ind_by_brute_force(shape)
+        assert levels_homology(levels, QQ) == {} and levels_homology(levels, GF2) == {1: 1, 2: 1}
+        for field in (first, second):
+            assert betti_module._ind(shape, field) == levels_homology(levels, field)
+        assert betti_module._ind_homology(shape, None) is None
+
+    @given(connected_antichains(), st.sampled_from(FOUR_FIELDS), st.sampled_from(FOUR_FIELDS))
+    @example(_rp2_ideal_shape(), QQ, GF2)
+    @example(_rp2_ideal_shape(), GF2, QQ)
+    @settings(max_examples=100, deadline=None)
+    def test_a_memo_warmed_over_another_field_gives_each_field_its_own_homology(self, shape, warm, asked):
+        betti_module._ind_homology.cache_clear()
+        betti_module._ind(shape, warm)
+        assert betti_module._ind(shape, asked) == levels_homology(_ind_by_brute_force(shape), asked)
 
 
 class TestComplementHomology:

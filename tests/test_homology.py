@@ -23,6 +23,9 @@ HOLLOW_TRIANGLE = make_complex((1, 2, 3), [(1, 2), (2, 3), (1, 3)])
 # Two points beside a hollow triangle: homology in degrees 0 and 1.
 S0_SQCUP_S1 = make_complex(range(1, 6), [(1,), (2,), (3, 4), (4, 5), (3, 5)])
 
+# The boundary of the 4-simplex.
+SPHERE_3 = make_complex(range(1, 6), [[v for v in range(1, 6) if v != skip] for skip in range(1, 6)])
+
 
 class TestFieldSpec:
     def test_rationals_and_primes_accepted(self):
@@ -104,6 +107,34 @@ def _reference_homology(delta: SimplicialComplex, p: int) -> dict[int, int]:
     return {k: h for k, h in dims.items() if h}
 
 
+def _stored_entry_types(monkeypatch) -> set[type]:
+    """Patch the reduction to collect the types of the entries of every column it stores."""
+    kinds: set[type] = set()
+    real = homology._reduce
+
+    def recording(columns, p):
+        pivots = real(columns, p)
+        kinds.update(type(v) for col in pivots.values() for v in col.values())
+        return pivots
+
+    monkeypatch.setattr(homology, "_reduce", recording)
+    return kinds
+
+
+def _reduced_column_counts(monkeypatch) -> list[int]:
+    """Patch the reduction to collect the number of columns of each map it is given."""
+    reduced: list[int] = []
+    real = homology._reduce
+
+    def counting(columns, p):
+        columns = list(columns)
+        reduced.append(len(columns))
+        return real(columns, p)
+
+    monkeypatch.setattr(homology, "_reduce", counting)
+    return reduced
+
+
 class TestReducedHomology:
     def test_irrelevant_complex(self):
         assert reduced_homology_dims(make_complex((), [()])) == {-1: 1}
@@ -154,14 +185,13 @@ class TestReducedHomology:
     @settings(max_examples=30, deadline=None)
     def test_field_independence_on_small_complexes(self, delta: SimplicialComplex):
         # not true for arbitrary complexes, but no torsion of order 32003
-        # fits on six vertices, so this flags rank-engine disagreements;
-        # QQ is certified over GF(2^61 - 1), never over GF(32003)
+        # fits on six vertices, so this flags rank-engine disagreements
         base = reduced_homology_dims(delta, QQ)
         assert reduced_homology_dims(delta, GF32003) == base
 
 
 class TestSparseEngine:
-    """The one column reduction, its rational certificate and its fraction fallback."""
+    """The one column reduction; over the rationals it goes from integers to fractions at a pivot that is no unit."""
 
     @pytest.mark.parametrize("field", FIELDS)
     @given(delta=small_complexes())
@@ -180,52 +210,60 @@ class TestSparseEngine:
     def test_real_projective_plane(self, field, expected):
         assert reduced_homology_dims(RP2, field) == expected
 
-    def test_rationals_over_two_degrees_take_the_fraction_path(self, monkeypatch):
-        calls = []
-        real = homology._homology
+    @pytest.mark.parametrize("delta, expected", [
+        (S0_SQCUP_S1, {0: 2, 1: 1}),
+        (HOLLOW_TRIANGLE, {1: 1}),
+        (make_complex((1, 2, 3), [(1,), (2,), (3,)]), {0: 2}),
+    ], ids=["s0-sqcup-s1", "circle", "three-points"])
+    def test_rationals_stay_in_the_integers_while_every_pivot_is_a_unit(self, monkeypatch, delta, expected):
+        kinds = _stored_entry_types(monkeypatch)
+        assert reduced_homology_dims(delta, QQ) == expected
+        assert kinds == {int}
 
-        def spy(levels, p):
-            calls.append(p)
-            return real(levels, p)
-
-        monkeypatch.setattr(homology, "_homology", spy)
-        assert reduced_homology_dims(S0_SQCUP_S1, QQ) == {0: 2, 1: 1}
-        assert calls == [homology._CERTIFICATE_PRIME, 0]
-
-    @pytest.mark.parametrize("delta", [HOLLOW_TRIANGLE, RP2, make_complex((1, 2, 3), [(1,), (2,), (3,)])],
-                             ids=["circle", "rp2", "three-points"])
-    def test_rationals_in_one_degree_are_certified_over_the_large_prime(self, monkeypatch, delta):
-        calls = []
-        real = homology._homology
-
-        def spy(levels, p):
-            calls.append(p)
-            return real(levels, p)
-
-        monkeypatch.setattr(homology, "_homology", spy)
-        reduced_homology_dims(delta, QQ)
-        assert calls == [homology._CERTIFICATE_PRIME]
+    def test_rationals_go_on_over_fractions_from_a_pivot_that_is_no_unit(self, monkeypatch):
+        # RP2's boundary maps meet the pivot 2 over the integers
+        kinds = _stored_entry_types(monkeypatch)
+        assert reduced_homology_dims(RP2, QQ) == {}
+        assert Fraction in kinds
 
     def test_clearing_skips_the_pivot_rows_of_the_map_above(self, monkeypatch):
         # the 3-sphere bounding a 4-simplex: 5 tetrahedra, 10 triangles, 10
         # edges, 5 vertices; the maps from them have ranks 4, 6, 4 and 1, so
         # 5 + (10 - 4) + (10 - 6) + (5 - 4) columns are reduced, not all 30
-        reduced = []
-        real = homology._reduce
-
-        def counting(columns, p):
-            columns = list(columns)
-            reduced.append(len(columns))
-            return real(columns, p)
-
-        monkeypatch.setattr(homology, "_reduce", counting)
-        sphere = make_complex(range(1, 6), [[v for v in range(1, 6) if v != skip] for skip in range(1, 6)])
-        assert reduced_homology_dims(sphere, GF32003) == {3: 1}
+        reduced = _reduced_column_counts(monkeypatch)
+        assert reduced_homology_dims(SPHERE_3, GF32003) == {3: 1}
         assert reduced == [5, 6, 4, 1]
 
-    def test_certificate_prime_is_no_user_field(self):
-        with pytest.raises(ValueError):
-            FieldSpec(homology._CERTIFICATE_PRIME)
+
+class TestEveryFieldElimination:
+    """The reduction over the integers with pivots 1 and -1 only, whose homology holds over every field."""
+
+    def test_raises_at_the_pivot_2_of_rp2(self):
+        with pytest.raises(homology._NonUnitPivot):
+            homology._homology(homology._levels(facet_masks(RP2)), None)
+
+    @pytest.mark.parametrize("delta, expected", [
+        (SPHERE_3, {3: 1}), (HOLLOW_TRIANGLE, {1: 1}), (S0_SQCUP_S1, {0: 2, 1: 1}),
+    ], ids=["3-sphere", "circle", "s0-sqcup-s1"])
+    def test_gives_the_homology_every_field_shares(self, delta, expected):
+        assert homology._homology(homology._levels(facet_masks(delta)), None) == expected
+        for p in (0, 2, 3, 32003):
+            assert _reference_homology(delta, p) == expected
+
+    def test_clearing_skips_the_same_columns(self, monkeypatch):
+        reduced = _reduced_column_counts(monkeypatch)
+        assert homology._homology(homology._levels(facet_masks(SPHERE_3)), None) == {3: 1}
+        assert reduced == [5, 6, 4, 1]
+
+    @given(small_complexes(allow_void=False))
+    @settings(max_examples=40, deadline=None)
+    def test_raises_or_matches_the_dense_reference_over_every_field(self, delta: SimplicialComplex):
+        try:
+            common = homology._homology(homology._levels(facet_masks(delta)), None)
+        except homology._NonUnitPivot:
+            return
+        for p in (0, 2, 3, 32003):
+            assert _reference_homology(delta, p) == common
 
 
 def test_package_imports_without_numpy():

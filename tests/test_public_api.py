@@ -189,15 +189,16 @@ class TestStartupImports:
     def test_the_package_alone_loads_no_argparse_either(self):
         assert _after("import pathbetti", HEAVY + ("argparse",)) == ([], [])
 
-    def test_the_exact_fraction_fallback_loads_fractions_when_it_runs(self):
-        # the shape on which no vertex splits (tests/test_betti.py): its Ind has homology
-        # in two degrees, so over the rationals the certificate prime does not settle it
+    def test_fractions_load_at_the_first_pivot_that_is_no_unit(self):
+        # the shape on which no vertex splits (tests/test_betti.py) has homology in two degrees
+        # and only unit pivots, so it stays in the integers; RP2's pivot 2 switches to fractions
         code = (
-            "from pathbetti import QQ, betti\n"
-            "assert 'fractions' not in sys.modules\n"
-            "print(sorted(betti._matrix_homology((13, 14, 19, 20, 26, 39, 44, 48, 66, 68, 73), QQ).items()))"
+            "from pathbetti import QQ, betti, homology\n"
+            "print(sorted(betti._matrix_homology((13, 14, 19, 20, 26, 39, 44, 48, 66, 68, 73), QQ).items()))\n"
+            "print('fractions' in sys.modules)\n"
+            "print(homology.levels_homology(homology._levels([7, 35, 13, 25, 49, 22, 26, 42, 44, 52]), QQ))"
         )
-        assert _after(code, ("fractions",)) == (["[(1, 2), (2, 2)]"], ["fractions"])
+        assert _after(code, ("fractions",)) == (["[(1, 2), (2, 2)]", "False", "{}"], ["fractions"])
 
 
 def _library_block() -> str:

@@ -18,30 +18,34 @@ component is relabelled at most once per scan, and a component whose
 Ind is acyclic drops its whole branch.  When the facets are closed
 under moving each facet one vertex up or down where it fits, as the
 line's are, only the unions through vertex 0 are searched, each
-weighted by its n - hi(Y) translates.  Ind's homology comes from link/deletion splitting on a
-vertex, which recurses on smaller shapes through one memo, a
-``functools.lru_cache`` of 4096 shapes that drops the least recently
-used.  A shape whose complement is small, or on which no vertex splits,
-has its homology read off the boundary-matrix ranks of its own
-complement instead, moved to Ind by Alexander duality.  The join
-formula combines the components, and Alexander duality passes to the
-complement.  ``_sub_homology`` is the one join over the components of
-a facet set, for the splitting's sub-shapes, ``complement_homology``
-and the full vertex set of a rotation-invariant facet set, whose term
-the oracle reads from Ind at the key every union uses, and every
-component, the search's too, is keyed in the memo by its
-facets shifted down to bit 0 with the gaps between its vertices closed
-(``_relabelled``).  The face budget is checked in one place, where
-``homology._levels`` counts a complement's faces.  A field reaches
-Ind's homology only at those boundary-matrix leaves, so a shape is
-first asked for under the field None (``_ind``): the splitting with
-leaves reduced over the integers, which holds over every field when
-every pivot is 1 or -1, and is None otherwise.  Only then is the shape
-found over the field itself, as the RP2 ideal's full union is.  One
-search serves every field and the cycle from the line: ``_search_memo``
-keeps the sums of the last 64 searches with the shapes each met, and
-another field reuses them where every one of those shapes has the same
-Ind, the only way a field reaches the search.
+weighted by its n - hi(Y) translates.  Ind's homology comes from
+link/deletion splitting on a vertex, which recurses on smaller shapes
+through one memo, a ``functools.lru_cache`` of 4096 shapes that drops
+the least recently used.  A shape whose complement is small, or on
+which no vertex splits, has its homology read off the boundary-matrix
+ranks of its own complement instead, moved to Ind by Alexander
+duality.  The join formula combines the components, and Alexander
+duality passes to the complement.  ``_sub_homology`` is the one join
+over the components of a facet set, for the splitting's sub-shapes,
+``complement_homology`` and the full vertex set of a rotation-invariant
+facet set, whose term the oracle reads from Ind at the key every union
+uses, and every component, the search's too, is keyed in the memo by
+its facets shifted down to bit 0 with the gaps between its vertices
+closed (``_relabelled``).  The face budget is checked in one place,
+where ``homology._levels`` counts a complement's faces.
+
+Both memos follow one rule: an entry is asked for under the field None
+first, and under the field itself only when that entry is None.  A
+field reaches Ind's homology only at the boundary-matrix leaves, so
+Ind's None entry (``_ind``) is the splitting with leaves reduced over
+the integers, which holds over every field when every pivot is 1 or
+-1, and is None otherwise.  A field reaches the search only through
+the Ind of the shapes it meets, so the search's None entry
+(``_search_sums``, 64 searches) holds over every field when every shape
+it meets has a None entry of its own, and is None otherwise, as for
+the RP2 ideal's full union.  One search thus serves every field, and
+the cycle reuses the line's.
+
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, walked from entry to entry by one
 exact ratio, in time polynomial in n, and its top-degree value for the
@@ -382,9 +386,7 @@ def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> Homo
     return {m - d - 3: dim for d, dim in _sub_homology(masks, m, field).items()}
 
 
-def _union_search(
-    masks: list[int], field: FieldSpec, lead: int = 0, met: dict | None = None,
-) -> Iterator[tuple[int, HomologyVector]]:
+def _union_search(masks: list[int], field: FieldSpec | None, lead: int = 0) -> Iterator[tuple[int, HomologyVector]]:
     """Each nonempty union of the facets Y whose Ind is not acyclic, with that Ind's homology.
 
     A depth-first search includes or excludes the facets in their order.
@@ -399,10 +401,11 @@ def _union_search(
     that mask that lives as long as the search, and its ``cache_info()``
     counts the hits and misses.  Only a miss runs ``_relabelled``, whose
     facets shifted down to bit 0, gaps closed, are looked up by ``_ind``
-    in the shared memo ``_ind_homology``, and stores that shape with its
-    Ind in ``met``: the field reaches the search only there.  A join that
-    comes out acyclic stays so for every union below, so the branch is
-    dropped there.  Once the first ``lead`` facets are decided, a branch whose
+    in the shared memo ``_ind_homology``.  The field reaches the search
+    only there: with the field None, a shape whose Ind has no every-field
+    entry raises ``homology._NonUnitPivot``.  A join that comes out
+    acyclic stays so for every union below, so the branch is dropped
+    there.  Once the first ``lead`` facets are decided, a branch whose
     union misses bit 0 is dropped too; only these facets may hold bit 0,
     and lead = 0 drops nothing.  The search keeps its own stack, which
     holds at most one entry per facet plus one, not Python recursion.
@@ -415,14 +418,7 @@ def _union_search(
     steps = [(fm, after[i], [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
     stack: list[tuple[int, int, tuple[int, ...], HomologyVector]] = [(0, 0, (), {-1: 1})]
     push, pop = stack.append, stack.pop
-    met = {} if met is None else met
-
-    def evaluate(verts: int) -> HomologyVector:
-        shape = _relabelled(verts, masks)
-        met[shape] = ind = _ind(shape, field)
-        return ind
-
-    ind_of = functools.cache(evaluate)
+    ind_of = functools.cache(lambda verts: _ind(_relabelled(verts, masks), field))
     while stack:
         i, union, comps, ind = pop()
         if i == count:
@@ -492,16 +488,32 @@ def _cycle_counts(n: int, counts: dict[tuple[int, int], int]) -> dict[tuple[int,
 
 
 @functools.lru_cache(maxsize=64)
-def _search_memo(searched: tuple[int, ...], lead: int, frame: int) -> list:
-    """The slot of one union search's record, empty until ``betti_hochster`` fills it.
+def _search_sums(searched: tuple[int, ...], lead: int, frame: int, field: FieldSpec | None) -> dict | None:
+    """The (i, j) sums of one union search over the field, memoised, or None.
 
-    The record is [sums, met]: the (i, j) sums, and the Ind homology of
-    every shape the search's ``ind_of`` evaluated, over the field it ran
-    on.  The key is all the sums depend on: the facets in their searched
-    order, ``lead`` and the frame that the translation weight reads.  One
-    least-recently-used cache of 64 slots holds them, process-wide.
+    Each union Y that ``_union_search`` yields adds H_d of its Ind at
+    the key (|Y| - d - 1, |Y|), times the n - hi(Y) translates that fit
+    in the frame when ``lead`` is nonzero.  The key is all the sums
+    depend on: the facets in their searched order, ``lead``, the frame
+    that the weight reads and the field.  With the field None the sums
+    hold over every field, and a search that meets a shape without an
+    every-field Ind is refused with None, which is kept as well.  One
+    least-recently-used cache of 64 searches holds them, process-wide.
+    Every caller gets the memo's own dict, to read and never to change.
     """
-    return []
+    sums: dict[tuple[int, int], int] = {}
+    try:
+        for y, ind in _union_search(searched, field, lead):
+            size = y.bit_count()
+            # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
+            weight = frame + 1 - y.bit_length() if lead else 1
+            for d, dim in ind.items():
+                # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
+                key = (size - d - 1, size)
+                sums[key] = sums.get(key, 0) + dim * weight
+    except homology._NonUnitPivot:
+        return None
+    return sums
 
 
 def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTable:
@@ -539,19 +551,18 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0, so the search
     reaches only the unions holding 0 and missing n - 1.
 
-    The sums are searched once per facet order, lead and frame, and kept
-    in ``_search_memo`` with the shapes the search met and their Ind over
-    its field.  The search reads the field only through those Ind: it
-    joins them and drops a branch where a join is acyclic.  So over a
-    field F on which every met shape has the same Ind, the search would
-    meet the same shapes, drop the same branches and yield the same
-    weighted unions, and the sums are reused; otherwise it runs over F
-    and replaces the record.  No field independence is assumed: the
-    facets of RP2's Stanley-Reisner ideal, whose full union has Ind RP2,
-    search again between Q and GF(2).  The cycle's facets missing vertex
-    n - 1 are the line's on n - 1 vertices, so a cycle reuses that line's
-    record; its full-set term and ``_cycle_counts`` are taken on every
-    call.
+    The sums come from ``_search_sums``, asked for under the field None
+    first, as ``_ind`` asks for Ind.  The search reads the field only
+    through the Ind of the shapes it meets: it joins them and drops a
+    branch where a join is acyclic.  A search over None meets only
+    shapes whose Ind holds over every field, so its sums hold over every
+    field too.  Any other shape refuses it, and the search runs over the
+    field itself.  No field independence is assumed: the facets of
+    RP2's Stanley-Reisner ideal, whose full union has Ind RP2, are
+    refused under None and searched once per field.  The cycle's facets
+    missing vertex n - 1 are the line's on n - 1 vertices, so a cycle
+    reuses that line's sums; its full-set term and ``_cycle_counts`` are
+    taken on every call.
 
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
@@ -580,20 +591,10 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
         searched = sorted(masks, key=lambda fm: not fm & 1)
         lead = sum(fm & 1 for fm in masks)
     # with no lead every weight is 1, and the frame is not read
-    record = _search_memo(tuple(searched), lead, frame if lead else 0)
-    if not record or any(_ind(shape, field) != ind for shape, ind in record[1].items()):
-        sums: dict[tuple[int, int], int] = {}
-        met: dict[tuple[int, ...], HomologyVector] = {}
-        for y, ind in _union_search(searched, field, lead, met):
-            size = y.bit_count()
-            # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
-            weight = frame + 1 - y.bit_length() if lead else 1
-            for d, dim in ind.items():
-                # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
-                key = (size - d - 1, size)
-                sums[key] = sums.get(key, 0) + dim * weight
-        record[:] = sums, met
-    sums = record[0]
+    key = tuple(searched), lead, frame if lead else 0
+    sums = _search_sums(*key, None)
+    if sums is None:
+        sums = _search_sums(*key, field)
     if rotating:
         sums = _cycle_counts(frame + 1, sums) | whole
     return BettiTable({key: (value, "oracle") for key, value in sums.items()})

@@ -8,10 +8,10 @@ from pathbetti import SimplicialComplex, betti, make_complex
 
 @pytest.fixture(autouse=True)
 def empty_search_memo():
-    """The memo of union searches, emptied around every test, so that no search's record outlives its test."""
-    betti._search_memo.cache_clear()
+    """The memo of union searches, emptied around every test, so that no search's sums outlive their test."""
+    betti._search_sums.cache_clear()
     yield
-    betti._search_memo.cache_clear()
+    betti._search_sums.cache_clear()
 
 
 @pytest.fixture

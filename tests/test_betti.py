@@ -449,8 +449,8 @@ class TestOracleRoute:
 
 
 def _without_search_memo(monkeypatch) -> None:
-    """Give every ``betti_hochster`` call an empty record slot, so that each call starts its own search."""
-    monkeypatch.setattr(betti_module, "_search_memo", lambda *key: [])
+    """Run ``_search_sums`` without its memo, so that every ``betti_hochster`` call starts its own search."""
+    monkeypatch.setattr(betti_module, "_search_sums", betti_module._search_sums.__wrapped__)
 
 
 def _count_search_relabels(monkeypatch) -> list[int]:
@@ -606,18 +606,17 @@ def circulant_complexes(draw) -> SimplicialComplex:
     return make_complex(range(1, n + 1), facets)
 
 
-def _searches(monkeypatch) -> list[tuple[list[int], int]]:
-    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts; every call searches."""
-    calls = []
+def _started(monkeypatch) -> list[tuple[list[int], int]]:
+    """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
+    started = []
     search = betti_module._union_search
 
-    def recording(masks, field, lead=0, met=None):
-        calls.append((list(masks), lead))
-        return search(masks, field, lead, met)
+    def recording(masks, field, lead=0):
+        started.append((list(masks), lead))
+        return search(masks, field, lead)
 
     monkeypatch.setattr(betti_module, "_union_search", recording)
-    _without_search_memo(monkeypatch)
-    return calls
+    return started
 
 
 class TestRotationRoute:
@@ -631,7 +630,8 @@ class TestRotationRoute:
     def test_matches_the_direct_complement_route(self, delta):
         n = len(delta.ambient)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = _searches(monkeypatch)
+            _without_search_memo(monkeypatch)
+            calls = _started(monkeypatch)
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         assert calls and all(not fm >> n - 1 for masks, _ in calls for fm in masks)
@@ -639,16 +639,22 @@ class TestRotationRoute:
     @given(circulant_complexes())
     @example(make_complex(range(1, 6), [(v,) for v in range(1, 6)]))
     @example(make_complex(range(1, 8), combinations(range(1, 8), 2)))
+    @example(make_complex(range(1, 12), [sorted((v + k) % 11 + 1 for v in (0, 3, 5, 6, 7)) for k in range(11)]))
     @settings(max_examples=40, deadline=None)
     def test_searches_the_facets_missing_the_last_vertex_on_the_others(self, delta):
         # one translation search on the other n - 1 vertices, even when the
-        # facets left rotate again, as single vertices do
+        # facets left rotate again, as single vertices do; a search refused
+        # under every field, as the 11-vertex example's is, runs once more
+        # over GF(2)
         n = len(delta.ambient)
         masks = betti_module.facet_masks(delta)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = _searches(monkeypatch)
+            _without_search_memo(monkeypatch)
+            calls = _started(monkeypatch)
             betti_hochster(delta, GF2)
-        [(searched, lead)] = calls
+        (searched, lead), *again = calls
+        refused = betti_module._search_sums(tuple(searched), lead, n - 1 if lead else 0, None) is None
+        assert again == ([(searched, lead)] if refused else [])
         assert sorted(searched) == sorted(fm for fm in masks if not fm >> n - 1)
         assert lead == sum(1 for fm in searched if fm & 1)
         assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
@@ -670,7 +676,8 @@ class TestRotationRoute:
         # vertex too; the line takes the translation route, whose lead is its
         # one facet through 0
         delta = make_complex(range(1, 9), facets)
-        calls = _searches(monkeypatch)
+        _without_search_memo(monkeypatch)
+        calls = _started(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         assert [found for _, found in calls] == [lead, lead]
@@ -684,14 +691,16 @@ class TestRotationRoute:
     ], ids=["one-vertex", "two-vertices", "five-vertices", "cycle-5-5"])
     def test_a_facet_on_every_vertex(self, monkeypatch, delta):
         # the only union is the full one, which the search never reaches
-        calls = _searches(monkeypatch)
+        _without_search_memo(monkeypatch)
+        calls = _started(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field).entries == {(1, len(delta.ambient)): 1}
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         assert calls and all(masks == [] for masks, _ in calls)
 
     def test_the_void_complex(self, monkeypatch):
-        calls = _searches(monkeypatch)
+        _without_search_memo(monkeypatch)
+        calls = _started(monkeypatch)
         assert betti_hochster(make_complex((1, 2, 3), []), GF2).entries == {}
         assert calls == [([], 0)]
 
@@ -777,7 +786,8 @@ class TestTranslationRoute:
     def test_matches_the_direct_complement_route(self, delta):
         masks = betti_module.facet_masks(delta)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = _searches(monkeypatch)
+            _without_search_memo(monkeypatch)
+            calls = _started(monkeypatch)
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         # a rotating complex is searched on the facets missing its last
@@ -802,7 +812,8 @@ class TestTranslationRoute:
     ], ids=["line-without-an-inner-facet", "cycle-without-a-facet"])
     def test_is_not_taken_without_shift_closure(self, monkeypatch, facets):
         delta = make_complex(range(1, 9), facets)
-        calls = _searches(monkeypatch)
+        _without_search_memo(monkeypatch)
+        calls = _started(monkeypatch)
         for field in (QQ, GF2):
             assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         assert calls == [(betti_module.facet_masks(delta), 0)] * 2
@@ -810,7 +821,8 @@ class TestTranslationRoute:
     def test_cycles_keep_the_rotation_route(self, monkeypatch):
         # the t facets through the last vertex are dropped and the rest,
         # the line's on n - 1 vertices, are searched
-        calls = _searches(monkeypatch)
+        _without_search_memo(monkeypatch)
+        calls = _started(monkeypatch)
         for n in range(3, 12):
             for t in range(2, n):
                 calls.clear()
@@ -833,27 +845,14 @@ class TestTranslationRoute:
         assert len(yielded) == 836 and all(y & 1 and not y >> 15 for y in yielded)
 
 
-def _started(monkeypatch) -> list[list[int]]:
-    """The facets of every ``_union_search`` that ``betti_hochster`` starts, recorded; the search memo stays in use."""
-    started = []
-    search = betti_module._union_search
-
-    def recording(masks, *args):
-        started.append(list(masks))
-        return search(masks, *args)
-
-    monkeypatch.setattr(betti_module, "_union_search", recording)
-    return started
-
-
 def _fresh(delta: SimplicialComplex, field: FieldSpec) -> list[tuple[int, int, int, str]]:
     """The items of the oracle's table from a call made with the search memo emptied first."""
-    betti_module._search_memo.cache_clear()
+    betti_module._search_sums.cache_clear()
     return betti_hochster(delta, field).items()
 
 
 class TestSearchMemo:
-    """One search per facet set, lead and frame, reused over another field only where every shape it met agrees."""
+    """One search per facet set, lead and frame under the field None, and one per field where that one is refused."""
 
     def test_every_cycle_and_line_in_a_shuffled_order_over_four_fields(self):
         calls = [
@@ -864,10 +863,10 @@ class TestSearchMemo:
         want = [_fresh(delta, field) for delta, field in calls]
         order = list(range(len(calls)))
         random.Random(32).shuffle(order)
-        betti_module._search_memo.cache_clear()
+        betti_module._search_sums.cache_clear()
         got = {k: betti_hochster(*calls[k]).items() for k in order}
         assert [got[k] for k in range(len(calls))] == want
-        assert betti_module._search_memo.cache_info().hits > len(calls) / 2
+        assert betti_module._search_sums.cache_info().hits > len(calls) / 2
 
     @given(small_antichains())
     @example(_rp2_ideal())
@@ -875,18 +874,46 @@ class TestSearchMemo:
     def test_random_antichains_over_two_fields_in_both_orders(self, delta):
         want = {field: _fresh(delta, field) for field in (QQ, GF2)}
         for fields in ((QQ, GF2), (GF2, QQ)):
-            betti_module._search_memo.cache_clear()
+            betti_module._search_sums.cache_clear()
             assert [betti_hochster(delta, field).items() for field in fields] == [want[field] for field in fields]
 
     @pytest.mark.parametrize("first, second", [(GF2, QQ), (QQ, GF2)], ids=["GF2-then-QQ", "QQ-then-GF2"])
     def test_a_shape_whose_ind_differs_over_the_second_field_starts_its_own_search(self, monkeypatch, first, second):
-        # the full union's Ind is RP2, acyclic over Q but not over GF(2)
+        # the full union's Ind is RP2, acyclic over Q but not over GF(2): one
+        # search refused under every field, then one search per field
         delta = _rp2_ideal()
         started = _started(monkeypatch)
         betti_hochster(delta, first)
         table = betti_hochster(delta, second)
-        assert len(started) == 2
+        assert len(started) == 3
         assert table.items() == _fresh(delta, second)
+
+    def test_the_rp2_ideal_searches_once_per_field_and_keeps_its_refusal(self, monkeypatch):
+        # alternating fields search no field twice, and the refused
+        # every-field search is kept as a None that later calls hit
+        delta = _rp2_ideal()
+        fields = (QQ, GF2, QQ, GF2, FieldSpec(3))
+        want = [_fresh(delta, field) for field in fields]
+        memo = betti_module._search_sums
+        memo.cache_clear()
+        started = _started(monkeypatch)
+        assert [betti_hochster(delta, field).items() for field in fields] == want
+        assert len(started) == 4
+        searched, lead = started[0]
+        assert searched == betti_module.facet_masks(delta) and lead == 0
+        hits = memo.cache_info().hits
+        assert memo(tuple(searched), lead, 0, None) is None
+        assert memo.cache_info().hits == hits + 1
+
+    def test_a_field_free_facet_set_searches_once_for_every_field(self, monkeypatch):
+        spec = PathFamilySpec("cycle", 9, 2)
+        delta = build_path_complex(spec)
+        memo = betti_module._search_sums
+        started = _started(monkeypatch)
+        for field in (QQ, GF2, FieldSpec(3), GF32003):
+            assert betti_hochster(delta, field) == betti_closed_cycle(spec)
+        assert len(started) == 1
+        assert memo.cache_info()[:2] == (3, 1)
 
     def test_a_cycle_after_the_line_on_one_vertex_fewer_starts_no_search(self, monkeypatch):
         # the facets of the cycle (n, t) that miss vertex n - 1 are the line's (n - 1, t), in its order; at
@@ -902,7 +929,7 @@ class TestSearchMemo:
                 assert len(started) == searches, (n, t)
 
     def test_the_memo_stays_within_its_bound(self):
-        memo = betti_module._search_memo
+        memo = betti_module._search_sums
         bound = memo.cache_info().maxsize
         assert bound == 64
         # one edge on 14 vertices each: distinct facet sets, each one search

@@ -34,17 +34,17 @@ its facets shifted down to bit 0 with the gaps between its vertices
 closed (``_relabelled``).  The face budget is checked in one place,
 where ``homology._levels`` counts a complement's faces.
 
-Both memos follow one rule: an entry is asked for under the field None
-first, and under the field itself only when that entry is None.  A
-field reaches Ind's homology only at the boundary-matrix leaves, so
-Ind's None entry (``_ind``) is the splitting with leaves reduced over
-the integers, which holds over every field when every pivot is 1 or
--1, and is None otherwise.  A field reaches the search only through
-the Ind of the shapes it meets, so the search's None entry
-(``_search_sums``, 64 searches) holds over every field when every shape
-it meets has a None entry of its own, and is None otherwise, as for
-the RP2 ideal's full union.  One search thus serves every field, and
-the cycle reuses the line's.
+Both memos follow one rule, ``_every_field``: an entry is asked for
+under the field None first, and under the field itself only when that
+entry is None.  A field reaches Ind's homology only at the
+boundary-matrix leaves, so Ind's None entry (``_ind``) is the splitting
+with leaves reduced over the integers, which holds over every field
+when every pivot is 1 or -1, and is None otherwise.  A field reaches
+the oracle's sums only through the Ind of the shapes they meet, so
+their None entry (``_oracle_sums``, 64 facet sets) holds over every
+field when every shape met has a None entry of its own, and is None
+otherwise, as for the RP2 ideal's full union.  One entry thus serves
+every field and every repeat, and the cycle's asks for the line's.
 
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, walked from entry to entry by one
@@ -55,7 +55,7 @@ cycle is explicit.  Either route checks the other.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from math import comb
 from operator import itemgetter
 
@@ -82,8 +82,8 @@ def check_vertex_cap(count: int) -> None:
 
 def facet_masks(delta: SimplicialComplex) -> list[int]:
     """The facets as bitmasks: bit b stands for the b-th ambient vertex."""
-    position = {v: b for b, v in enumerate(delta.ambient)}
-    return [sum(1 << position[v] for v in f) for f in delta.facets]
+    bit = {v: 1 << b for b, v in enumerate(delta.ambient)}
+    return [sum(map(bit.__getitem__, f)) for f in delta.facets]
 
 
 class BettiTable:
@@ -337,20 +337,26 @@ def _ind_homology(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVe
     return out
 
 
-def _ind(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVector:
-    """Reduced homology of Ind of a shape over the field: its every-field entry where it has one.
+def _every_field(memo: Callable[..., dict | None], field: FieldSpec | None, *key) -> dict:
+    """The memo's entry for the key over the field: its every-field entry where it has one.
 
-    Only a shape whose every-field entry is None is looked up under the
-    field itself.  With the field None, such a shape raises
-    ``homology._NonUnitPivot``, so that the shape that asked gets None
-    too.
+    Only a key whose every-field entry, ``memo(*key, None)``, is None is
+    looked up under the field itself.  With the field None, such a key
+    raises ``homology._NonUnitPivot``, so that the entry that asked is
+    None too.  ``_ind`` and the oracle's ``_oracle_sums`` follow this one
+    rule.
     """
-    out = _ind_homology(shape, None)
+    out = memo(*key, None)
     if out is None:
         if field is None:
             raise homology._NonUnitPivot
-        out = _ind_homology(shape, field)
+        out = memo(*key, field)
     return out
+
+
+def _ind(shape: tuple[int, ...], field: FieldSpec | None) -> HomologyVector:
+    """Reduced homology of Ind of a shape over the field, from ``_ind_homology`` by ``_every_field``."""
+    return _every_field(_ind_homology, field, shape)
 
 
 def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:
@@ -488,21 +494,39 @@ def _cycle_counts(n: int, counts: dict[tuple[int, int], int]) -> dict[tuple[int,
 
 
 @functools.lru_cache(maxsize=64)
-def _search_sums(searched: tuple[int, ...], lead: int, frame: int, field: FieldSpec | None) -> dict | None:
-    """The (i, j) sums of one union search over the field, memoised, or None.
+def _oracle_sums(masks: tuple[int, ...], frame: int, field: FieldSpec | None) -> dict | None:
+    """The (i, j) sums of the oracle's table for the facet masks on ``frame`` vertices, memoised, or None.
 
-    Each union Y that ``_union_search`` yields adds H_d of its Ind at
-    the key (|Y| - d - 1, |Y|), times the n - hi(Y) translates that fit
-    in the frame when ``lead`` is nonzero.  The key is all the sums
-    depend on: the facets in their searched order, ``lead``, the frame
-    that the weight reads and the field.  With the field None the sums
-    hold over every field, and a search that meets a shape without an
-    every-field Ind is refused with None, which is kept as well.  One
-    least-recently-used cache of 64 searches holds them, process-wide.
-    Every caller gets the memo's own dict, to read and never to change.
+    When the facets are invariant under rotating the frame's vertices by
+    one place, the full vertex set adds its term from ``_sub_homology``,
+    and the entries below degree n are those of the facets that miss
+    vertex n - 1, asked for from this memo by ``_every_field`` on the
+    other n - 1 vertices and scaled by ``_cycle_counts``.  Otherwise
+    each union Y that ``_union_search`` yields adds H_d of its Ind at the
+    key (|Y| - d - 1, |Y|), times the n - hi(Y) translates that fit in
+    the frame when the facets are shift-closed and those through vertex
+    0 lead the search.  The key is all the sums depend on: the facets in
+    their order, the frame and the field.  With the field None the sums
+    hold over every field, and a term or a search that meets a shape
+    without an every-field Ind is refused with None, which is kept as
+    well.  One least-recently-used cache of 64 facet sets holds them,
+    process-wide.  Every caller gets the memo's own dict, to read and
+    never to change.  Ø must not be a facet.
     """
-    sums: dict[tuple[int, int], int] = {}
     try:
+        full = (1 << frame) - 1
+        if masks and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks):
+            # the full vertex set's term, keyed as every union's is below
+            whole = {(frame - d - 1, frame): dim for d, dim in _sub_homology(masks, frame, field).items()}
+            below = _every_field(_oracle_sums, field, tuple(fm for fm in masks if not fm >> frame - 1), frame - 1)
+            return _cycle_counts(frame, below) | whole
+        top = 1 << frame >> 1
+        lead, searched = 0, masks
+        if sorted(fm << 1 for fm in masks if not fm & top) == sorted(fm for fm in masks if not fm & 1):
+            # the facets through vertex 0 first, each part in its own order
+            searched = sorted(masks, key=lambda fm: not fm & 1)
+            lead = sum(fm & 1 for fm in masks)
+        sums: dict[tuple[int, int], int] = {}
         for y, ind in _union_search(searched, field, lead):
             size = y.bit_count()
             # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
@@ -546,23 +570,26 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     once, from the Ind of all the facets by ``_sub_homology``, at the key
     (n - d - 1, n) that every union's H_d(Ind) takes, and goes into the
     table with the sums.  The entries below degree n are those of the
-    facets that miss vertex n - 1, searched on the other n - 1 vertices
-    and scaled by ``_cycle_counts``.  Those facets are shift-closed, since F avoids
+    facets that miss vertex n - 1, on the other n - 1 vertices, scaled
+    by ``_cycle_counts``.  Those facets are shift-closed, since F avoids
     n - 2 and n - 1 exactly when F + 1 avoids n - 1 and 0, so the search
-    reaches only the unions holding 0 and missing n - 1.
+    reaches only the unions holding 0 and missing n - 1.  Where they
+    rotate in turn on the n - 1 vertices, as single vertices do, they
+    take this route again.
 
-    The sums come from ``_search_sums``, asked for under the field None
-    first, as ``_ind`` asks for Ind.  The search reads the field only
-    through the Ind of the shapes it meets: it joins them and drops a
-    branch where a join is acyclic.  A search over None meets only
-    shapes whose Ind holds over every field, so its sums hold over every
-    field too.  Any other shape refuses it, and the search runs over the
-    field itself.  No field independence is assumed: the facets of
+    All of this is done once per facet set, by ``_oracle_sums``, asked
+    for under the field None first, as ``_ind`` asks for Ind, and a
+    repeat or a second field costs one lookup.  The sums read the field
+    only through the Ind of the shapes they meet: the search joins them
+    and drops a branch where a join is acyclic.  Sums over None meet only
+    shapes whose Ind holds over every field, so they hold over every
+    field too.  Any other shape refuses them, and they are taken over
+    the field itself.  No field independence is assumed: the facets of
     RP2's Stanley-Reisner ideal, whose full union has Ind RP2, are
     refused under None and searched once per field.  The cycle's facets
-    missing vertex n - 1 are the line's on n - 1 vertices, so a cycle
-    reuses that line's sums; its full-set term and ``_cycle_counts`` are
-    taken on every call.
+    missing vertex n - 1 are the line's on n - 1 vertices, in the line's
+    order, and the cycle asks the same memo for them, so a cycle and the
+    line on one vertex fewer share one search, in either order.
 
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
@@ -576,27 +603,7 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     masks = facet_masks(delta)
     if 0 in masks:
         return BettiTable({(1, 0): (1, "oracle")})
-    full = (1 << frame) - 1
-    rotating = bool(masks) and sorted(masks) == sorted((fm << 1 | fm >> frame - 1) & full for fm in masks)
-    if rotating:
-        # the full vertex set's term, keyed as every union's is below
-        whole = {(frame - d - 1, frame): dim for d, dim in _sub_homology(masks, frame, field).items()}
-        frame -= 1
-        masks = [fm for fm in masks if not fm >> frame]
-    top = 1 << frame >> 1
-    shifting = sorted(fm << 1 for fm in masks if not fm & top) == sorted(fm for fm in masks if not fm & 1)
-    lead, searched = 0, masks
-    if shifting:
-        # the facets through vertex 0 first, each part in its own order
-        searched = sorted(masks, key=lambda fm: not fm & 1)
-        lead = sum(fm & 1 for fm in masks)
-    # with no lead every weight is 1, and the frame is not read
-    key = tuple(searched), lead, frame if lead else 0
-    sums = _search_sums(*key, None)
-    if sums is None:
-        sums = _search_sums(*key, field)
-    if rotating:
-        sums = _cycle_counts(frame + 1, sums) | whole
+    sums = _every_field(_oracle_sums, field, tuple(masks), frame)
     return BettiTable({key: (value, "oracle") for key, value in sums.items()})
 
 

@@ -18,7 +18,9 @@ template, and so is each item of its lists: a ``betti`` entry, fed
 straight from ``BettiTable.items()``, a ``diff`` row of ``--method
 both``, and an ``explicit`` pair of ``homology``.  ``_list`` lays the
 rendered items out as a list.  A string goes through the C encoder's
-escaping, ``_string``, and a float or None through ``json.dumps``.  The
+escaping, ``_string``.  The other scalars are written as ``json.dumps``
+writes them: an int by ``%d``, the finite float ``timing_ms`` by
+``repr``, a bool as ``true`` or ``false`` and None as ``null``.  The
 CSV rows come from one template too, printed at once.
 
 Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
@@ -186,7 +188,7 @@ def _table_record(spec: PathFamilySpec, method: str, characteristic: int, table:
     rows = [_DIFF % (i, j, a, b) for (i, j), (a, b) in diff.items()]
     return _RECORD % (
         _string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic,
-        entries, table.pd, table.reg, json.dumps(round(timing_ms, 3)),
+        entries, table.pd, table.reg, repr(round(timing_ms, 3)),
         ',\n  "diff": ' + _list(rows) if method == "both" else "",
     )
 
@@ -271,8 +273,9 @@ def cmd_homology(args: SimpleNamespace) -> int:
     if args.explicit:
         vector = complement_homology(build(), field)
         match = vector == summary.as_vector()
-        tail = _EXPLICIT % (_list([_PAIR % pair for pair in sorted(vector.items())]), json.dumps(match))
-    print(_HOMOLOGY % (keys, json.dumps(summary.nonzero_degree), summary.dimension, tail))
+        tail = _EXPLICIT % (_list([_PAIR % pair for pair in sorted(vector.items())]), "true" if match else "false")
+    degree = summary.nonzero_degree
+    print(_HOMOLOGY % (keys, "null" if degree is None else "%d" % degree, summary.dimension, tail))
     return EXIT_OK if match else EXIT_VERIFY
 
 

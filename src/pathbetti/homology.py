@@ -77,15 +77,26 @@ def _checked(name: str, fields: str) -> type:
 
 
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, for p below 3,215,031,751: every characteristic ``FieldSpec`` accepts.
+
+    Deterministic Miller-Rabin with the bases 2, 3, 5 and 7, which no
+    odd composite below that bound passes: 3,215,031,751 is the least
+    strong pseudoprime to all four (Pomerance, Selfridge and Wagstaff,
+    "The pseudoprimes to 25·10^9", 1980).  On 2^31 - 1 four modular
+    powers replace 23,000 trial divisions.
+    """
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for base in (2, 3, 5, 7):
+        if p % base == 0:
+            return p == base
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d·2^s with d odd
+    d = p - 1 >> s
+    for base in (2, 3, 5, 7):
+        # a prime has base^d = 1, or base^(d·2^k) = -1 for some k < s
+        powers = [x := pow(base, d, p)] + [x := x * x % p for _ in range(s - 1)]
+        if powers[0] != 1 and p - 1 not in powers:
             return False
-        f += 2
     return True
 
 

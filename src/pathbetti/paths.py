@@ -69,16 +69,18 @@ def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
     """The path complex: one facet per t-vertex path of the cycle or line.
 
     The facets all have t vertices, so the distinct ones are an antichain
-    and the complex is built directly; on the cycle with t = n every path
-    is the whole vertex set, and the set keeps one.
+    and the complex is built directly, its facets in sorted order.  Both
+    kinds have the n - t + 1 intervals {i, ..., i + t - 1}.  For t < n
+    the cycle has t - 1 paths more, through vertices n and 1: the wraps
+    {1, ..., k} ∪ {n - t + k + 1, ..., n} for k = 1..t - 1, which sort
+    after {1, ..., t} and before {2, ..., t + 1}, longest head first.  On
+    the cycle with t = n every path is the whole vertex set, one facet.
     """
     n, t = spec.n, spec.t
-    ambient = tuple(range(1, n + 1))
-    if spec.kind == "cycle":
-        facets = sorted({tuple(sorted((i + k) % n + 1 for k in range(t))) for i in range(n)})
-    else:
-        facets = [tuple(range(i, i + t)) for i in range(1, n - t + 2)]
-    return SimplicialComplex(ambient, tuple(facets))
+    facets = [tuple(range(i, i + t)) for i in range(1, n - t + 2)]
+    if spec.kind == "cycle" and t < n:
+        facets[1:1] = [(*range(1, k + 1), *range(n - t + k + 1, n + 1)) for k in range(t - 1, 0, -1)]
+    return SimplicialComplex(tuple(range(1, n + 1)), tuple(facets))
 
 
 def vertex_count_of_runs(seq: RunSequence, t: int) -> int:

@@ -7,11 +7,11 @@ from pathbetti import SimplicialComplex, betti, make_complex
 
 
 @pytest.fixture(autouse=True)
-def empty_search_memo():
-    """The memo of union searches, emptied around every test, so that no search's sums outlive their test."""
-    betti._search_sums.cache_clear()
+def empty_oracle_memo():
+    """The oracle's memo of sums per facet set, emptied around every test, so that no sums outlive their test."""
+    betti._oracle_sums.cache_clear()
     yield
-    betti._search_sums.cache_clear()
+    betti._oracle_sums.cache_clear()
 
 
 @pytest.fixture

@@ -143,6 +143,15 @@ class TestBettiTable:
                 assert betti_hochster(delta).items() == _filled_term_by_term(_unrestricted_terms(delta, QQ)), (n, t)
 
 
+class TestFacetMasks:
+    def test_a_non_contiguous_ambient_puts_its_b_th_vertex_on_bit_b(self):
+        delta = make_complex((2, 5, 9), [(2, 9), (5,)])
+        assert betti_module.facet_masks(delta) == [0b101, 0b010]
+        assert betti_module.facet_masks(make_complex((2, 5, 9), [()])) == [0]
+        assert betti_module.facet_masks(make_complex((2, 5, 9), [])) == []
+        assert betti_hochster(delta) == betti_hochster(make_complex((1, 2, 3), [(1, 3), (2,)]))
+
+
 class TestHochsterOracle:
     def test_pentagon(self):
         delta = build_path_complex(PathFamilySpec("cycle", 5, 2))
@@ -449,8 +458,8 @@ class TestOracleRoute:
 
 
 def _without_search_memo(monkeypatch) -> None:
-    """Run ``_search_sums`` without its memo, so that every ``betti_hochster`` call starts its own search."""
-    monkeypatch.setattr(betti_module, "_search_sums", betti_module._search_sums.__wrapped__)
+    """Run ``_oracle_sums`` without its memo, so that every ``betti_hochster`` call starts its own search."""
+    monkeypatch.setattr(betti_module, "_oracle_sums", betti_module._oracle_sums.__wrapped__)
 
 
 def _count_search_relabels(monkeypatch) -> list[int]:
@@ -606,6 +615,20 @@ def circulant_complexes(draw) -> SimplicialComplex:
     return make_complex(range(1, n + 1), facets)
 
 
+def _searched_below(masks: list[int], n: int) -> tuple[list[int], int]:
+    """The facets of a rotation-invariant set that the oracle searches, and the vertices they are searched on.
+
+    The facets that miss vertex n - 1, on the other n - 1 vertices, and
+    so on while the facets left rotate again, as single vertices do.
+    """
+    while True:
+        n -= 1
+        masks = [fm for fm in masks if not fm >> n]
+        turned = {(fm << 1 | fm >> n - 1) & ((1 << n) - 1) for fm in masks}
+        if not masks or turned != set(masks):
+            return masks, n
+
+
 def _started(monkeypatch) -> list[tuple[list[int], int]]:
     """The facets and the lead count of every ``_union_search`` that ``betti_hochster`` starts, recorded."""
     started = []
@@ -642,20 +665,23 @@ class TestRotationRoute:
     @example(make_complex(range(1, 12), [sorted((v + k) % 11 + 1 for v in (0, 3, 5, 6, 7)) for k in range(11)]))
     @settings(max_examples=40, deadline=None)
     def test_searches_the_facets_missing_the_last_vertex_on_the_others(self, delta):
-        # one translation search on the other n - 1 vertices, even when the
-        # facets left rotate again, as single vertices do; a search refused
-        # under every field, as the 11-vertex example's is, runs once more
-        # over GF(2)
-        n = len(delta.ambient)
+        # one translation search on the other n - 1 vertices, or, when the
+        # facets left rotate again, as single vertices do, on fewer; a
+        # search refused under every field, as the 11-vertex example's is,
+        # runs once more over GF(2)
         masks = betti_module.facet_masks(delta)
+        below, m = _searched_below(masks, len(delta.ambient))
+        memo = betti_module._oracle_sums
+        memo.cache_clear()
         with pytest.MonkeyPatch.context() as monkeypatch:
-            _without_search_memo(monkeypatch)
             calls = _started(monkeypatch)
             betti_hochster(delta, GF2)
         (searched, lead), *again = calls
-        refused = betti_module._search_sums(tuple(searched), lead, n - 1 if lead else 0, None) is None
+        hits = memo.cache_info().hits
+        refused = memo(tuple(below), m, None) is None
+        assert memo.cache_info().hits == hits + 1
         assert again == ([(searched, lead)] if refused else [])
-        assert sorted(searched) == sorted(fm for fm in masks if not fm >> n - 1)
+        assert sorted(searched) == sorted(below)
         assert lead == sum(1 for fm in searched if fm & 1)
         assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
 
@@ -791,10 +817,10 @@ class TestTranslationRoute:
             for field in (QQ, GF2):
                 assert betti_hochster(delta, field) == _direct_hochster(delta, field)
         # a rotating complex is searched on the facets missing its last
-        # vertex; the rest on all n vertices
+        # vertex, or fewer while those rotate; the rest on all n vertices
         n = len(delta.ambient)
         for searched, lead in calls:
-            assert sorted(searched) in (sorted(masks), sorted(fm for fm in masks if not fm >> n - 1))
+            assert sorted(searched) in (sorted(masks), sorted(_searched_below(masks, n)[0]))
             assert lead == sum(1 for fm in searched if fm & 1)
             assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
 
@@ -820,7 +846,9 @@ class TestTranslationRoute:
 
     def test_cycles_keep_the_rotation_route(self, monkeypatch):
         # the t facets through the last vertex are dropped and the rest,
-        # the line's on n - 1 vertices, are searched
+        # the line's on n - 1 vertices, are searched; at t = n - 1 the
+        # line's one facet holds every vertex and rotates in turn, which
+        # leaves no facet to search
         _without_search_memo(monkeypatch)
         calls = _started(monkeypatch)
         for n in range(3, 12):
@@ -828,7 +856,10 @@ class TestTranslationRoute:
                 calls.clear()
                 betti_hochster(build_path_complex(PathFamilySpec("cycle", n, t)))
                 [(searched, lead)] = calls
-                assert len(searched) == n - t and not any(fm >> n - 1 for fm in searched) and lead == 1
+                if t < n - 1:
+                    assert len(searched) == n - t and not any(fm >> n - 1 for fm in searched) and lead == 1
+                else:
+                    assert (searched, lead) == ([], 0)
 
     def test_the_line_on_sixteen_vertices_yields_the_unions_through_vertex_0(self, monkeypatch):
         yielded = _yielded(monkeypatch)
@@ -846,13 +877,13 @@ class TestTranslationRoute:
 
 
 def _fresh(delta: SimplicialComplex, field: FieldSpec) -> list[tuple[int, int, int, str]]:
-    """The items of the oracle's table from a call made with the search memo emptied first."""
-    betti_module._search_sums.cache_clear()
+    """The items of the oracle's table from a call made with the oracle's memo emptied first."""
+    betti_module._oracle_sums.cache_clear()
     return betti_hochster(delta, field).items()
 
 
 class TestSearchMemo:
-    """One search per facet set, lead and frame under the field None, and one per field where that one is refused."""
+    """One oracle entry per facet set and frame under the field None, and one per field where that one is refused."""
 
     def test_every_cycle_and_line_in_a_shuffled_order_over_four_fields(self):
         calls = [
@@ -863,10 +894,10 @@ class TestSearchMemo:
         want = [_fresh(delta, field) for delta, field in calls]
         order = list(range(len(calls)))
         random.Random(32).shuffle(order)
-        betti_module._search_sums.cache_clear()
+        betti_module._oracle_sums.cache_clear()
         got = {k: betti_hochster(*calls[k]).items() for k in order}
         assert [got[k] for k in range(len(calls))] == want
-        assert betti_module._search_sums.cache_info().hits > len(calls) / 2
+        assert betti_module._oracle_sums.cache_info().hits > len(calls) / 2
 
     @given(small_antichains())
     @example(_rp2_ideal())
@@ -874,7 +905,7 @@ class TestSearchMemo:
     def test_random_antichains_over_two_fields_in_both_orders(self, delta):
         want = {field: _fresh(delta, field) for field in (QQ, GF2)}
         for fields in ((QQ, GF2), (GF2, QQ)):
-            betti_module._search_sums.cache_clear()
+            betti_module._oracle_sums.cache_clear()
             assert [betti_hochster(delta, field).items() for field in fields] == [want[field] for field in fields]
 
     @pytest.mark.parametrize("first, second", [(GF2, QQ), (QQ, GF2)], ids=["GF2-then-QQ", "QQ-then-GF2"])
@@ -894,26 +925,27 @@ class TestSearchMemo:
         delta = _rp2_ideal()
         fields = (QQ, GF2, QQ, GF2, FieldSpec(3))
         want = [_fresh(delta, field) for field in fields]
-        memo = betti_module._search_sums
+        memo = betti_module._oracle_sums
         memo.cache_clear()
         started = _started(monkeypatch)
         assert [betti_hochster(delta, field).items() for field in fields] == want
         assert len(started) == 4
         searched, lead = started[0]
-        assert searched == betti_module.facet_masks(delta) and lead == 0
+        assert list(searched) == betti_module.facet_masks(delta) and lead == 0
         hits = memo.cache_info().hits
-        assert memo(tuple(searched), lead, 0, None) is None
+        assert memo(tuple(searched), 6, None) is None
         assert memo.cache_info().hits == hits + 1
 
     def test_a_field_free_facet_set_searches_once_for_every_field(self, monkeypatch):
         spec = PathFamilySpec("cycle", 9, 2)
         delta = build_path_complex(spec)
-        memo = betti_module._search_sums
+        memo = betti_module._oracle_sums
         started = _started(monkeypatch)
         for field in (QQ, GF2, FieldSpec(3), GF32003):
             assert betti_hochster(delta, field) == betti_closed_cycle(spec)
         assert len(started) == 1
-        assert memo.cache_info()[:2] == (3, 1)
+        # the cycle's facet set and the line's (8, 2) within it miss once each
+        assert memo.cache_info()[:2] == (3, 2)
 
     def test_a_cycle_after_the_line_on_one_vertex_fewer_starts_no_search(self, monkeypatch):
         # the facets of the cycle (n, t) that miss vertex n - 1 are the line's (n - 1, t), in its order; at
@@ -928,8 +960,32 @@ class TestSearchMemo:
                 assert betti_hochster(cycle, GF32003) == betti_closed_cycle(PathFamilySpec("cycle", n, t))
                 assert len(started) == searches, (n, t)
 
+    def test_a_cycle_over_four_fields_is_searched_and_scaled_once(self, monkeypatch):
+        # the memo keeps the whole table's sums, so the three fields after
+        # the first take neither a search nor a scaling
+        spec = PathFamilySpec("cycle", 9, 2)
+        delta, want = build_path_complex(spec), betti_closed_cycle(spec)
+        started, scaled = _started(monkeypatch), []
+        scale = betti_module._cycle_counts
+        monkeypatch.setattr(betti_module, "_cycle_counts", lambda n, counts: scaled.append(n) or scale(n, counts))
+        for field in (QQ, GF2, FieldSpec(3), GF32003):
+            assert betti_hochster(delta, field) == want
+        assert (len(started), scaled) == (1, [9])
+
+    def test_a_line_after_the_cycle_on_one_vertex_more_starts_no_search(self, monkeypatch):
+        # the cycle asked for the line's facet set from the same memo, at
+        # t = n - 1 too, where that set rotates in turn
+        started = _started(monkeypatch)
+        for n in range(4, 13):
+            for t in range(2, n):
+                betti_hochster(build_path_complex(PathFamilySpec("cycle", n, t)), QQ)
+                searches = len(started)
+                line = PathFamilySpec("line", n - 1, t)
+                assert betti_hochster(build_path_complex(line), GF32003) == betti_closed_line(line)
+                assert len(started) == searches, (n, t)
+
     def test_the_memo_stays_within_its_bound(self):
-        memo = betti_module._search_sums
+        memo = betti_module._oracle_sums
         bound = memo.cache_info().maxsize
         assert bound == 64
         # one edge on 14 vertices each: distinct facet sets, each one search

@@ -27,7 +27,28 @@ S0_SQCUP_S1 = make_complex(range(1, 6), [(1,), (2,), (3, 4), (4, 5), (3, 5)])
 SPHERE_3 = make_complex(range(1, 6), [[v for v in range(1, 6) if v != skip] for skip in range(1, 6)])
 
 
+def _prime_by_trial_division(p: int) -> bool:
+    """Whether p is prime, by trial division: the reference for ``homology._is_prime``."""
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
+
+
 class TestFieldSpec:
+    def test_primality_matches_trial_division_below_2_to_the_17(self):
+        assert [p for p in range(1 << 17) if homology._is_prime(p) != _prime_by_trial_division(p)] == []
+
+    @pytest.mark.parametrize("p", [2047, 1373653, 25326001, (1 << 31) - 1, (1 << 31) - 3, (1 << 31) - 19])
+    def test_primality_matches_trial_division_on_strong_pseudoprimes_and_below_2_to_the_31(self, p):
+        # 2047, 1373653 and 25326001 are the least composites that pass
+        # Miller-Rabin to the bases 2; 2 and 3; and 2, 3 and 5
+        assert homology._is_prime(p) == _prime_by_trial_division(p)
+
     def test_rationals_and_primes_accepted(self):
         for c in (0, 2, 3, 31, 32003, 2147483647):
             assert FieldSpec(c).characteristic == c

@@ -8,6 +8,7 @@ from pathbetti import (
     HomologySummary,
     PathFamilySpec,
     RunSequence,
+    SimplicialComplex,
     build_path_complex,
     build_run_complex,
     homology_run_sequence,
@@ -112,6 +113,14 @@ class TestBuildPathComplex:
             for t in range(2, n + 1):
                 delta = build_path_complex(PathFamilySpec(kind, n, t))
                 assert make_complex(delta.ambient, delta.facets) == delta, (n, t)
+
+    def test_the_cycle_is_the_set_of_its_rotated_paths(self):
+        # the reference: every window of t vertices mod n, as a sorted set
+        for n in range(3, 31):
+            for t in range(2, n + 1):
+                facets = sorted({tuple(sorted((i + k) % n + 1 for k in range(t))) for i in range(n)})
+                want = SimplicialComplex(tuple(range(1, n + 1)), tuple(facets))
+                assert build_path_complex(PathFamilySpec("cycle", n, t)) == want, (n, t)
 
 
 def _support(spec: PathFamilySpec, runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:

@@ -399,65 +399,59 @@ def _union_search(masks: list[int], field: FieldSpec | None, lead: int = 0) -> I
     A facet already inside the union is forced in, and an include that
     would cover an excluded facet is cut, so each union is reached once,
     with exactly the facets inside it included.  The vertex masks of the
-    components of the included facets are carried along.  Once no later
-    facet meets a component, it is finished: ``ind_of`` looks its Ind up,
-    and it is joined into the branch's Ind.  Within one facet list a
-    component is fixed by its vertex mask, its members being exactly the
-    facets inside it, so ``ind_of`` is a ``functools.cache`` keyed by
-    that mask that lives as long as the search, and its ``cache_info()``
-    counts the hits and misses.  Only a miss runs ``_relabelled``, whose
-    facets shifted down to bit 0, gaps closed, are looked up by ``_ind``
-    in the shared memo ``_ind_homology``.  The field reaches the search
-    only there: with the field None, a shape whose Ind has no every-field
-    entry raises ``homology._NonUnitPivot``.  A join that comes out
-    acyclic stays so for every union below, so the branch is dropped
-    there.  Once the first ``lead`` facets are decided, a branch whose
-    union misses bit 0 is dropped too; only these facets may hold bit 0,
-    and lead = 0 drops nothing.  The search keeps its own stack, which
-    holds at most one entry per facet plus one, not Python recursion.
+    components of the included facets are carried along; an include
+    merges those its facet meets into one.  A component is finished in
+    one place, when a state is popped: once no facet from the state's
+    next one on meets it, ``ind_of`` looks its Ind up, and it is joined
+    into the state's Ind.  Past the last facet every component is
+    finished.  Within one facet list a component is fixed by its vertex
+    mask, its members being exactly the facets inside it, so ``ind_of``
+    is a ``functools.cache`` keyed by that mask that lives as long as the
+    search, and its ``cache_info()`` counts the hits and misses.  Only a
+    miss runs ``_relabelled``, whose facets shifted down to bit 0, gaps
+    closed, are looked up by ``_ind`` in the shared memo
+    ``_ind_homology``.  The field reaches the search only there: with the
+    field None, a shape whose Ind has no every-field entry raises
+    ``homology._NonUnitPivot``.  A join that comes out acyclic stays so
+    for every union below, so the state is dropped there, when it is
+    popped.  Once the first ``lead`` facets are decided, a branch whose
+    union misses bit 0 is not pushed; only these facets may hold bit 0,
+    and lead = 0 drops nothing.  The search keeps its own stack, not
+    Python recursion; each facet leaves at most one excluded branch on
+    it, so it holds at most one entry per facet plus one.
     Ø must not be a facet.
     """
     count = len(masks)
-    after = [0] * count  # after[i]: the vertices of the facets past the i-th
-    for i in range(count - 1, 0, -1):
-        after[i - 1] = after[i] | masks[i]
-    steps = [(fm, after[i], [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
-    stack: list[tuple[int, int, tuple[int, ...], HomologyVector]] = [(0, 0, (), {-1: 1})]
+    rest = [0] * (count + 1)  # rest[i]: the vertices of the facets from the i-th on
+    for i in range(count - 1, -1, -1):
+        rest[i] = rest[i + 1] | masks[i]
+    steps = [(fm, [e for e in masks[:i] if e & fm]) for i, fm in enumerate(masks)]
+    stack: list[tuple[int, int, list[int], HomologyVector]] = [(0, 0, [], {-1: 1})]
     push, pop = stack.append, stack.pop
     ind_of = functools.cache(lambda verts: _ind(_relabelled(verts, masks), field))
     while stack:
         i, union, comps, ind = pop()
+        # finish every component that no facet from the i-th on meets
+        left, still_open = rest[i], []
+        for verts in comps:
+            if verts & left:
+                still_open.append(verts)
+            else:
+                ind = _join(ind, ind_of(verts))
+                if not ind:
+                    break
+        if not ind:
+            continue
         if i == count:
             if union:
                 yield union, ind
             continue
-        fm, later, earlier = steps[i]
+        fm, earlier = steps[i]
         i += 1
-        merged = fm
-        if comps:
-            untouched, still_open, finished = [], [], []
-            for verts in comps:
-                if not verts & fm:
-                    untouched.append(verts)
-                elif verts & later:
-                    merged |= verts
-                    still_open.append(verts)
-                else:
-                    merged |= verts
-                    finished.append(verts)
-        else:
-            untouched = still_open = finished = ()
         grown = union | fm
         if grown != union:
-            # exclude the facet: a component it was the last to meet is finished
             if i != lead or union & 1:
-                out = ind
-                for verts in finished:
-                    out = _join(out, ind_of(verts))
-                    if not out:
-                        break
-                if out:
-                    push((i, union, (*untouched, *still_open), out))
+                push((i, union, still_open, ind))
             # an include covering an excluded facet would reach a union twice
             cut = False
             for e in earlier:
@@ -467,12 +461,14 @@ def _union_search(masks: list[int], field: FieldSpec | None, lead: int = 0) -> I
             if cut:
                 continue
         # include the facet, merging the components it meets
-        if merged & later:
-            push((i, grown, (*untouched, merged), ind))
-        else:
-            ind = _join(ind, ind_of(merged))
-            if ind:
-                push((i, grown, tuple(untouched), ind))
+        merged, kept = fm, []
+        for verts in still_open:
+            if verts & fm:
+                merged |= verts
+            else:
+                kept.append(verts)
+        kept.append(merged)
+        push((i, grown, kept, ind))
 
 
 def _cycle_counts(n: int, counts: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:

@@ -19,16 +19,10 @@ from collections.abc import Iterable
 
 Vertex = int
 Face = tuple[Vertex, ...]
-VertexSet = tuple[Vertex, ...]
-
-
-def as_vertex_set(vertices: Iterable[Vertex]) -> VertexSet:
-    """Canonicalize an iterable of vertices: ascending, no duplicates."""
-    return tuple(sorted(set(vertices)))
 
 
 class SimplicialComplex(namedtuple("SimplicialComplex", "ambient facets")):
-    """A simplicial complex given by ambient vertices (a VertexSet) and maximal facets (a tuple of Faces).
+    """A simplicial complex given by ambient vertices (an ascending tuple) and maximal facets (a tuple of Faces).
 
     Downstream code relies on the facets being a sorted antichain: distinct,
     pairwise inclusion-incomparable, each an ascending tuple inside the
@@ -48,7 +42,7 @@ def make_complex(ambient: Iterable[Vertex], facets: Iterable[Iterable[Vertex]]) 
     yields the irrelevant complex ``{Ø}``.  Raises ValueError if a facet
     is not contained in the ambient vertex set.
     """
-    amb = as_vertex_set(ambient)
+    amb = tuple(sorted(set(ambient)))
     amb_set = frozenset(amb)
     canonical: dict[Face, frozenset[Vertex]] = {}
     for f in facets:

@@ -24,10 +24,10 @@ first other pivot; in the every-field mode that pivot raises
 The engine knows no complex type: faces are bitmasks, held level by
 level, ``levels[s]`` being the sorted faces of s vertices.  ``_levels``
 builds them from facet masks, for the oracle's complements of
-independence complexes, and ``levels_homology`` takes such levels as
-they are.  The empty face is level 0, so degree -1 needs no special
-case: the irrelevant complex ``{Ø}`` has one-dimensional homology
-there, every nonempty complex has none.  A complex with more than
+independence complexes, and ``_homology`` reduces such levels as they
+are.  The empty face is level 0, so degree -1 needs no special case:
+the irrelevant complex ``{Ø}`` has one-dimensional homology there,
+every nonempty complex has none.  A complex with more than
 ``MAX_FACES`` faces is refused with OracleCapError while its faces are
 counted, before any column is built.
 """
@@ -233,15 +233,3 @@ def _homology(levels: list[list[int]], p: int | None) -> HomologyVector:
             dims[s - 1] = h
     return dims
 
-
-def levels_homology(levels: list[list[int]], field: FieldSpec = QQ) -> HomologyVector:
-    """Reduced homology of a nonvoid complex given by its faces, as degree -> dim.
-
-    ``levels[s]`` holds the faces of s vertices as bitmasks, sorted, and
-    ``levels[0]`` is ``[0]``, the empty face, so ``[[0]]`` is the
-    irrelevant complex, with homology ``{-1: 1}``; ``_levels`` builds
-    them from facet masks.  Over the rationals the reduction stays in
-    the integers until its first pivot that is not 1 or -1 (see the
-    module docstring).
-    """
-    return _homology(levels, field.characteristic)

@@ -27,8 +27,8 @@ from typing import Iterable, Iterator
 
 from pathbetti import QQ, FieldSpec, HomologyVector, PathFamilySpec, RunSequence, SimplicialComplex, make_complex
 from pathbetti.betti import facet_masks
-from pathbetti.complexes import Face, Vertex, as_vertex_set
-from pathbetti.homology import _levels, levels_homology
+from pathbetti.complexes import Face, Vertex
+from pathbetti.homology import _homology, _levels
 
 GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
@@ -42,6 +42,23 @@ RP2 = make_complex(range(1, 7), [
 ])
 
 Placement = tuple[tuple[int, int], ...]
+
+
+def as_vertex_set(vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
+    """Canonicalize an iterable of vertices: ascending, no duplicates."""
+    return tuple(sorted(set(vertices)))
+
+
+def levels_homology(levels: list[list[int]], field: FieldSpec = QQ) -> HomologyVector:
+    """Reduced homology of a nonvoid complex given by its faces, as degree -> dim.
+
+    ``levels[s]`` holds the faces of s vertices as bitmasks, sorted, and
+    ``levels[0]`` is ``[0]``, the empty face, so ``[[0]]`` is the
+    irrelevant complex, with homology ``{-1: 1}``; ``_levels`` builds
+    them from facet masks.  The package's own reduction ranks them as
+    they are, with no splitting and no duality.
+    """
+    return _homology(levels, field.characteristic)
 
 
 def induced_subcollection(delta: SimplicialComplex, vertices: Iterable[Vertex]) -> SimplicialComplex:

@@ -37,13 +37,12 @@ from pathbetti import (
 )
 from pathbetti import betti as betti_module
 from pathbetti import homology as homology_module
-from pathbetti.homology import levels_homology
 
 from conftest import small_complexes
 from reference import (
     GF2, GF32003, RP2, complement, cycle_independence_at_minus_one, cycle_placement_counts, cycle_product_counts,
-    enumerate_placements, induced_subcollection, lcm_lattice_betti, line_placement_counts, line_product_counts,
-    reduced_homology_dims, run_sequence, run_sequences,
+    enumerate_placements, induced_subcollection, lcm_lattice_betti, levels_homology, line_placement_counts,
+    line_product_counts, reduced_homology_dims, run_sequence, run_sequences,
 )
 
 
@@ -823,6 +822,22 @@ class TestTranslationRoute:
             assert sorted(searched) in (sorted(masks), sorted(_searched_below(masks, n)[0]))
             assert lead == sum(1 for fm in searched if fm & 1)
             assert all(fm & 1 for fm in searched[:lead]) and not any(fm & 1 for fm in searched[lead:])
+
+    @given(translated_complexes())
+    @example(make_complex(range(1, 10), [(v, v + 1, v + 3) for v in range(1, 7)] + [(v, v + 4) for v in range(1, 6)]))
+    @settings(max_examples=60, deadline=None)
+    def test_yields_the_unrestricted_unions_through_vertex_0_union_by_union(self, delta):
+        # the lead search's unions, each moved to every place it fits, are the full search's, each once,
+        # with the same Ind; several facets may hold vertex 0, and all of them lead (two in the example)
+        n, masks = len(delta.ambient), betti_module.facet_masks(delta)
+        lead = [fm for fm in masks if fm & 1]
+        translates = [
+            (y << shift, ind)
+            for y, ind in betti_module._union_search(lead + [fm for fm in masks if not fm & 1], QQ, len(lead))
+            for shift in range(n + 1 - y.bit_length())
+        ]
+        found = dict(betti_module._union_search(masks, QQ))
+        assert len(translates) == len(found) and dict(translates) == found
 
     @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
     def test_lines_match_the_unrestricted_search(self, field):

@@ -17,7 +17,7 @@ import pytest
 
 import pathbetti
 from pathbetti import BettiTable, FieldSpec, HomologySummary, PathFamilySpec, RunSequence, SimplicialComplex
-from pathbetti import betti, homology
+from pathbetti import betti, complexes, homology
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,6 +49,8 @@ class TestPublicNames:
             assert not hasattr(pathbetti, name), name
         assert not hasattr(betti, "count_eligible")
         assert not hasattr(homology, "reduced_homology_dims")
+        assert not hasattr(homology, "levels_homology")
+        assert not hasattr(complexes, "as_vertex_set")
         assert not hasattr(BettiTable, "__len__")
         for name in ("is_void", "is_irrelevant", "dim"):
             assert not hasattr(SimplicialComplex, name), name
@@ -196,7 +198,7 @@ class TestStartupImports:
             "from pathbetti import QQ, betti, homology\n"
             "print(sorted(betti._matrix_homology((13, 14, 19, 20, 26, 39, 44, 48, 66, 68, 73), QQ).items()))\n"
             "print('fractions' in sys.modules)\n"
-            "print(homology.levels_homology(homology._levels([7, 35, 13, 25, 49, 22, 26, 42, 44, 52]), QQ))"
+            "print(homology._homology(homology._levels([7, 35, 13, 25, 49, 22, 26, 42, 44, 52]), 0))"
         )
         assert _after(code, ("fractions",)) == (["[(1, 2), (2, 2)]", "False", "{}"], ["fractions"])
 

@@ -49,13 +49,17 @@ every field and every repeat, and the cycle's asks for the line's.
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, walked from entry to entry by one
 exact ratio, in time polynomial in n, and its top-degree value for the
-cycle is explicit.  Either route checks the other.
+cycle is explicit.  One generator, ``_closed_entries``, yields the
+entries already in (j, i) order and holds only one running value per
+run count, so a caller can write each entry as it comes; a table whose
+JSON could pass ``MAX_CLOSED_BYTES`` is refused with OracleCapError
+before any counting.  Either route checks the other.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from math import comb
 from operator import itemgetter
 
@@ -67,6 +71,13 @@ from .paths import PathFamilySpec, RunSequence
 # Most ambient vertices the oracle and the explicit complements accept;
 # homology._levels keeps the face budget.
 MAX_VERTICES = 22
+
+# Most bytes the closed route's JSON entries may take, bounded before any
+# counting (``_closed_entries``), and the most one entry takes beside its
+# three numbers: "eligible_count" in the command line's template, and the
+# separator before it.
+MAX_CLOSED_BYTES = 2**31
+_ENTRY_BYTES = 100
 
 
 def check_vertex_cap(count: int) -> None:
@@ -471,22 +482,24 @@ def _union_search(masks: list[int], field: FieldSpec | None, lead: int = 0) -> I
         push((i, grown, kept, ind))
 
 
-def _cycle_counts(n: int, counts: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Rotation-invariant entries below degree n from those of the facets missing vertex n - 1.
+def _cycle_counts(n: int, counts: Iterable[tuple[tuple[int, int], int]]) -> Iterator[tuple[tuple[int, int], int]]:
+    """Rotation-invariant entries below degree n from those of the facets missing vertex n - 1, as they come.
 
-    ``counts`` holds β_{i,j} of the facets that miss vertex n - 1, on the
-    other n - 1 vertices.  Hochster's formula sums over the unions Y of j
-    < n vertices; summing over the pairs (Y, v) with v not in Y counts
-    each Y n - j times, and rotating the facets gives every v the sum for
-    v = n - 1.  So β_{i,j} = n·count/(n - j), an exact division (a
-    remainder raises RuntimeError).
+    ``counts`` gives β_{i,j} of the facets that miss vertex n - 1, on the
+    other n - 1 vertices, as ((i, j), count) pairs, and the entries come
+    out as pairs in the same order.  Hochster's formula sums over the
+    unions Y of j < n vertices; summing over the pairs (Y, v) with v not
+    in Y counts each Y n - j times, and rotating the facets gives every v
+    the sum for v = n - 1.  So β_{i,j} = n·count/(n - j), an exact
+    division (a remainder raises RuntimeError).  Both routes scale here:
+    the closed one its placement walk, the oracle its sums, which it
+    wraps in a dict.
     """
-    out = {}
-    for (i, j), count in counts.items():
-        out[(i, j)], rest = divmod(n * count, n - j)
+    for (i, j), count in counts:
+        value, rest = divmod(n * count, n - j)
         if rest:
             raise RuntimeError(f"the rotation count at ({i}, {j}) is not divisible by {n - j}")
-    return out
+        yield (i, j), value
 
 
 @functools.lru_cache(maxsize=64)
@@ -515,7 +528,7 @@ def _oracle_sums(masks: tuple[int, ...], frame: int, field: FieldSpec | None) ->
             # the full vertex set's term, keyed as every union's is below
             whole = {(frame - d - 1, frame): dim for d, dim in _sub_homology(masks, frame, field).items()}
             below = _every_field(_oracle_sums, field, tuple(fm for fm in masks if not fm >> frame - 1), frame - 1)
-            return _cycle_counts(frame, below) | whole
+            return dict(_cycle_counts(frame, below.items())) | whole
         top = 1 << frame >> 1
         lead, searched = 0, masks
         if sorted(fm << 1 for fm in masks if not fm & top) == sorted(fm for fm in masks if not fm & 1):
@@ -650,8 +663,8 @@ def betti_top_degree(spec: PathFamilySpec) -> tuple[int, int]:
     return top.nonzero_degree + 2, top.dimension
 
 
-def _placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
-    """Eligible run placements on the line of n vertices, counted by (i, j).
+def _placement_walk(n: int, t: int) -> Iterator[tuple[tuple[int, int], int]]:
+    """Eligible run placements on the line of n vertices, counted by (i, j), as ((i, j), count) in (j, i) order.
 
     Each eligible run has length (t+1)p + d with d in {1, 2}.  Put
     u = (j - i)/(t - 1), the runs plus their total quotient, and
@@ -665,34 +678,82 @@ def _placement_counts(n: int, t: int) -> dict[tuple[int, int], int]:
     gaps, so the count is Σ_r C(r, a)·C(u - 1, r - 1)·C(n + 1 - j, r).
     With m = n + 1 - j, C(r, a)·C(m, r) = C(m, a)·C(m - a, r - a), and
     Vandermonde then sums C(m - a, r - a)·C(u - 1, u - r) over r to
-    C(m - a + u - 1, u - a).  Within the loop's bounds, u(t + 1) <= n + 1
-    and a >= u(t + 1) - n, every entry is positive.
+    C(m - a + u - 1, u - a).  Put c = n + 1 - u(t + 1), the free slots
+    when every run has its least length, so that the entry is
+    C(c + a, a)·C(n - ut, u - a) with j = u(t + 1) - a.  Every entry is
+    positive exactly when c >= 0 and max(0, 1 - c) <= a <= u, that is
+    for 1 <= j <= n and ⌈j/(t + 1)⌉ <= u <= min(⌊j/t⌋, ⌊(n + 1)/(t + 1)⌋).
 
-    Put c = n + 1 - u(t + 1), the free slots when every run has its
-    least length, so that the entry is C(c + a, a)·C(n - ut, u - a) and
-    only a moves within a fixed u.  Only the first entry of each u takes
-    two ``comb`` calls.  Each next entry, at a + 1 and j - 1, comes from
-    the last one, x, by one exact ratio:
+    The walk takes j up from t to n and, for each j, those u from the
+    largest down, which puts i = j - u(t - 1) in increasing order, so
+    nothing is kept or sorted but one running value per u.  A u starts at
+    j = ut, a = u, as C(n + 1 - j, u), its only ``comb`` call.  Each next
+    j takes a down by one, and the value from the last one, x, by one
+    exact ratio:
 
-        x·(c + a + 1)(u - a) // ((a + 1)(c + a)),
+        x·(a + 1)(c + a) // ((c + a + 1)(u - a)),
 
-    that is x·(n + 2 - j)(u - a) // ((a + 1)(n - u(t + 1) + a + 1)).
-    The division is exact, because C(A + 1, a + 1)(a + 1) = C(A, a)(A + 1)
-    with A = c + a, and C(B, u - a - 1)(B - u + a + 1) = C(B, u - a)(u - a)
-    with B = n - ut = c + u - 1.  It needs no zero guard: the loop's bounds
-    keep a >= 0 and c + a >= 1, so both factors of the divisor are at
-    least 1.  The step past a = u multiplies by 0, and its result is never
-    stored.
+    that is x·(u(t + 1) - j + 1)(n + 1 - j) // ((n + 2 - j)(j - ut)).
+    The division is exact, because C(A, a)(A + 1) = C(A + 1, a + 1)(a + 1)
+    with A = c + a, and C(B, u - a)(u - a) = C(B, u - a - 1)(B - u + a + 1)
+    with B = n - ut = c + u - 1.  Both factors of the divisor are at
+    least 1: j <= n and a < u on every step.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for u in range(1, (n + 1) // (t + 1) + 1):
-        c = n + 1 - u * (t + 1)
-        lo = max(0, 1 - c)
-        x = comb(c + lo, lo) * comb(n - u * t, u - lo)
-        for a in range(lo, u + 1):
-            counts[(2 * u - a, u * (t + 1) - a)] = x
-            x = x * ((c + a + 1) * (u - a)) // ((a + 1) * (c + a))
-    return counts
+    top = (n + 1) // (t + 1)  # the largest u with c >= 0
+    running = [0] * (top + 1)
+    for j in range(t, n + 1):
+        hi, lo = j // t, (j + t) // (t + 1)
+        if hi > top:
+            hi = top
+        if lo > hi:
+            continue  # no u has an entry at this j
+        free = n + 1 - j
+        if hi * t == j:
+            running[hi] = x = comb(free, hi)
+            yield (hi, j), x
+            hi -= 1
+        wider = n + 2 - j
+        for u in range(hi, lo - 1, -1):
+            running[u] = x = running[u] * ((u * (t + 1) - j + 1) * free) // (wider * (j - u * t))
+            yield (j - u * (t - 1), j), x
+
+
+def _closed_entries(spec: PathFamilySpec) -> Iterator[tuple[int, int, int, str]]:
+    """The closed route's entries (i, j, value, method), in (j, i) order, each counted as it is asked for.
+
+    The line's entries are its ``_placement_walk``.  The cycle's entries
+    below degree n are the line's on n - 1 vertices, the facets that
+    avoid vertex n - 1, scaled by ``_cycle_counts``; its degree n holds
+    the top-degree entry alone.  Those are tagged ``eligible_count`` and
+    this one ``closed_form``.  Nothing is held but the walk's running
+    values, so the caller can write each entry and let it go.
+
+    Before any counting, a table whose JSON could pass MAX_CLOSED_BYTES
+    is refused with OracleCapError.  On the line of m vertices each u
+    from 1 to U = ⌊(m + 1)/(t + 1)⌋ takes the u + 1 values 0..u of a,
+    but for u = U when t + 1 divides m + 1, where c = 0 leaves out a = 0.
+    So the line has U(U + 3)/2 entries, less one then, and the cycle has
+    its top-degree entry more.  No value reaches 2^n: the Taylor
+    resolution of the at most n generators bounds β_{i,j} by C(n, i).
+    So beside its numbers the JSON of one entry takes _ENTRY_BYTES at
+    most, i and j at most the digits of n each, and the value at most
+    ⌊n·log10 2⌋ + 1 digits, bounded in integers by 0.30103 > log10 2.
+    """
+    n, t = spec.n, spec.t
+    cycle = spec.kind == "cycle"
+    m = n - cycle  # the line whose placements are counted
+    top = (m + 1) // (t + 1)
+    count = top * (top + 3) // 2 - ((m + 1) % (t + 1) == 0) + cycle
+    size = count * (_ENTRY_BYTES + 2 * len(str(n)) + n * 30103 // 100000 + 1)
+    if size > MAX_CLOSED_BYTES:
+        raise OracleCapError(f"the closed table of the {spec.kind} ({n}, {t}) could take {size} bytes, "
+                             f"over the closed route's budget of {MAX_CLOSED_BYTES}")
+    counts = _cycle_counts(n, _placement_walk(m, t)) if cycle else _placement_walk(m, t)
+    for (i, j), value in counts:
+        yield i, j, value, "eligible_count"
+    if cycle:
+        i_top, value = betti_top_degree(spec)
+        yield i_top, n, value, "closed_form"
 
 
 def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
@@ -700,7 +761,7 @@ def nonzero_criterion(spec: PathFamilySpec, i: int, j: int) -> bool:
 
     Exact in both directions.  Below n, with u = (j - i)/(t - 1) and a =
     2u - i: ``betti_closed_cycle`` scales the line's entry on n - 1
-    vertices by the positive n/(n - j), and ``_placement_counts`` gives
+    vertices by the positive n/(n - j), and ``_placement_walk`` gives
     that entry as C(n - j, a)·C(n - 1 - j - a + u, u - a) for u >= 1.
     The product is positive iff a >= 0, a <= min(u, n - j) and j < n.
     So the entry is nonzero iff t - 1 divides j - i, i <= 2u and max(1,
@@ -719,19 +780,14 @@ def betti_closed_cycle(spec: PathFamilySpec) -> BettiTable:
     """Full Betti table of the cycle path ideal by counting placements.
 
     The facets avoiding vertex n - 1 are the line's on the other n - 1
-    vertices, so ``_cycle_counts`` scales the line's placement count into
-    the entries below degree n, tagged ``eligible_count``.  Degree n
-    comes from the top-degree formula, tagged ``closed_form``.  The table
-    is built once from both.
+    vertices, so the entries below degree n are the line's placement
+    count scaled, tagged ``eligible_count``.  Degree n comes from the
+    top-degree formula, tagged ``closed_form``.  The table is built once
+    from ``_closed_entries``, which the command line writes from directly.
     """
     if spec.kind != "cycle":
         raise ValueError("expected a cycle spec")
-    n = spec.n
-    counts = _cycle_counts(n, _placement_counts(n - 1, spec.t))
-    entries = {key: (value, "eligible_count") for key, value in counts.items()}
-    i_top, value = betti_top_degree(spec)
-    entries[(i_top, n)] = (value, "closed_form")
-    return BettiTable(entries)
+    return BettiTable({(i, j): (value, tag) for i, j, value, tag in _closed_entries(spec)})
 
 
 def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
@@ -739,13 +795,12 @@ def betti_closed_line(spec: PathFamilySpec) -> BettiTable:
 
     On the line no placement wraps, so the placement count covers every
     degree, the top one too: when t = n it is the single facet's (1, n).
-    The table is built once from that count, each entry tagged
+    The table is built once from ``_closed_entries``, each entry tagged
     ``eligible_count``.
     """
     if spec.kind != "line":
         raise ValueError("expected a line spec")
-    counts = _placement_counts(spec.n, spec.t)
-    return BettiTable({key: (value, "eligible_count") for key, value in counts.items()})
+    return BettiTable({(i, j): (value, tag) for i, j, value, tag in _closed_entries(spec)})
 
 
 def pd_reg(spec: PathFamilySpec) -> tuple[int, int]:

@@ -7,21 +7,31 @@ matrix between the closed forms and the brute-force enumeration.
 
 Exit codes are stable API: 0 success, 1 verification failure, 2 usage
 error, 3 resource limit.  Each command returns 0, 1 or 2 itself;
-``main`` alone turns an OracleCapError, from the vertex cap or the face
-budget, into 3, with the error on stderr and nothing on stdout.
+``main`` alone turns an OracleCapError, from the vertex cap, the face
+budget or the closed route's byte budget, into 3, with the error on
+stderr and nothing on stdout.
 
 JSON is written byte for byte as ``json.dumps(indent=2)`` writes it:
 with an indent, ``json.dumps`` leaves its C encoder for a Python
 generator per container, which on small tables took longer than
-computing them.  Every record has a fixed shape, so each is one ``%``
-template, and so is each item of its lists: a ``betti`` entry, fed
-straight from ``BettiTable.items()``, a ``diff`` row of ``--method
-both``, and an ``explicit`` pair of ``homology``.  ``_list`` lays the
-rendered items out as a list.  A string goes through the C encoder's
-escaping, ``_string``.  The other scalars are written as ``json.dumps``
-writes them: an int by ``%d``, the finite float ``timing_ms`` by
-``repr``, a bool as ``true`` or ``false`` and None as ``null``.  The
-CSV rows come from one template too, printed at once.
+computing them.  Every record has a fixed shape, so each is made of
+``%`` templates, and so is each item of its lists: a ``betti`` entry, a
+``diff`` row of ``--method both``, and an ``explicit`` pair of
+``homology``.  A string goes through the C encoder's escaping,
+``_string``.  The other scalars are written as ``json.dumps`` writes
+them: an int by ``%d``, the finite float ``timing_ms`` by ``repr``, a
+bool as ``true`` or ``false`` and None as ``null``.
+
+The betti table, in JSON or in CSV, has one writer, ``_write_entries``:
+the head, then the entries, rendered from one template each and written
+in batches as they come, then the tail, with pd and reg kept as running
+maxima of the entries written.  ``--method closed`` feeds it straight
+from the closed route's walk, ``betti._closed_entries``, so no table,
+sort or whole record is ever held, and its ``timing_ms`` covers writing
+the entries too.  The oracle, ``--method both`` and the pretty diagram
+build a ``BettiTable`` first and feed the writer its ``items()``.
+``_list`` lays out the shorter lists of ``diff`` rows and ``explicit``
+pairs whole.
 
 Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
 well-formed command line (a command, then its options in full, each with
@@ -35,15 +45,17 @@ nor builds a parser, which took longer than computing a small table.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from types import SimpleNamespace
 
 from .betti import (
     BettiTable,
     OracleCapError,
+    _closed_entries,
     betti_closed_cycle,
     betti_closed_line,
     betti_hochster,
@@ -170,27 +182,66 @@ def _list(items: list[str]) -> str:
 
 
 # The records and the items of their lists, laid out as json.dumps(indent=2) lays them out.  The betti
-# record's last %s is empty, or the "diff" key and its list; the homology record's first %s is its mode's
-# keys, and its last is empty, or the "explicit" and "match" keys.
-_RECORD = ('{\n  "kind": %s,\n  "n": %d,\n  "t": %d,\n  "p": %d,\n  "d": %d,\n  "method": %s,\n'
-           '  "field_characteristic": %d,\n  "entries": %s,\n  "pd": %d,\n  "reg": %d,\n  "timing_ms": %s%s\n}')
+# record is its head, its entries and its tail, whose last %s is empty, or the "diff" key and its list; the
+# homology record's first %s is its mode's keys, and its last is empty, or the "explicit" and "match" keys.
+_HEAD = ('{\n  "kind": %s,\n  "n": %d,\n  "t": %d,\n  "p": %d,\n  "d": %d,\n  "method": %s,\n'
+         '  "field_characteristic": %d,\n  "entries": ')
+_TAIL = ',\n  "pd": %d,\n  "reg": %d,\n  "timing_ms": %s%s\n}\n'
 _ENTRY = '{\n      "i": %d,\n      "j": %d,\n      "value": %d,\n      "method": %s\n    }'
 _DIFF = '{\n      "i": %d,\n      "j": %d,\n      "closed": %d,\n      "oracle": %d\n    }'
 _HOMOLOGY = '{\n  %s,\n  "closed_form": {\n    "degree": %s,\n    "dimension": %d\n  }%s\n}'
 _EXPLICIT = ',\n  "explicit": %s,\n  "match": %s'
 _PAIR = '[\n      %d,\n      %d\n    ]'
 
+# Entries rendered per write: a small table's entries are one write, and a large table never holds more
+# than a few MB of text.  A layout is an entry's template, how its tag is written, and what opens the
+# entries, comes between two, closes them and stands for none.
+_BATCH = 1024
+_JSON_LAYOUT = (_ENTRY, _string, "[\n    ", ",\n    ", "\n  ]", "[]")
 
-def _table_record(spec: PathFamilySpec, method: str, characteristic: int, table: BettiTable, timing_ms: float,
-                  diff: dict[tuple[int, int], tuple[int, int]]) -> str:
-    """The betti command's JSON record of the table, with the tables' ``diff`` when the method is ``both``."""
-    entries = _list([_ENTRY % (i, j, value, _string(tag)) for i, j, value, tag in table.items()])
+
+def _write_entries(write: Callable[[str], object], head: str, items: Iterable[tuple[int, int, int, str]],
+                   layout: tuple[str, Callable[[str], str], str, str, str, str]) -> tuple[int, int]:
+    """Write the head, then the entries in the layout, rendered in batches as ``items`` yields them; their pd and reg.
+
+    pd and reg are the largest i and j - i of the entries written, 0
+    when there are none.  The first entry is asked for before anything
+    is written, so that a refusal there, the closed route's byte budget,
+    leaves the output empty.
+    """
+    row, quote, opening, sep, closing, empty = layout
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        write(head + empty)
+        return 0, 0
+    pd, reg, lead, batch, size = first[0], first[1] - first[0], head + opening, [], _BATCH
+    for i, j, value, tag in itertools.chain((first,), items):
+        if i > pd:
+            pd = i
+        if j - i > reg:
+            reg = j - i
+        batch.append(row % (i, j, value, quote(tag)))
+        if len(batch) == size:
+            write(lead + sep.join(batch))
+            lead, batch = sep, []
+    write(lead + sep.join(batch) + closing if batch else closing)
+    return pd, reg
+
+
+def _write_record(write: Callable[[str], object], spec: PathFamilySpec, method: str, characteristic: int,
+                  items: Iterable[tuple[int, int, int, str]], start: float, done: float | None,
+                  diff: dict[tuple[int, int], tuple[int, int]]) -> None:
+    """Write the betti command's JSON record of the entries, with the tables' ``diff`` when the method is ``both``.
+
+    ``timing_ms`` runs from ``start`` to ``done``, or, when ``done`` is
+    None, to the last entry written.
+    """
+    head = _HEAD % (_string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic)
+    pd, reg = _write_entries(write, head, items, _JSON_LAYOUT)
+    timing_ms = ((time.perf_counter() if done is None else done) - start) * 1000.0
     rows = [_DIFF % (i, j, a, b) for (i, j), (a, b) in diff.items()]
-    return _RECORD % (
-        _string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic,
-        entries, table.pd, table.reg, repr(round(timing_ms, 3)),
-        ',\n  "diff": ' + _list(rows) if method == "both" else "",
-    )
+    write(_TAIL % (pd, reg, repr(round(timing_ms, 3)), ',\n  "diff": ' + _list(rows) if method == "both" else ""))
 
 
 def _render_diagram(table: BettiTable) -> str:
@@ -222,20 +273,25 @@ def cmd_betti(args: SimpleNamespace) -> int:
         return EXIT_USAGE
 
     start = time.perf_counter()
-    closed = oracle = None
-    if args.method in ("closed", "both"):
-        closed = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
-    if args.method in ("oracle", "both"):
-        oracle = betti_hochster(build_path_complex(spec), field)
-    timing_ms = (time.perf_counter() - start) * 1000.0
+    closed = oracle = done = None
+    if args.method == "closed" and args.format != "pretty":
+        items = _closed_entries(spec)
+    else:
+        if args.method in ("closed", "both"):
+            closed = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
+        if args.method in ("oracle", "both"):
+            oracle = betti_hochster(build_path_complex(spec), field)
+        done = time.perf_counter()
+        table = closed if closed is not None else oracle
+        items = table.items()
 
-    table = closed if closed is not None else oracle
     diff = closed.diff(oracle) if args.method == "both" else {}
     if args.format == "json":
-        print(_table_record(spec, args.method, field.characteristic, table, timing_ms, diff))
+        _write_record(sys.stdout.write, spec, args.method, field.characteristic, items, start, done, diff)
     elif args.format == "csv":
         row = f"{spec.kind},{spec.n},{spec.t},%d,%d,%d,%s"
-        print("\n".join(["kind,n,t,i,j,beta,method", *[row % item for item in table.items()]]))
+        _write_entries(sys.stdout.write, "kind,n,t,i,j,beta,method", items, (row, str, "\n", "\n", "", ""))
+        print()
     else:
         print(_render_diagram(table))
         print(f"pd = {table.pd}, reg = {table.reg}  ({spec.kind}, n={spec.n}, t={spec.t})")

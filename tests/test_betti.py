@@ -36,6 +36,7 @@ from pathbetti import (
     vertex_count_of_runs,
 )
 from pathbetti import betti as betti_module
+from pathbetti import cli
 from pathbetti import homology as homology_module
 
 from conftest import small_complexes
@@ -1427,41 +1428,115 @@ BEYOND_THE_ORACLE = [
 ]
 
 
+def _walked(n: int, t: int) -> dict[tuple[int, int], int]:
+    return dict(betti_module._placement_walk(n, t))
+
+
 class TestProductFormula:
-    """Each entry of ``_placement_counts`` is one product of two binomials; the (r, b, P) sum it collapses checks it."""
+    """Each entry of ``_placement_walk`` is one product of two binomials; the (r, b, P) sum it collapses checks it."""
 
     def test_matches_the_line_binomial_sum_up_to_n_60(self):
         wrong = [
             (n, t) for n in range(61) for t in range(2, n + 2)
-            if betti_module._placement_counts(n, t) != line_placement_counts(n, t)
+            if _walked(n, t) != line_placement_counts(n, t)
         ]
         assert wrong == []
 
     @pytest.mark.parametrize("n,t", BEYOND_THE_ORACLE)
     def test_matches_the_line_binomial_sum_beyond_the_oracle(self, n, t):
-        assert betti_module._placement_counts(n, t) == line_placement_counts(n, t)
+        assert _walked(n, t) == line_placement_counts(n, t)
 
     def test_no_entry_is_zero_below_n_90(self):
         zero = [
             (n, t, key) for n in range(90) for t in range(2, n + 2)
-            for key, value in betti_module._placement_counts(n, t).items() if value <= 0
+            for key, value in _walked(n, t).items() if value <= 0
         ]
         assert zero == []
 
 
 class TestPlacementWalk:
-    """``_placement_counts`` walks each u's entries by one exact ratio; every product taken afresh checks the walk."""
+    """``_placement_walk`` walks each u's entries by one exact ratio; every product taken afresh checks the walk."""
 
     def test_matches_the_products_up_to_n_200(self):
         wrong = [
             (n, t) for n in range(201) for t in range(2, n + 2)
-            if betti_module._placement_counts(n, t) != line_product_counts(n, t)
+            if _walked(n, t) != line_product_counts(n, t)
         ]
         assert wrong == []
 
     @pytest.mark.parametrize("n,t", [(600, 2), (600, 5)])
     def test_matches_the_products_far_past_the_oracle(self, n, t):
-        assert betti_module._placement_counts(n, t) == line_product_counts(n, t)
+        assert _walked(n, t) == line_product_counts(n, t)
+
+
+def _closed_bound(entries: int, n: int) -> int:
+    """The closed route's byte bound for that many entries on n vertices, as ``_closed_entries`` takes it."""
+    return entries * (betti_module._ENTRY_BYTES + 2 * len(str(n)) + n * 30103 // 100000 + 1)
+
+
+class TestClosedEntries:
+    """The closed route's one walk: its entries in (j, i) order, each product checked afresh, and its byte budget."""
+
+    @staticmethod
+    def _entries(kind: str, n: int, t: int) -> list[tuple[int, int, int, str]]:
+        return list(betti_module._closed_entries(PathFamilySpec(kind, n, t)))
+
+    def test_every_line_and_cycle_up_to_n_60_in_strictly_increasing_j_i_order(self):
+        wrong = []
+        for n in range(3, 61):
+            for t in range(2, n + 1):
+                line, cycle = self._entries("line", n, t), self._entries("cycle", n, t)
+                for entries in (line, cycle):
+                    keys = [(j, i) for i, j, _, _ in entries]
+                    if any(a >= b for a, b in zip(keys, keys[1:])):
+                        wrong.append(("order", n, t))
+                if {(i, j): value for i, j, value, _ in line} != line_product_counts(n, t):
+                    wrong.append(("line", n, t))
+                if {(i, j): value for i, j, value, _ in cycle if j < n} != cycle_product_counts(n, t):
+                    wrong.append(("cycle", n, t))
+                i_top, value = betti_top_degree(PathFamilySpec("cycle", n, t))
+                if cycle[-1] != (i_top, n, value, "closed_form"):
+                    wrong.append(("top", n, t))
+        assert wrong == []
+
+    def test_the_count_of_entries_is_exact(self, monkeypatch):
+        # a budget of exactly the bound for the entries yielded passes, one byte less is refused
+        cases = [(kind, n, t) for n in range(3, 41) for t in range(2, n + 1) for kind in ("cycle", "line")]
+        bounds = [_closed_bound(len(self._entries(*case)), case[1]) for case in cases]
+        for (kind, n, t), bound in zip(cases, bounds):
+            monkeypatch.setattr(betti_module, "MAX_CLOSED_BYTES", bound)
+            self._entries(kind, n, t)
+            monkeypatch.setattr(betti_module, "MAX_CLOSED_BYTES", bound - 1)
+            with pytest.raises(OracleCapError, match="budget"):
+                self._entries(kind, n, t)
+
+    def test_every_entry_fits_its_share_of_the_bound(self):
+        # no value reaches 2^n, and an entry's JSON beside its numbers takes at most _ENTRY_BYTES
+        fixed = max(len(cli._ENTRY % (0, 0, 0, cli._string(tag))) - 3 + len(",\n    ")
+                    for tag in ("eligible_count", "closed_form"))
+        assert fixed <= betti_module._ENTRY_BYTES
+        for n in range(3, 61):
+            for t in range(2, n + 1):
+                for kind in ("cycle", "line"):
+                    assert all(0 < value < 2**n for _, _, value, _ in self._entries(kind, n, t)), (kind, n, t)
+        assert max(value for _, _, value, _ in self._entries("cycle", 600, 2)) < 2**600
+
+    @pytest.mark.parametrize("kind,n,t,refused", [
+        ("cycle", 4000, 2, False), ("line", 4000, 2, False), ("cycle", 2000, 2, False), ("cycle", 1000, 5, False),
+        ("cycle", 5000, 2, True), ("cycle", 8000, 2, True), ("line", 10**9, 3, True), ("cycle", 10**9, 10**9, False),
+    ])
+    def test_the_budget_is_decided_before_any_counting(self, monkeypatch, kind, n, t, refused):
+        def unreached(n, t):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(betti_module, "_placement_walk", unreached)
+        entries = betti_module._closed_entries(PathFamilySpec(kind, n, t))
+        if refused:
+            with pytest.raises(OracleCapError, match="over the closed route's budget"):
+                next(entries)
+        else:
+            with pytest.raises(AssertionError, match="the walk started"):
+                next(entries)
 
 
 class TestClosedCycleBeyondTheOracle:
@@ -1631,9 +1706,11 @@ class TestClosedCycle:
 
     def test_a_count_the_rotation_does_not_divide_is_refused(self, monkeypatch):
         # 5 * 1 / (5 - 2) leaves a remainder
-        monkeypatch.setattr(betti_module, "_placement_counts", lambda n, t: {(1, 2): 1})
+        monkeypatch.setattr(betti_module, "_placement_walk", lambda n, t: iter([((1, 2), 1)]))
         with pytest.raises(RuntimeError, match="not divisible"):
             betti_closed_cycle(PathFamilySpec("cycle", 5, 2))
+        with pytest.raises(RuntimeError, match="not divisible"):
+            list(betti_module._closed_entries(PathFamilySpec("cycle", 5, 2)))
 
     def test_provenance_tags(self):
         table = betti_closed_cycle(PathFamilySpec("cycle", 5, 2))

@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import unittest.mock
 from importlib import resources
 from pathlib import Path
 
@@ -170,8 +172,16 @@ def _record_dict(spec, method, characteristic, table, timing_ms, diff) -> dict:
     return record
 
 
+def _written(spec, method, characteristic, table, start, done, diff) -> str:
+    """What ``cli._write_record`` writes for the table, or for entries as they come, as one string."""
+    out: list[str] = []
+    items = table.items() if isinstance(table, BettiTable) else table
+    cli._write_record(out.append, spec, method, characteristic, items, start, done, diff)
+    return "".join(out)
+
+
 class TestBettiRendering:
-    """The betti record comes from one template, each of its entries from another, the CSV rows from one per row."""
+    """The betti record is a head, its entries and a tail, each entry from one template, the CSV rows from another."""
 
     @staticmethod
     def _same_as_json_dumps(out: str) -> bool:
@@ -188,7 +198,7 @@ class TestBettiRendering:
                         {"eligible_count", "closed_form"} if kind == "cycle" else {"eligible_count"})
 
     def test_stdout_with_a_diff_is_json_dumps_of_itself(self, capsys, monkeypatch):
-        monkeypatch.setattr(betti_module, "_placement_counts", lambda n, t: {(1, 2): 1})
+        monkeypatch.setattr(betti_module, "_placement_walk", lambda n, t: iter([((1, 2), 1)]))
         code, out, _ = _run(capsys, "betti", "--kind", "line", "--n", "6", "--t", "2", "--method", "both")
         assert code == 1
         assert json.loads(out)["diff"]
@@ -197,18 +207,70 @@ class TestBettiRendering:
     def test_an_empty_table_renders_an_empty_list(self):
         spec = PathFamilySpec("cycle", 5, 2)
         for method, diff in [("closed", {}), ("oracle", {}), ("both", {}), ("both", {(1, 2): (0, 5), (3, 5): (0, 1)})]:
-            args = (spec, method, 0, BettiTable(), 1.5, diff)
-            assert cli._table_record(*args) == json.dumps(_record_dict(*args), indent=2)
-            assert '"entries": []' in cli._table_record(*args)
+            written = _written(spec, method, 0, BettiTable(), 0.25, 0.2515, diff)
+            assert written == json.dumps(_record_dict(spec, method, 0, BettiTable(), (0.2515 - 0.25) * 1000, diff),
+                                         indent=2) + "\n"
+            assert '"entries": []' in written
 
     @given(
         st.sampled_from([PathFamilySpec("cycle", 5, 2), PathFamilySpec("line", 300, 7)]),
         st.sampled_from(["oracle", "closed", "both"]), st.sampled_from([0, 2, 2147483647]), _ENTRY_TABLES,
-        st.floats(min_value=0, allow_infinity=False), _DIFFS,
+        st.floats(min_value=0, max_value=1e12), st.floats(min_value=0, max_value=1e12), _DIFFS, st.integers(1, 4),
     )
-    def test_entries_are_json_dumps_of_their_records(self, spec, method, characteristic, entries, timing_ms, diff):
-        args = (spec, method, characteristic, BettiTable(entries), timing_ms, diff if method == "both" else {})
-        assert cli._table_record(*args) == json.dumps(_record_dict(*args), indent=2)
+    def test_entries_are_json_dumps_of_their_records(self, spec, method, characteristic, entries, start, done, diff,
+                                                     batch):
+        # batches of one to four entries, so that up to six entries fill a batch exactly, or leave some over
+        table, diff = BettiTable(entries), diff if method == "both" else {}
+        with unittest.mock.patch.object(cli, "_BATCH", batch):
+            written = _written(spec, method, characteristic, table, start, done, diff)
+        expected = _record_dict(spec, method, characteristic, table, (done - start) * 1000.0, diff)
+        assert written == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("kind,n,t", [("cycle", 300, 2), ("line", 300, 2), ("cycle", 300, 3)])
+    @pytest.mark.parametrize("batch", [1, 7, cli._BATCH])
+    def test_a_table_longer_than_a_batch(self, kind, n, t, batch):
+        # these tables take 2,925 to 5,150 entries, several of the command's batches
+        spec = PathFamilySpec(kind, n, t)
+        table = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        with unittest.mock.patch.object(cli, "_BATCH", batch):
+            written = _written(spec, "closed", 0, betti_module._closed_entries(spec), 1.0, 2.0, {})
+            rows = []
+            cli._write_entries(rows.append, "head", betti_module._closed_entries(spec),
+                               ("%d,%d,%d,%s", str, "\n", "\n", "", ""))
+        assert written == json.dumps(_record_dict(spec, "closed", 0, table, 1000.0, {}), indent=2) + "\n"
+        assert "".join(rows) == "head\n" + "\n".join("%d,%d,%d,%s" % item for item in table.items())
+        assert len(table.items()) > 2 * cli._BATCH
+
+    @pytest.mark.parametrize("kind,n,t", [("cycle", 300, 2), ("line", 301, 3)])
+    def test_the_streamed_route_prints_the_table(self, capsys, kind, n, t):
+        spec = PathFamilySpec(kind, n, t)
+        table = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        argv = ["betti", "--kind", kind, "--n", str(n), "--t", str(t), "--method", "closed"]
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and self._same_as_json_dumps(out)
+        record = json.loads(out)
+        assert record == _record_dict(spec, "closed", 0, table, record["timing_ms"], {})
+        code, out, _ = _run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == "kind,n,t,i,j,beta,method\n" + "".join(
+            f"{kind},{n},{t},{i},{j},{value},{tag}\n" for i, j, value, tag in table.items())
+
+    def test_the_streamed_record_is_a_tenth_of_its_size_in_memory(self):
+        # the cycle (1000, 2) writes a 15 MB record, which the record built whole held about three times over
+        spec = PathFamilySpec("cycle", 1000, 2)
+        written = [0]
+
+        def count(text: str) -> None:
+            written[0] += len(text)
+
+        tracemalloc.start()
+        try:
+            cli._write_record(count, spec, "closed", 0, betti_module._closed_entries(spec), 0.0, None, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written[0] > 10_000_000
+        assert peak < written[0] / 10
 
     @pytest.mark.parametrize("kind,n,t,method", [
         ("cycle", 9, 2, "oracle"), ("cycle", 40, 3, "closed"), ("line", 10, 2, "both"), ("line", 3, 3, "closed"),
@@ -369,6 +431,16 @@ class TestBettiCommand:
         code, _, err = _run(capsys, "betti", "--kind", "cycle", "--n", "23", "--t", "2", "--method", "both")
         assert code == 3
         assert "cap of 22" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_a_closed_table_over_the_byte_budget_exits_three_with_nothing_written(self, capsys, fmt):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "betti", "--kind", "cycle", "--n", "8000", "--t", "2",
+                              "--method", "closed", "--format", fmt)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "over the closed route's budget" in err
 
     def test_cap_is_checked_before_the_closed_route(self, capsys, monkeypatch):
         def unreached(spec):

@@ -72,8 +72,9 @@ from .paths import PathFamilySpec, RunSequence
 # homology._levels keeps the face budget.
 MAX_VERTICES = 22
 
-# Most bytes the closed route's JSON entries may take, bounded before any
-# counting (``_closed_entries``), and the most one entry takes beside its
+# Most bytes the closed route's JSON entries, or its diagram in the command
+# line (``cli._diagram_bytes``), may take, bounded before any counting
+# (``_closed_entries``), and the most one JSON entry takes beside its
 # three numbers: "eligible_count" in the command line's template, and the
 # separator before it.
 MAX_CLOSED_BYTES = 2**31

@@ -22,16 +22,18 @@ computing them.  Every record has a fixed shape, so each is made of
 them: an int by ``%d``, the finite float ``timing_ms`` by ``repr``, a
 bool as ``true`` or ``false`` and None as ``null``.
 
-The betti table, in JSON or in CSV, has one writer, ``_write_entries``:
-the head, then the entries, rendered from one template each and written
-in batches as they come, then the tail, with pd and reg kept as running
-maxima of the entries written.  ``--method closed`` feeds it straight
-from the closed route's walk, ``betti._closed_entries``, so no table,
-sort or whole record is ever held, and its ``timing_ms`` covers writing
-the entries too.  The oracle, ``--method both`` and the pretty diagram
-build a ``BettiTable`` first and feed the writer its ``items()``.
-``_list`` lays out the shorter lists of ``diff`` rows and ``explicit``
-pairs whole.
+The betti table has one flow per route, and one writer per format:
+``_write_entries`` for JSON and CSV, ``_write_diagram`` for the pretty
+diagram.  ``--method closed`` feeds the writer straight from the closed
+route's walk, ``betti._closed_entries``, so no table, sort or whole
+record is ever held; ``oracle`` and ``both`` build their ``BettiTable``
+and feed it the table's ``items()``.  ``_write_entries`` writes the
+head, then the entries, rendered from one template each and written in
+batches as they come, then the tail, with pd and reg kept as running
+maxima of the entries written, and ``timing_ms`` covers writing the
+entries too.  ``_write_diagram`` keeps only the values and the column
+totals and writes the diagram row by row.  ``_list`` lays out the
+shorter lists of ``diff`` rows and ``explicit`` pairs whole.
 
 Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
 well-formed command line (a command, then its options in full, each with
@@ -45,14 +47,15 @@ nor builds a parser, which took longer than computing a small table.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 import time
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from types import SimpleNamespace
 
 from .betti import (
+    MAX_CLOSED_BYTES,
     BettiTable,
     OracleCapError,
     _closed_entries,
@@ -204,19 +207,14 @@ def _write_entries(write: Callable[[str], object], head: str, items: Iterable[tu
                    layout: tuple[str, Callable[[str], str], str, str, str, str]) -> tuple[int, int]:
     """Write the head, then the entries in the layout, rendered in batches as ``items`` yields them; their pd and reg.
 
-    pd and reg are the largest i and j - i of the entries written, 0
-    when there are none.  The first entry is asked for before anything
-    is written, so that a refusal there, the closed route's byte budget,
-    leaves the output empty.
+    pd and reg are the largest i and j - i of the entries written and of
+    the implicit entry in degree (0, 0).  The head goes out with the
+    first batch, so a refusal at the first entry, the closed route's
+    byte budget, leaves the output empty.
     """
     row, quote, opening, sep, closing, empty = layout
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
-        write(head + empty)
-        return 0, 0
-    pd, reg, lead, batch, size = first[0], first[1] - first[0], head + opening, [], _BATCH
-    for i, j, value, tag in itertools.chain((first,), items):
+    pd, reg, lead, batch, size = 0, 0, head + opening, [], _BATCH
+    for i, j, value, tag in items:
         if i > pd:
             pd = i
         if j - i > reg:
@@ -225,41 +223,59 @@ def _write_entries(write: Callable[[str], object], head: str, items: Iterable[tu
         if len(batch) == size:
             write(lead + sep.join(batch))
             lead, batch = sep, []
-    write(lead + sep.join(batch) + closing if batch else closing)
+    write(lead + sep.join(batch) + closing if batch else closing if lead == sep else head + empty)
     return pd, reg
 
 
 def _write_record(write: Callable[[str], object], spec: PathFamilySpec, method: str, characteristic: int,
-                  items: Iterable[tuple[int, int, int, str]], start: float, done: float | None,
+                  items: Iterable[tuple[int, int, int, str]], start: float,
                   diff: dict[tuple[int, int], tuple[int, int]]) -> None:
     """Write the betti command's JSON record of the entries, with the tables' ``diff`` when the method is ``both``.
 
-    ``timing_ms`` runs from ``start`` to ``done``, or, when ``done`` is
-    None, to the last entry written.
+    ``timing_ms`` runs from ``start`` to the last entry written.
     """
     head = _HEAD % (_string(spec.kind), spec.n, spec.t, spec.p, spec.d, _string(method), characteristic)
     pd, reg = _write_entries(write, head, items, _JSON_LAYOUT)
-    timing_ms = ((time.perf_counter() if done is None else done) - start) * 1000.0
+    timing_ms = (time.perf_counter() - start) * 1000.0
     rows = [_DIFF % (i, j, a, b) for (i, j), (a, b) in diff.items()]
     write(_TAIL % (pd, reg, repr(round(timing_ms, 3)), ',\n  "diff": ' + _list(rows) if method == "both" else ""))
 
 
-def _render_diagram(table: BettiTable) -> str:
-    """Macaulay-style Betti diagram: rows are j - i, columns are i."""
-    pd = table.pd
-    reg = table.reg
-    values = [[table.value(i, i + r) for i in range(pd + 1)] for r in range(reg + 1)]
-    values[0][0] = 1  # the implicit entry in degree (0, 0)
-    cells = [[str(value) if value else "." for value in row] for row in values]
-    totals = [str(sum(column)) for column in zip(*values)]
-    width = max(2, *(len(s) for row in cells for s in row), *(len(s) for s in totals))
-    head = " " * 7 + " ".join(str(i).rjust(width) for i in range(pd + 1))
-    total = "total: " + " ".join(s.rjust(width) for s in totals)
-    body = [
-        f"{r:>5}: " + " ".join(s.rjust(width) for s in cells[r])
-        for r in range(reg + 1)
-    ]
-    return "\n".join([head, total, *body])
+def _diagram_bytes(spec: PathFamilySpec) -> int:
+    """The most bytes the closed table's diagram can take, bounded without counting it.
+
+    The diagram has reg + 3 lines, each of 8 + (pd + 1)(w + 1) bytes at
+    most for a column width w, when every row label has five digits or
+    fewer, which holds wherever this bound is under 6·10^9.  No value or
+    column total passes 2^n, so w <= max(2, W) with W = ⌊n·log10 2⌋ + 1,
+    bounded in integers by 0.30103 > log10 2.  For both kinds pd <= 2p + 1
+    and reg <= (t - 1)(p + 1).
+    """
+    p, width = spec.p, max(2, spec.n * 30103 // 100000 + 1)
+    return ((spec.t - 1) * (p + 1) + 3) * (8 + (2 * p + 2) * (width + 1))
+
+
+def _write_diagram(write: Callable[[str], object], items: Iterable[tuple[int, int, int, str]]) -> tuple[int, int]:
+    """Write the Macaulay-style Betti diagram of the entries, rows j - i and columns i; their pd and reg.
+
+    Only the values, by j - i and then i, and the column totals are
+    kept, the implicit 1 in degree (0, 0) included, and each row is
+    rendered as it is written.  The columns are as wide as the widest
+    total, and at least 2: no value is wider than its column's total.
+    """
+    rows, totals = defaultdict(dict), defaultdict(int)
+    rows[0][0] = totals[0] = 1
+    for i, j, value, _ in items:
+        rows[j - i][i] = value
+        totals[i] += value
+    pd, reg = max(totals), max(rows)
+    width = max(2, len(str(max(totals.values()))))
+    write(" " * 7 + " ".join(str(i).rjust(width) for i in range(pd + 1)) + "\n")
+    write("total: " + " ".join(str(totals[i]).rjust(width) for i in range(pd + 1)) + "\n")
+    for r in range(reg + 1):
+        row = rows.pop(r, {})
+        write(f"{r:>5}: " + " ".join(str(row.get(i) or ".").rjust(width) for i in range(pd + 1)) + "\n")
+    return pd, reg
 
 
 def cmd_betti(args: SimpleNamespace) -> int:
@@ -273,28 +289,27 @@ def cmd_betti(args: SimpleNamespace) -> int:
         return EXIT_USAGE
 
     start = time.perf_counter()
-    closed = oracle = done = None
-    if args.method == "closed" and args.format != "pretty":
+    diff = {}
+    if args.method == "closed":
+        if args.format == "pretty" and (size := _diagram_bytes(spec)) > MAX_CLOSED_BYTES:
+            raise OracleCapError(f"the closed diagram of the {spec.kind} ({spec.n}, {spec.t}) could take {size} "
+                                 f"bytes, over the closed route's budget of {MAX_CLOSED_BYTES}")
         items = _closed_entries(spec)
     else:
-        if args.method in ("closed", "both"):
-            closed = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
-        if args.method in ("oracle", "both"):
-            oracle = betti_hochster(build_path_complex(spec), field)
-        done = time.perf_counter()
-        table = closed if closed is not None else oracle
+        table = oracle = betti_hochster(build_path_complex(spec), field)
+        if args.method == "both":
+            table = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
+            diff = table.diff(oracle)
         items = table.items()
 
-    diff = closed.diff(oracle) if args.method == "both" else {}
     if args.format == "json":
-        _write_record(sys.stdout.write, spec, args.method, field.characteristic, items, start, done, diff)
+        _write_record(sys.stdout.write, spec, args.method, field.characteristic, items, start, diff)
     elif args.format == "csv":
         row = f"{spec.kind},{spec.n},{spec.t},%d,%d,%d,%s"
-        _write_entries(sys.stdout.write, "kind,n,t,i,j,beta,method", items, (row, str, "\n", "\n", "", ""))
-        print()
+        _write_entries(sys.stdout.write, "kind,n,t,i,j,beta,method", items, (row, str, "\n", "\n", "\n", "\n"))
     else:
-        print(_render_diagram(table))
-        print(f"pd = {table.pd}, reg = {table.reg}  ({spec.kind}, n={spec.n}, t={spec.t})")
+        pd, reg = _write_diagram(sys.stdout.write, items)
+        print(f"pd = {pd}, reg = {reg}  ({spec.kind}, n={spec.n}, t={spec.t})")
         if args.method == "both":
             print("oracle and closed form " + ("DISAGREE" if diff else "agree"))
     return EXIT_VERIFY if diff else EXIT_OK

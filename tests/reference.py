@@ -17,6 +17,8 @@ of the cyclic binomial and a plain one.  Two more routes share nothing
 with the package's: ``cycle_independence_at_minus_one`` pins the cycle's
 top-degree entry through the K-polynomial, and ``lcm_lattice_betti``
 reads a whole table off the lattice of unions of the facets.
+``render_diagram`` draws a table's Macaulay diagram from two whole
+grids of its values, where the command line writes it row by row.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import itertools
 from math import comb
 from typing import Iterable, Iterator
 
-from pathbetti import QQ, FieldSpec, HomologyVector, PathFamilySpec, RunSequence, SimplicialComplex, make_complex
+from pathbetti import (
+    QQ, BettiTable, FieldSpec, HomologyVector, PathFamilySpec, RunSequence, SimplicialComplex, make_complex,
+)
 from pathbetti.betti import facet_masks
 from pathbetti.complexes import Face, Vertex
 from pathbetti.homology import _homology, _levels
@@ -339,3 +343,21 @@ def lcm_lattice_betti(masks: list[int], field: FieldSpec = QQ) -> dict[tuple[int
             key = (degree + 2, y.bit_count())
             out[key] = out.get(key, 0) + dim
     return out
+
+
+def render_diagram(table: BettiTable) -> str:
+    """Macaulay-style Betti diagram: rows are j - i, columns are i, every cell and total rendered first."""
+    pd = table.pd
+    reg = table.reg
+    values = [[table.value(i, i + r) for i in range(pd + 1)] for r in range(reg + 1)]
+    values[0][0] = 1  # the implicit entry in degree (0, 0)
+    cells = [[str(value) if value else "." for value in row] for row in values]
+    totals = [str(sum(column)) for column in zip(*values)]
+    width = max(2, *(len(s) for row in cells for s in row), *(len(s) for s in totals))
+    head = " " * 7 + " ".join(str(i).rjust(width) for i in range(pd + 1))
+    total = "total: " + " ".join(s.rjust(width) for s in totals)
+    body = [
+        f"{r:>5}: " + " ".join(s.rjust(width) for s in cells[r])
+        for r in range(reg + 1)
+    ]
+    return "\n".join([head, total, *body])

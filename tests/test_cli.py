@@ -25,6 +25,7 @@ from pathbetti import (
 )
 from pathbetti import betti as betti_module
 from pathbetti.cli import main
+from reference import render_diagram
 
 
 def _schema() -> dict:
@@ -164,7 +165,7 @@ def _record_dict(spec, method, characteristic, table, timing_ms, diff) -> dict:
         "field_characteristic": characteristic,
         "entries": [{"i": i, "j": j, "value": value, "method": tag} for i, j, value, tag in table.items()],
         "pd": table.pd,
-        "reg": table.reg,
+        "reg": max(table.reg, 0),  # the implicit entry in degree (0, 0) counts, so no reg is negative
         "timing_ms": round(timing_ms, 3),
     }
     if method == "both":
@@ -173,10 +174,15 @@ def _record_dict(spec, method, characteristic, table, timing_ms, diff) -> dict:
 
 
 def _written(spec, method, characteristic, table, start, done, diff) -> str:
-    """What ``cli._write_record`` writes for the table, or for entries as they come, as one string."""
+    """What ``cli._write_record`` writes for the table, or for entries as they come, as one string.
+
+    The clock reads ``done`` once the entries are written, so ``timing_ms``
+    is pinned to ``done - start``.
+    """
     out: list[str] = []
     items = table.items() if isinstance(table, BettiTable) else table
-    cli._write_record(out.append, spec, method, characteristic, items, start, done, diff)
+    with unittest.mock.patch.object(time, "perf_counter", lambda: done):
+        cli._write_record(out.append, spec, method, characteristic, items, start, diff)
     return "".join(out)
 
 
@@ -236,9 +242,9 @@ class TestBettiRendering:
             written = _written(spec, "closed", 0, betti_module._closed_entries(spec), 1.0, 2.0, {})
             rows = []
             cli._write_entries(rows.append, "head", betti_module._closed_entries(spec),
-                               ("%d,%d,%d,%s", str, "\n", "\n", "", ""))
+                               ("%d,%d,%d,%s", str, "\n", "\n", "\n", "\n"))
         assert written == json.dumps(_record_dict(spec, "closed", 0, table, 1000.0, {}), indent=2) + "\n"
-        assert "".join(rows) == "head\n" + "\n".join("%d,%d,%d,%s" % item for item in table.items())
+        assert "".join(rows) == "head\n" + "".join("%d,%d,%d,%s\n" % item for item in table.items())
         assert len(table.items()) > 2 * cli._BATCH
 
     @pytest.mark.parametrize("kind,n,t", [("cycle", 300, 2), ("line", 301, 3)])
@@ -265,7 +271,7 @@ class TestBettiRendering:
 
         tracemalloc.start()
         try:
-            cli._write_record(count, spec, "closed", 0, betti_module._closed_entries(spec), 0.0, None, {})
+            cli._write_record(count, spec, "closed", 0, betti_module._closed_entries(spec), 0.0, {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -284,6 +290,97 @@ class TestBettiRendering:
         table = betti_hochster(build_path_complex(spec)) if method == "oracle" else closed
         rows = [f"{kind},{n},{t},{i},{j},{value},{tag}\n" for i, j, value, tag in table.items()]
         assert out == "kind,n,t,i,j,beta,method\n" + "".join(rows)
+
+
+def _specs(most: int):
+    """Every cycle and line spec with 2 <= t <= n <= most."""
+    return [PathFamilySpec(kind, n, t) for kind in ("cycle", "line")
+            for n in range(3 if kind == "cycle" else 2, most + 1) for t in range(2, n + 1)]
+
+
+def _diagram(items) -> tuple[str, tuple[int, int]]:
+    """What ``cli._write_diagram`` writes for the entries, as one string, and the pd and reg it returns."""
+    out: list[str] = []
+    shape = cli._write_diagram(out.append, items)
+    return "".join(out), shape
+
+
+class TestDiagram:
+    """The pretty diagram is written row by row from the entries, and the closed route's is bounded before counting."""
+
+    @pytest.mark.parametrize("spec", _specs(14), ids=str)
+    def test_every_method_draws_the_reference_diagram(self, spec):
+        closed = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
+        for table in (closed, betti_hochster(build_path_complex(spec))):
+            assert _diagram(table.items()) == (render_diagram(table) + "\n", (table.pd, table.reg))
+
+    @pytest.mark.parametrize("kind,n,t", [("cycle", 300, 2), ("line", 300, 2), ("cycle", 300, 3), ("line", 300, 3)])
+    def test_the_streamed_diagram_is_the_reference_diagram(self, kind, n, t):
+        spec = PathFamilySpec(kind, n, t)
+        table = betti_closed_cycle(spec) if kind == "cycle" else betti_closed_line(spec)
+        written, shape = _diagram(betti_module._closed_entries(spec))
+        assert written == render_diagram(table) + "\n"
+        assert shape == (table.pd, table.reg)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_the_closed_route_builds_no_table(self, capsys, monkeypatch, fmt):
+        def unbuilt(self, entries=None):
+            raise AssertionError("a BettiTable was built")
+
+        expected = _run(capsys, "betti", "--kind", "cycle", "--n", "40", "--t", "3", "--method", "closed",
+                        "--format", fmt)
+        monkeypatch.setattr(BettiTable, "__init__", unbuilt)
+        code, out, err = _run(capsys, "betti", "--kind", "cycle", "--n", "40", "--t", "3", "--method", "closed",
+                              "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            out, expected = json.loads(out), json.loads(expected[1])
+            out["timing_ms"] = expected["timing_ms"]
+        else:
+            expected = expected[1]
+        assert out == expected
+
+    def test_the_diagram_is_four_times_its_size_in_memory_at_most(self):
+        # the cycle (1000, 2) writes a 51 MB diagram, which the two grids of the whole-table renderer held 2.6 times
+        spec = PathFamilySpec("cycle", 1000, 2)
+        written = [0]
+
+        def count(text: str) -> None:
+            written[0] += len(text)
+
+        tracemalloc.start()
+        try:
+            cli._write_diagram(count, betti_module._closed_entries(spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written[0] > 50_000_000
+        assert peak < written[0] / 4
+
+    def test_the_bound_covers_every_diagram(self):
+        for spec in _specs(60):
+            written, (pd, reg) = _diagram(betti_module._closed_entries(spec))
+            assert len(written) <= cli._diagram_bytes(spec), spec
+            assert pd <= 2 * spec.p + 1 and reg <= (spec.t - 1) * (spec.p + 1), spec
+
+    def test_a_diagram_over_the_budget_exits_three_with_nothing_written(self, capsys, monkeypatch):
+        argv = ["betti", "--kind", "cycle", "--n", "200", "--t", "2", "--method", "closed", "--format", "pretty"]
+        bound = cli._diagram_bytes(PathFamilySpec("cycle", 200, 2))
+        monkeypatch.setattr(cli, "MAX_CLOSED_BYTES", bound)
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out
+        monkeypatch.setattr(cli, "MAX_CLOSED_BYTES", bound - 1)
+        monkeypatch.setattr(betti_module, "_placement_walk", lambda n, t: pytest.fail("the diagram was counted"))
+        code, out, err = _run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"could take {bound} bytes" in err and "over the closed route's budget" in err
+
+    @pytest.mark.parametrize("n,code", [(3000, 0), (4000, 3)])
+    def test_the_bound_admits_3000_and_refuses_4000(self, n, code):
+        # 1.82 GB and 4.30 GB against the budget of 2^31 bytes
+        spec = PathFamilySpec("cycle", n, 2)
+        assert (cli._diagram_bytes(spec) > cli.MAX_CLOSED_BYTES) == (code == 3)
 
 
 def _homology_dict(keys: dict, summary, vector=None) -> dict:

@@ -18,7 +18,12 @@ component is relabelled at most once per scan, and a component whose
 Ind is acyclic drops its whole branch.  When the facets are closed
 under moving each facet one vertex up or down where it fits, as the
 line's are, only the unions through vertex 0 are searched, each
-weighted by its n - hi(Y) translates.  Ind's homology comes from
+weighted by its n - hi(Y) translates.  Such facets are all the
+translates that fit of their facets through 0, their pattern, and a
+union through 0 on fewer vertices is one the larger search reaches
+with a smaller hi(Y).  So the search's terms are kept per pattern and
+per hi(Y) (``_pattern_terms``), and the largest frame searched answers
+every frame up to it.  Ind's homology comes from
 link/deletion splitting on a vertex, which recurses on smaller shapes
 through one memo, a ``functools.lru_cache`` of 4096 shapes that drops
 the least recently used.  A shape whose complement is small, or on
@@ -44,7 +49,9 @@ the oracle's sums only through the Ind of the shapes they meet, so
 their None entry (``_oracle_sums``, 64 facet sets) holds over every
 field when every shape met has a None entry of its own, and is None
 otherwise, as for the RP2 ideal's full union.  One entry thus serves
-every field and every repeat, and the cycle's asks for the line's.
+every field and every repeat, and the cycle's asks for the line's.  A
+pattern's terms are kept under the field its sums were asked for, and
+a search refused under None leaves them as they were.
 
 The closed-form route counts eligible run placements on the line as one
 product of two binomials per entry, walked from entry to entry by one
@@ -504,6 +511,26 @@ def _cycle_counts(n: int, counts: Iterable[tuple[tuple[int, int], int]]) -> Iter
 
 
 @functools.lru_cache(maxsize=64)
+def _pattern_terms(pattern: tuple[int, ...], field: FieldSpec | None) -> list:
+    """The cell of one pattern's translation search: [the largest frame searched, its terms], or [-1, {}].
+
+    A shift-closed facet set is all the translates that fit of its facets
+    through vertex 0, its pattern.  So the facets of one pattern on n'
+    vertices are those on n >= n' vertices with hi(F) < n', and a union Y
+    through 0 on n' vertices is exactly a union that the n-vertex search
+    reaches with hi(Y) < n', with the same facets inside it and the same
+    Ind.  The terms are kept unweighted, summed per h = hi(Y) + 1 and key
+    (``_terms``), so that the largest frame searched answers every frame
+    up to it: ``_oracle_sums`` weighs them by n' + 1 - h for h <= n'.
+    Only ``_oracle_sums`` changes a cell, once a larger frame's search has
+    finished; a refused search leaves it as it was.  One least-recently-
+    used cache of 64 cells holds them, keyed by the pattern, sorted, and
+    the field.
+    """
+    return [-1, {}]
+
+
+@functools.lru_cache(maxsize=64)
 def _oracle_sums(masks: tuple[int, ...], frame: int, field: FieldSpec | None) -> dict | None:
     """The (i, j) sums of the oracle's table for the facet masks on ``frame`` vertices, memoised, or None.
 
@@ -511,15 +538,18 @@ def _oracle_sums(masks: tuple[int, ...], frame: int, field: FieldSpec | None) ->
     one place, the full vertex set adds its term from ``_sub_homology``,
     and the entries below degree n are those of the facets that miss
     vertex n - 1, asked for from this memo by ``_every_field`` on the
-    other n - 1 vertices and scaled by ``_cycle_counts``.  Otherwise
-    each union Y that ``_union_search`` yields adds H_d of its Ind at the
-    key (|Y| - d - 1, |Y|), times the n - hi(Y) translates that fit in
-    the frame when the facets are shift-closed and those through vertex
-    0 lead the search.  The key is all the sums depend on: the facets in
-    their order, the frame and the field.  With the field None the sums
-    hold over every field, and a term or a search that meets a shape
-    without an every-field Ind is refused with None, which is kept as
-    well.  One least-recently-used cache of 64 facet sets holds them,
+    other n - 1 vertices and scaled by ``_cycle_counts``.  When they are
+    shift-closed, each union Y through vertex 0 adds H_d of its Ind at
+    the key (|Y| - d - 1, |Y|) times the n - hi(Y) translates that fit
+    in the frame.  Those terms are read from the cell ``_pattern_terms``
+    of the facets through 0, and when the cell holds a smaller frame, a
+    search with those facets leading fills it first.  Otherwise each
+    union that ``_union_search`` yields adds its term once.  The key is
+    all the sums depend on: the facets in their order, the frame and the
+    field.  With the field None the sums hold over every field, and a
+    term or a search that meets a shape without an every-field Ind is
+    refused with None, which is kept as well; the pattern's cell stays as
+    it was.  One least-recently-used cache of 64 facet sets holds them,
     process-wide.  Every caller gets the memo's own dict, to read and
     never to change.  Ø must not be a facet.
     """
@@ -531,23 +561,39 @@ def _oracle_sums(masks: tuple[int, ...], frame: int, field: FieldSpec | None) ->
             below = _every_field(_oracle_sums, field, tuple(fm for fm in masks if not fm >> frame - 1), frame - 1)
             return dict(_cycle_counts(frame, below.items())) | whole
         top = 1 << frame >> 1
-        lead, searched = 0, masks
         if sorted(fm << 1 for fm in masks if not fm & top) == sorted(fm for fm in masks if not fm & 1):
-            # the facets through vertex 0 first, each part in its own order
-            searched = sorted(masks, key=lambda fm: not fm & 1)
-            lead = sum(fm & 1 for fm in masks)
-        sums: dict[tuple[int, int], int] = {}
-        for y, ind in _union_search(searched, field, lead):
-            size = y.bit_count()
-            # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y)
-            weight = frame + 1 - y.bit_length() if lead else 1
-            for d, dim in ind.items():
-                # duality puts H_d(Ind) in the complement's degree |Y| - d - 3
-                key = (size - d - 1, size)
-                sums[key] = sums.get(key, 0) + dim * weight
+            pattern = tuple(sorted(fm for fm in masks if fm & 1))
+            cell = _pattern_terms(pattern, field)
+            if cell[0] < frame:
+                # the facets through vertex 0 first, each part in its own order
+                searched = sorted(masks, key=lambda fm: not fm & 1)
+                cell[:] = frame, _terms(_union_search(searched, field, len(pattern)))
+            terms, translated = cell[1], True
+        else:
+            terms, translated = _terms(_union_search(masks, field)), False
     except homology._NonUnitPivot:
         return None
+    sums: dict[tuple[int, int], int] = {}
+    for (h, key), value in terms.items():
+        # the translates of Y that fit put its lowest vertex at 0..n - 1 - hi(Y), with h = hi(Y) + 1
+        if h <= frame:
+            sums[key] = sums.get(key, 0) + value * (frame + 1 - h if translated else 1)
     return sums
+
+
+def _terms(unions: Iterable[tuple[int, HomologyVector]]) -> dict[tuple[int, tuple[int, int]], int]:
+    """The Ind of each union Y, summed per (h, key), with h = ``y.bit_length()``, one more than hi(Y).
+
+    H_d of Y's Ind goes to the key (|Y| - d - 1, |Y|): duality puts it in
+    the complement's degree |Y| - d - 3, two below the Betti number's.
+    """
+    terms: dict[tuple[int, tuple[int, int]], int] = {}
+    for y, ind in unions:
+        size, h = y.bit_count(), y.bit_length()
+        for d, dim in ind.items():
+            key = h, (size - d - 1, size)
+            terms[key] = terms.get(key, 0) + dim
+    return terms
 
 
 def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTable:
@@ -598,8 +644,10 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     RP2's Stanley-Reisner ideal, whose full union has Ind RP2, are
     refused under None and searched once per field.  The cycle's facets
     missing vertex n - 1 are the line's on n - 1 vertices, in the line's
-    order, and the cycle asks the same memo for them, so a cycle and the
-    line on one vertex fewer share one search, in either order.
+    order, and the cycle asks the same memo for them.  The search of a
+    shift-closed facet set is kept by ``_pattern_terms`` under its facets
+    through vertex 0, so the lines with one t, and the cycles that ask
+    for them, share one search: every frame up to the largest searched.
 
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face

@@ -6,12 +6,18 @@ from hypothesis import strategies as st
 from pathbetti import SimplicialComplex, betti, make_complex
 
 
+def empty_oracle_memos() -> None:
+    """Empty the oracle's memos: its sums per facet set and its translation terms per pattern."""
+    betti._oracle_sums.cache_clear()
+    betti._pattern_terms.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_oracle_memo():
-    """The oracle's memo of sums per facet set, emptied around every test, so that no sums outlive their test."""
-    betti._oracle_sums.cache_clear()
+    """The oracle's memos, emptied around every test, so that no sums or terms outlive their test."""
+    empty_oracle_memos()
     yield
-    betti._oracle_sums.cache_clear()
+    empty_oracle_memos()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import inspect
 import random
 import sys
 import types
+from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 
@@ -39,7 +40,7 @@ from pathbetti import betti as betti_module
 from pathbetti import cli
 from pathbetti import homology as homology_module
 
-from conftest import small_complexes
+from conftest import empty_oracle_memos, small_complexes
 from reference import (
     GF2, GF32003, RP2, complement, cycle_independence_at_minus_one, cycle_placement_counts, cycle_product_counts,
     enumerate_placements, induced_subcollection, lcm_lattice_betti, levels_homology, line_placement_counts,
@@ -458,8 +459,9 @@ class TestOracleRoute:
 
 
 def _without_search_memo(monkeypatch) -> None:
-    """Run ``_oracle_sums`` without its memo, so that every ``betti_hochster`` call starts its own search."""
+    """Run the oracle without its two memos, so that every ``betti_hochster`` call starts its own search."""
     monkeypatch.setattr(betti_module, "_oracle_sums", betti_module._oracle_sums.__wrapped__)
+    monkeypatch.setattr(betti_module, "_pattern_terms", betti_module._pattern_terms.__wrapped__)
 
 
 def _count_search_relabels(monkeypatch) -> list[int]:
@@ -672,7 +674,7 @@ class TestRotationRoute:
         masks = betti_module.facet_masks(delta)
         below, m = _searched_below(masks, len(delta.ambient))
         memo = betti_module._oracle_sums
-        memo.cache_clear()
+        empty_oracle_memos()
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _started(monkeypatch)
             betti_hochster(delta, GF2)
@@ -893,8 +895,8 @@ class TestTranslationRoute:
 
 
 def _fresh(delta: SimplicialComplex, field: FieldSpec) -> list[tuple[int, int, int, str]]:
-    """The items of the oracle's table from a call made with the oracle's memo emptied first."""
-    betti_module._oracle_sums.cache_clear()
+    """The items of the oracle's table from a call made with the oracle's memos emptied first."""
+    empty_oracle_memos()
     return betti_hochster(delta, field).items()
 
 
@@ -910,7 +912,7 @@ class TestSearchMemo:
         want = [_fresh(delta, field) for delta, field in calls]
         order = list(range(len(calls)))
         random.Random(32).shuffle(order)
-        betti_module._oracle_sums.cache_clear()
+        empty_oracle_memos()
         got = {k: betti_hochster(*calls[k]).items() for k in order}
         assert [got[k] for k in range(len(calls))] == want
         assert betti_module._oracle_sums.cache_info().hits > len(calls) / 2
@@ -921,7 +923,7 @@ class TestSearchMemo:
     def test_random_antichains_over_two_fields_in_both_orders(self, delta):
         want = {field: _fresh(delta, field) for field in (QQ, GF2)}
         for fields in ((QQ, GF2), (GF2, QQ)):
-            betti_module._oracle_sums.cache_clear()
+            empty_oracle_memos()
             assert [betti_hochster(delta, field).items() for field in fields] == [want[field] for field in fields]
 
     @pytest.mark.parametrize("first, second", [(GF2, QQ), (QQ, GF2)], ids=["GF2-then-QQ", "QQ-then-GF2"])
@@ -942,7 +944,7 @@ class TestSearchMemo:
         fields = (QQ, GF2, QQ, GF2, FieldSpec(3))
         want = [_fresh(delta, field) for field in fields]
         memo = betti_module._oracle_sums
-        memo.cache_clear()
+        empty_oracle_memos()
         started = _started(monkeypatch)
         assert [betti_hochster(delta, field).items() for field in fields] == want
         assert len(started) == 4
@@ -1011,6 +1013,85 @@ class TestSearchMemo:
         info = memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, bound + 8, bound)
         betti_hochster(deltas[-1], GF2)
+        assert memo.cache_info()[:2] == (1, bound + 8)
+        betti_hochster(deltas[0], QQ)
+        assert memo.cache_info()[:2] == (1, bound + 9) and memo.cache_info().currsize == bound
+
+
+def _pattern_frames(pattern: list[int], frames: Iterable[int]) -> dict[int, SimplicialComplex]:
+    """Each frame's complex of every translate that fits of the pattern's facet masks, by its number of vertices."""
+    return {
+        n: make_complex(range(1, n + 1), [
+            tuple(b + k + 1 for b in range(fm.bit_length()) if fm >> b & 1)
+            for fm in pattern for k in range(n + 1 - fm.bit_length())
+        ])
+        for n in frames
+    }
+
+
+class TestPatternMemo:
+    """One translation search per pattern of facets through vertex 0: the largest frame searched answers the smaller."""
+
+    @given(translated_complexes(), st.randoms(use_true_random=False))
+    @example(
+        make_complex(range(1, 10), [(v, v + 1, v + 3) for v in range(1, 7)] + [(v, v + 4) for v in range(1, 6)]),
+        random.Random(0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_frames_in_any_order_over_two_fields_match_fresh_searches(self, delta, rng):
+        # every frame from the pattern's highest vertex up to the drawn one, asked largest first,
+        # smallest first and shuffled, QQ and GF(2) interleaved
+        pattern = [fm for fm in betti_module.facet_masks(delta) if fm & 1]
+        frames = _pattern_frames(pattern, range(max(pattern).bit_length(), len(delta.ambient) + 1))
+        asks = [(n, field) for n in frames for field in (QQ, GF2)]
+        want = {(n, field): _fresh(frames[n], field) for n, field in asks}
+        shuffled = list(asks)
+        rng.shuffle(shuffled)
+        for order in (sorted(asks, key=lambda ask: -ask[0]), sorted(asks, key=lambda ask: ask[0]), shuffled):
+            empty_oracle_memos()
+            assert [betti_hochster(frames[n], field).items() for n, field in order] == [want[ask] for ask in order]
+
+    def test_a_smaller_frame_after_a_larger_one_starts_no_search(self, monkeypatch):
+        # the line (14, 3) is searched once; every line (n, 3) with 3 < n < 14, and every cycle (n + 1, 3),
+        # which asks for the line (n, 3), over either field and smallest first, reads that search's cell
+        started = _started(monkeypatch)
+        line = PathFamilySpec("line", 14, 3)
+        assert betti_hochster(build_path_complex(line), QQ) == betti_closed_line(line)
+        for n in range(4, 14):
+            for field in (QQ, GF2):
+                line, cycle = PathFamilySpec("line", n, 3), PathFamilySpec("cycle", n + 1, 3)
+                assert betti_hochster(build_path_complex(line), field) == betti_closed_line(line)
+                assert betti_hochster(build_path_complex(cycle), field) == betti_closed_cycle(cycle)
+        assert len(started) == 1
+        assert betti_module._pattern_terms.cache_info().misses == 1
+
+    def test_a_pattern_facet_that_does_not_fit_the_smaller_frame_keeps_its_own_key(self, monkeypatch):
+        # the facets {0, 1, 2} and {0, 5} with their translates: on 5 vertices {0, 5} does not fit, which
+        # leaves the line (5, 3), a pattern of its own, searched on its own and kept beside the larger one
+        big, small = _pattern_frames([0b111, 0b100001], (8, 5)).values()
+        want = [_fresh(delta, QQ) for delta in (big, small)]
+        empty_oracle_memos()
+        started = _started(monkeypatch)
+        assert [betti_hochster(delta, QQ).items() for delta in (big, small)] == want
+        assert betti_hochster(small) == betti_closed_line(PathFamilySpec("line", 5, 3))
+        assert [sorted(masks) for masks, _ in started] == [sorted(betti_module.facet_masks(d)) for d in (big, small)]
+        memo = betti_module._pattern_terms
+        assert memo.cache_info().currsize == 2
+        assert (memo((0b111, 0b100001), None)[0], memo((0b111,), None)[0]) == (8, 5)
+
+    def test_the_memo_stays_within_its_bound(self):
+        memo = betti_module._pattern_terms
+        bound = memo.cache_info().maxsize
+        assert bound == 64
+        # one facet {0} + S with its translates on 14 vertices each: distinct patterns, each one search
+        facets = [1 | sum(1 << v for v in rest) for size in (1, 2) for rest in combinations(range(1, 13), size)]
+        deltas = [_pattern_frames([fm], (14,))[14] for fm in facets[:bound + 8]]
+        for delta in deltas:
+            betti_hochster(delta, QQ)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, bound + 8, bound)
+        # a smaller frame of the last pattern reads its cell; the first pattern was dropped and misses again
+        betti_hochster(_pattern_frames([facets[bound + 7]], (13,))[13], GF2)
         assert memo.cache_info()[:2] == (1, bound + 8)
         betti_hochster(deltas[0], QQ)
         assert memo.cache_info()[:2] == (1, bound + 9) and memo.cache_info().currsize == bound

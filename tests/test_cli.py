@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import empty_oracle_memos
 from dispatch import CASES, outcome, reference
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pathbetti import (
-    BettiTable, PathFamilySpec, RunSequence, betti_closed_cycle, betti_closed_line, betti_hochster, build_path_complex,
+    BettiTable, FieldSpec, PathFamilySpec, RunSequence, betti_closed_cycle, betti_closed_line, betti_hochster, build_path_complex,
     cli, homology, homology_cycle_complement, homology_run_sequence,
 )
 from pathbetti import betti as betti_module
@@ -694,6 +696,29 @@ class TestVerifyCommand:
         else:
             assert (got, out, err) == _run(capsys, "verify", "--max-n", "5", "--t-range", "4..4")
             assert "t=4" in out and "t=3" not in out and "t=5" not in out
+
+    def test_the_lines_are_each_cells_alone_in_the_order_given(self):
+        # the cells are worked from the largest n down, each asking for the line before the cycle,
+        # and still print as each cell's lines would, checked alone with the memos emptied
+        cells = [(n, t) for n in range(3, 13) for t in range(2, n + 1)]
+        fields = [FieldSpec(0), FieldSpec(2)]
+        alone = {}
+        for cell in cells:
+            empty_oracle_memos()
+            alone[cell] = cli.run_verification([cell], fields)
+        shuffled = list(cells)
+        random.Random(39).shuffle(shuffled)
+        for order in (cells, shuffled):
+            empty_oracle_memos()
+            assert cli.run_verification(order, fields) == [line for cell in order for line in alone[cell]]
+
+    def test_the_cap_grid_starts_one_search_per_t(self, capsys, monkeypatch):
+        # the lines (22, t) with t = 2..21 and the empty facet set, which every cell with t >= n - 1 reaches
+        started, search = [], betti_module._union_search
+        monkeypatch.setattr(betti_module, "_union_search", lambda *args: started.append(args) or search(*args))
+        code, out, _ = _run(capsys, "verify", "--max-n", "22", "--t-range", "2..22", "--char-list", "0,2,32003")
+        assert code == 0 and out.endswith("\n2760 checks, 0 failures\n")
+        assert len(started) == 21
 
     def test_every_check_runs_at_t_equal_to_n(self, capsys):
         code, out, _ = _run(capsys, "verify", "--max-n", "8", "--t-range", "2..8")

@@ -24,9 +24,11 @@ union through 0 on fewer vertices is one the larger search reaches
 with a smaller hi(Y).  So the search's terms are kept per pattern and
 per hi(Y) (``_pattern_terms``), and the largest frame searched answers
 every frame up to it.  Ind's homology comes from
-link/deletion splitting on a vertex, which recurses on smaller shapes
-through one memo, a ``functools.lru_cache`` of 4096 shapes that drops
-the least recently used.  A shape whose complement is small, or on
+link/deletion splitting on a vertex, first on one whose deletion is a
+cone, as every line shape has, so that only its link is evaluated.
+The splitting recurses on smaller shapes through one memo, a
+``functools.lru_cache`` of 4096 shapes that drops the least recently
+used.  A shape whose complement is small, or on
 which no vertex splits, has its homology read off the boundary-matrix
 ranks of its own complement instead, moved to Ind by Alexander
 duality.  The join formula combines the components, and Alexander
@@ -222,8 +224,9 @@ def _relabelled(verts: int, masks: list[int]) -> tuple[int, ...]:
     They are shifted down to bit 0, and each gap between the m vertices
     is closed with ``_drop``.  The vertices keep their order, and any
     relabelling that does keeps Ind the same up to isomorphism.  The
-    oracle's components on cycles and lines are blocks of consecutive
-    vertices, which the shift alone moves.
+    components that the union search finishes on cycles and lines are
+    blocks of consecutive vertices, which the shift alone moves; those
+    of a split's link need not be.
     """
     low = (verts & -verts).bit_length() - 1
     block = verts >> low
@@ -291,33 +294,48 @@ def _split_homology(shape: tuple[int, ...], field: FieldSpec | None) -> Homology
     H_k(del) nonzero: the maps H_k(lk) -> H_k(del) are then zero
     (Engström, "Independence complexes of claw-free graphs"; Adamaszek,
     "Splittings of independence complexes and the powers of cycles").
-    The vertices are tried by the number of facets through them, fewest
-    first, and None means that none splits.  A singleton facet is a
-    component of its own, whose Ind {Ø} has homology {-1: 1} and drops
-    out of the join, so neither complex has an empty facet.
+    When some vertex w lies only in facets through v, no facet avoiding
+    v holds w, so del is a cone from w and H_k(Ind) = H_{k-1}(lk): v
+    splits with only its link evaluated.  Such cone vertices are tried
+    first, then the rest, each by the number of facets through it,
+    fewest first, and None means that none splits.  Every line shape
+    has a cone vertex, any vertex but 0 of its first facet, and so has
+    each shape its links leave; the full cycle has none, but its first
+    split leaves lines.  A singleton facet is a component of its own,
+    whose Ind {Ø} has homology {-1: 1} and drops out of the join, so
+    neither complex has an empty facet.
 
     None also when the complement has at most m faces per facet, counting
     2^(m - |F|) faces under the complement of each facet F.  Long facets
     make Ind nearly a full simplex boundary, whose splitting multiplies
     sub-shapes (the 16-cycle with t = 14 made 1695 of them, and the
     22-cycle with t = 20 ran for minutes), while the complement's ranks
-    in ``_matrix_homology`` cost next to nothing.
+    in ``_matrix_homology`` cost next to nothing.  The rule also keeps a
+    singleton shape (m = 1, one facet: 1 <= 1) out of the split, where
+    the cut would be the empty facet and ``_relabelled`` would shift by
+    a negative count.
     """
     m = max(shape).bit_length()
     if sum(1 << (m - fm.bit_count()) for fm in shape) <= m * len(shape):
         return None
-    degree = [0] * m
+    degree, common = [0] * m, [-1] * m  # common[w]: the vertices of every facet through w
     for fm in shape:
-        while fm:
-            low = fm & -fm
-            degree[low.bit_length() - 1] += 1
-            fm ^= low
-    for v in sorted(range(m), key=degree.__getitem__):
+        rest = fm
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            degree[w] += 1
+            common[w] &= fm
+            rest ^= low
+    cones = 0  # the vertices v whose deletion leaves some w in no facet
+    for w in range(m):
+        cones |= common[w] & ~(1 << w)
+    for v in sorted(range(m), key=lambda v: (not cones >> v & 1, degree[v])):
         bit = 1 << v
         deleted = [_drop(fm, v) for fm in shape if not fm & bit]
         cut = [_drop(fm ^ bit, v) for fm in shape if fm & bit]
         linked = cut + [fm for fm in deleted if all(c & ~fm for c in cut)]
-        del_h = _sub_homology(deleted, m - 1, field)
+        del_h = {} if cones & bit else _sub_homology(deleted, m - 1, field)
         lk_h = _sub_homology(linked, m - 1, field)
         if not del_h.keys() & lk_h.keys():
             out = dict(del_h)

@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from pathbetti import (
@@ -306,16 +306,31 @@ class TestOracleRoute:
     def test_every_relabelled_vertex_mask_is_a_block(self, monkeypatch, empty_ind_memo):
         # the traffic of cycles and lines on at most 12 vertices, of their
         # full complements and of the run complexes on at most 12 vertices:
-        # every component the oracle keys is a block of consecutive
-        # vertices, so the shift alone moves it to bit 0
-        received = []
-        relabelled = betti_module._relabelled
+        # every component keyed outside the splitting, as the union search
+        # and the full sets finish them, is a block of consecutive
+        # vertices, so the shift alone moves it to bit 0.  The splitting's
+        # links need not be blocks, but every shape covers its bits 0..m-1
+        received, nested, depth = [], [], [0]
+        relabelled, split = betti_module._relabelled, betti_module._split_homology
 
         def recording(verts, masks):
-            received.append(verts)
-            return relabelled(verts, masks)
+            shape = relabelled(verts, masks)
+            covered = 0
+            for fm in shape:
+                covered |= fm
+            assert covered == (1 << verts.bit_count()) - 1
+            (nested if depth[0] else received).append(verts)
+            return shape
+
+        def splitting(shape, field):
+            depth[0] += 1
+            try:
+                return split(shape, field)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(betti_module, "_relabelled", recording)
+        monkeypatch.setattr(betti_module, "_split_homology", splitting)
         for kind in ("cycle", "line"):
             for n in range(3 if kind == "cycle" else 2, 13):
                 for t in range(2, n + 1):
@@ -326,7 +341,7 @@ class TestOracleRoute:
             for lengths in run_sequences(t, 12):
                 complement_homology(build_run_complex(RunSequence(lengths), t))
         blocks = {verts >> (verts & -verts).bit_length() - 1 for verts in received}
-        assert received and all(not block & (block + 1) for block in blocks)
+        assert received and nested and all(not block & (block + 1) for block in blocks)
 
     def test_large_facets_take_the_complement_route(self, monkeypatch, empty_ind_memo):
         # With no vertex splitting, the matrix route sees Ind of the 12-cycle
@@ -1240,12 +1255,24 @@ def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
     return betti_module._relabelled(verts, antichain)
 
 
+def _cone_vertices(shape: tuple[int, ...]) -> set[int]:
+    """The vertices v that some other vertex w lies in no facet without: deleting v leaves w in no facet."""
+    m = max(shape).bit_length()
+    out = set()
+    for w in range(m):
+        through = [{b for b in range(m) if fm >> b & 1} for fm in shape if fm >> w & 1]
+        out |= set.intersection(*through) - {w}
+    return out
+
+
 class TestIndSplitting:
     """Ind homology by link/deletion splitting, against Ind's faces taken outright."""
 
     @given(connected_antichains())
     @example((0b1,))
     @example((0b011, 0b110, 0b101))
+    @example(tuple(0b111 << v for v in range(5)))  # the line on 7 vertices, t = 3: cone vertices 1, 2, 4 and 5
+    @example(tuple(sorted(1 << v | 1 << (v + 1) % 9 for v in range(9))))  # the 9-cycle, t = 2: none
     @settings(max_examples=150, deadline=None)
     def test_matches_the_matrix_route(self, shape):
         levels = _ind_by_brute_force(shape)
@@ -1255,6 +1282,68 @@ class TestIndSplitting:
             assert betti_module._ind_homology(shape, field) == want
             split = betti_module._split_homology(shape, field)
             assert split is None or split == want
+
+    def test_the_drawn_shapes_have_a_cone_vertex_and_have_none(self):
+        # the strategy above reaches both sides of the cone rule, not only its examples
+        quick = settings(max_examples=500, database=None, phases=[Phase.generate])
+        assert _cone_vertices(find(connected_antichains(), _cone_vertices, settings=quick))
+        assert not _cone_vertices(find(connected_antichains(), lambda shape: not _cone_vertices(shape), settings=quick))
+
+    @pytest.mark.parametrize("shape", [
+        tuple(0b111 << v for v in range(5)),  # the line on 7 vertices, t = 3
+        (0b00011, 0b00110, 0b01100, 0b11000, 0b10001, 0b100100),  # a 5-cycle with a pendant edge at vertex 2
+    ], ids=["line-7-3", "pendant"])
+    def test_a_cone_vertex_splits_first_with_only_its_link_evaluated(self, monkeypatch, empty_ind_memo, shape):
+        # the _sub_homology calls the split makes itself, not those of the sub-shapes' own splits
+        evaluated, depth = [], [0]
+        sub = betti_module._sub_homology
+
+        def recording(masks, m, field):
+            if not depth[0]:
+                evaluated.append(masks)
+            depth[0] += 1
+            try:
+                return sub(masks, m, field)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(betti_module, "_sub_homology", recording)
+        assert _cone_vertices(shape)
+        for field in (QQ, GF2):
+            evaluated.clear()
+            assert betti_module._split_homology(shape, field) == levels_homology(_ind_by_brute_force(shape), field)
+            assert len(evaluated) == 1
+
+    @pytest.mark.usefixtures("empty_ind_memo")
+    def test_the_run_of_nine_with_t_4_costs_fewer_than_ten_shapes(self):
+        # splitting fewest facets first took 55 shapes; a line shape's cone vertex leaves a line-like link alone
+        delta = build_run_complex(RunSequence((9,)), 4)
+        assert complement_homology(delta) == homology_run_sequence(4, RunSequence((9,))).as_vector()
+        assert betti_module._ind_homology.cache_info().misses < 10
+
+    @pytest.mark.parametrize("n, t", [(50, 22), (60, 25), (80, 33)])
+    @pytest.mark.usefixtures("empty_ind_memo")
+    def test_the_full_cycle_past_the_cap_matches_the_closed_form_without_eviction(self, n, t):
+        # the 4096-shape memo thrashed here when lines split at vertex 0: 147,103 misses at (50, 22)
+        spec = PathFamilySpec("cycle", n, t)
+        ind = betti_module._sub_homology(betti_module.facet_masks(build_path_complex(spec)), n, QQ)
+        assert {n - d - 3: dim for d, dim in ind.items()} == homology_cycle_complement(spec).as_vector()
+        info = betti_module._ind_homology.cache_info()
+        assert info.misses == info.currsize
+
+    @pytest.mark.parametrize("t", [2, 5])
+    @pytest.mark.usefixtures("empty_ind_memo")
+    def test_the_line_on_200_vertices_within_the_default_recursion_limit(self, t):
+        # each cone split recurses on its link alone, so the recursion stays shallow; splitting fewest facets
+        # first raised RecursionError here.  The line on 200 vertices is the run of 200 - t + 1 facets.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            ind = betti_module._sub_homology([(1 << t) - 1 << v for v in range(201 - t)], 200, QQ)
+        finally:
+            sys.setrecursionlimit(limit)
+        want = homology_run_sequence(t, RunSequence((201 - t,))).as_vector()
+        assert {200 - d - 3: dim for d, dim in ind.items()} == want
 
     def test_small_complements_are_ranked_without_splitting(self, monkeypatch, empty_ind_memo):
         # splitting alone made thousands of sub-shapes for t = n - 2 and ran for minutes at n = 22

@@ -1285,7 +1285,7 @@ class TestIndSplitting:
 
     def test_the_drawn_shapes_have_a_cone_vertex_and_have_none(self):
         # the strategy above reaches both sides of the cone rule, not only its examples
-        quick = settings(max_examples=500, database=None, phases=[Phase.generate])
+        quick = settings(max_examples=500, database=None, derandomize=True, phases=[Phase.generate])
         assert _cone_vertices(find(connected_antichains(), _cone_vertices, settings=quick))
         assert not _cone_vertices(find(connected_antichains(), lambda shape: not _cone_vertices(shape), settings=quick))
 

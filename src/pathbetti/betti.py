@@ -34,12 +34,18 @@ ranks of its own complement instead, moved to Ind by Alexander
 duality.  The join formula combines the components, and Alexander
 duality passes to the complement.  ``_sub_homology`` is the one join
 over the components of a facet set, for the splitting's sub-shapes,
-``complement_homology`` and the full vertex set of a rotation-invariant
+``_complement_vector`` and the full vertex set of a rotation-invariant
 facet set, whose term the oracle reads from Ind at the key every union
 uses, and every component, the search's too, is keyed in the memo by
 its facets shifted down to bit 0 with the gaps between its vertices
 closed (``_relabelled``).  The face budget is checked in one place,
 where ``homology._levels`` counts a complement's faces.
+
+Both routes to homology take facets as bitmasks, bit b standing for the
+b-th vertex.  The commands call the mask-level ``_oracle_table`` and
+``_complement_vector`` with the masks of ``paths._path_masks`` and
+``paths._run_masks``; ``betti_hochster`` and ``complement_homology``
+convert a ``SimplicialComplex`` once, at entry, by ``facet_masks``.
 
 Both memos follow one rule, ``_every_field``: an entry is asked for
 under the field None first, and under the field itself only when that
@@ -93,7 +99,7 @@ _ENTRY_BYTES = 100
 def check_vertex_cap(count: int) -> None:
     """Refuse a complex on more than MAX_VERTICES ambient vertices with OracleCapError.
 
-    ``betti_hochster`` and ``complement_homology`` check it first, and
+    ``_oracle_table`` and ``_complement_vector`` check it first, and
     the command line checks it before any work on each route that
     reaches the oracle or an explicit complement.
     """
@@ -192,22 +198,23 @@ class HomologySummary(_checked("HomologySummary", "nonzero_degree dimension")):
         return {self.nonzero_degree: self.dimension}
 
 
-def _components(masks: list[int]) -> list[int]:
-    """Connected components of the facets, as vertex masks.
+def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
+    """Connected components of the facets, each as its vertex mask and its facets.
 
     Two facets are in one component when a chain of facets, each meeting
     the next, joins them.  The facets stay bitmasks throughout: converting
     each kept support to faces and back made the oracle about 20 % slower.
     """
-    components: list[int] = []
+    components: list[tuple[int, list[int]]] = []
     for fm in masks:
-        verts, rest = fm, []
+        verts, members, rest = fm, [fm], []
         for comp in components:
-            if comp & verts:
-                verts |= comp
+            if comp[0] & verts:
+                verts |= comp[0]
+                members += comp[1]
             else:
                 rest.append(comp)
-        rest.append(verts)
+        rest.append((verts, members))
         components = rest
     return components
 
@@ -266,8 +273,9 @@ def _sub_homology(masks: list[int], m: int, field: FieldSpec | None) -> Homology
     all gives {-1: 1}.  Otherwise Ind is the join of the independence
     complexes of the connected components, each keyed, as the oracle's
     components are, by its facets shifted down to bit 0 with the gaps
-    closed (``_relabelled``) and looked up by ``_ind``; the join stops at
-    the first acyclic one.  Ø must not be a facet.
+    closed (``_relabelled``, given that component's facets alone) and
+    looked up by ``_ind``; the join stops at the first acyclic one.  Ø
+    must not be a facet.
     """
     covered = 0
     for fm in masks:
@@ -275,8 +283,8 @@ def _sub_homology(masks: list[int], m: int, field: FieldSpec | None) -> Homology
     if covered != (1 << m) - 1:
         return {}
     out: HomologyVector = {-1: 1}
-    for verts in _components(masks):
-        out = _join(out, _ind(_relabelled(verts, masks), field))
+    for verts, members in _components(masks):
+        out = _join(out, _ind(_relabelled(verts, members), field))
         if not out:
             break
     return out
@@ -406,22 +414,29 @@ def _join(a: HomologyVector, b: HomologyVector) -> HomologyVector:
 
 
 def complement_homology(gamma: SimplicialComplex, field: FieldSpec = QQ) -> HomologyVector:
-    """Reduced homology of the complement of gamma within its ambient vertices.
+    """Reduced homology of the complement of gamma within its ambient vertices, by ``_complement_vector``.
 
     The complement is the complex whose facets are the complements of
-    gamma's facets; it is never built.  Alexander duality gives
-    H_k(complement) = H_{m-k-3}(Ind) on m vertices, with Ind from
-    ``_sub_homology``.  A void gamma has a void complement and yields
-    {}; when gamma's support is not the whole ambient, the complement and
-    Ind are both cones, and ``_sub_homology``'s cover check yields {}.
-    Duality does not cover a facet Ø, which is gamma's only one when the
-    ambient is empty, and the complement is then the irrelevant complex
-    {Ø}.  Inputs above the vertex cap are refused first, by
-    ``check_vertex_cap``.
+    gamma's facets; it is never built.  Gamma's facets are turned into
+    bitmasks once, here.
     """
-    m = len(gamma.ambient)
+    return _complement_vector(facet_masks(gamma), len(gamma.ambient), field)
+
+
+def _complement_vector(masks: list[int], m: int, field: FieldSpec) -> HomologyVector:
+    """Reduced homology of the complement of the facet masks within the vertices 0..m-1.
+
+    Alexander duality gives H_k(complement) = H_{m-k-3}(Ind) on m
+    vertices, with Ind from ``_sub_homology``.  No facet gives a void
+    complement and {}; when the facets' support is not all m vertices,
+    the complement and Ind are both cones, and ``_sub_homology``'s cover
+    check yields {}.  Duality does not cover a facet Ø, the only one when
+    m = 0, and the complement is then the irrelevant complex {Ø}.  More
+    than MAX_VERTICES vertices are refused first, by
+    ``check_vertex_cap``.  The command line calls this with the masks of
+    ``paths._path_masks`` and ``paths._run_masks``.
+    """
     check_vertex_cap(m)
-    masks = facet_masks(gamma)
     if not masks:
         return {}
     if not m:
@@ -673,10 +688,20 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     Inputs above the vertex cap are refused first, by
     ``check_vertex_cap``, as they are by the command line.  Memory
     follows the search's depth and the memos, not the number of unions.
+    Delta's facets are turned into bitmasks once, here, and
+    ``_oracle_table`` does the rest.
     """
-    frame = len(delta.ambient)
+    return _oracle_table(facet_masks(delta), len(delta.ambient), field)
+
+
+def _oracle_table(masks: list[int], frame: int, field: FieldSpec) -> BettiTable:
+    """``betti_hochster``'s table of the facet masks on the vertices 0..frame-1.
+
+    More than MAX_VERTICES vertices are refused first, by
+    ``check_vertex_cap``.  The command line calls this with the masks of
+    ``paths._path_masks``.
+    """
     check_vertex_cap(frame)
-    masks = facet_masks(delta)
     if 0 in masks:
         return BettiTable({(1, 0): (1, "oracle")})
     sums = _every_field(_oracle_sums, field, tuple(masks), frame)

@@ -35,6 +35,11 @@ entries too.  ``_write_diagram`` keeps only the values and the column
 totals and writes the diagram row by row.  ``_list`` lays out the
 shorter lists of ``diff`` rows and ``explicit`` pairs whole.
 
+No command builds a ``SimplicialComplex``: the facets of a path or run
+complex come as bitmasks from ``paths._path_masks`` and
+``paths._run_masks``, and go straight to the oracle, ``_oracle_table``,
+and to the explicit complements, ``_complement_vector``.
+
 Every option is declared once, in ``_OPTIONS``.  ``_read`` turns a
 well-formed command line (a command, then its options in full, each with
 a value that converts and is allowed) into the namespace argparse would
@@ -42,6 +47,8 @@ give; anything else goes to the argparse parser built from the same
 table, so help, usage errors and their exit codes are argparse's own.
 argparse is imported only then: a well-formed command neither imports it
 nor builds a parser, which took longer than computing a small table.
+Each option's namespace name and default are read off ``_OPTIONS`` once,
+at import, into ``_DEST`` and ``_DEFAULTS``.
 """
 
 from __future__ import annotations
@@ -59,18 +66,18 @@ from .betti import (
     BettiTable,
     OracleCapError,
     _closed_entries,
+    _complement_vector,
+    _oracle_table,
     betti_closed_cycle,
     betti_closed_line,
-    betti_hochster,
     check_vertex_cap,
-    complement_homology,
     homology_cycle_complement,
     homology_run_sequence,
     nonzero_criterion,
     pd_reg,
 )
 from .homology import FieldSpec
-from .paths import PathFamilySpec, RunSequence, build_path_complex, build_run_complex, vertex_count_of_runs
+from .paths import PathFamilySpec, RunSequence, _path_masks, _run_masks, vertex_count_of_runs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -109,6 +116,13 @@ _OPTIONS = {
 }
 
 
+# Each option's name in the namespace, and each command's namespace before any option is read: every
+# option's default under its name.  Built once from _OPTIONS, so that _read only copies a command's defaults.
+_DEST = {option: option[2:].replace("-", "_") for _, options in _OPTIONS.values() for option in options}
+_DEFAULTS = {name: {_DEST[option]: spec[2] for option, spec in options.items()}
+             for name, (_, options) in _OPTIONS.items()}
+
+
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace ``parse_args`` gives a well-formed command line, or None for any other.
 
@@ -123,14 +137,14 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     if command is None:
         return None
     options = command[1]
-    given = {}
+    values = _DEFAULTS[argv[0]].copy()
     rest = iter(argv[1:])
     for option in rest:
         if option not in options:
             return None
         kind, choices, default, _ = options[option]
         if default is False:
-            given[option] = True
+            values[_DEST[option]] = True
             continue
         value = next(rest, None)
         if value is None or value.startswith("-"):
@@ -142,8 +156,7 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
                 return None
         if choices is not None and value not in choices:
             return None
-        given[option] = value
-    values = {option[2:].replace("-", "_"): given.get(option, spec[2]) for option, spec in options.items()}
+        values[_DEST[option]] = value
     return None if _REQUIRED in values.values() else SimpleNamespace(command=argv[0], **values)
 
 
@@ -296,7 +309,7 @@ def cmd_betti(args: SimpleNamespace) -> int:
                                  f"bytes, over the closed route's budget of {MAX_CLOSED_BYTES}")
         items = _closed_entries(spec)
     else:
-        table = oracle = betti_hochster(build_path_complex(spec), field)
+        table = oracle = _oracle_table(_path_masks(spec), spec.n, field)
         if args.method == "both":
             table = betti_closed_cycle(spec) if spec.kind == "cycle" else betti_closed_line(spec)
             diff = table.diff(oracle)
@@ -326,14 +339,14 @@ def cmd_homology(args: SimpleNamespace) -> int:
             seq = RunSequence(tuple(int(s) for s in args.runs.split(",")))
             summary = homology_run_sequence(args.t, seq)
             keys = '"runs": %s,\n  "t": %d' % (_list(["%d" % s for s in seq.lengths]), args.t)
-            vertices, build = vertex_count_of_runs(seq, args.t), functools.partial(build_run_complex, seq, args.t)
+            vertices, build = vertex_count_of_runs(seq, args.t), functools.partial(_run_masks, seq, args.t)
         else:
             if args.n is None:
                 raise ValueError("--kind cycle needs --n")
             spec = PathFamilySpec("cycle", args.n, args.t)
             summary = homology_cycle_complement(spec)
             keys = '"kind": "cycle",\n  "n": %d,\n  "t": %d' % (spec.n, spec.t)
-            vertices, build = spec.n, functools.partial(build_path_complex, spec)
+            vertices, build = spec.n, functools.partial(_path_masks, spec)
         if args.explicit:
             check_vertex_cap(vertices)
     except ValueError as exc:
@@ -342,7 +355,7 @@ def cmd_homology(args: SimpleNamespace) -> int:
 
     tail, match = "", True
     if args.explicit:
-        vector = complement_homology(build(), field)
+        vector = _complement_vector(build(), vertices, field)
         match = vector == summary.as_vector()
         tail = _EXPLICIT % (_list([_PAIR % pair for pair in sorted(vector.items())]), "true" if match else "false")
     degree = summary.nonzero_degree
@@ -375,19 +388,20 @@ def run_verification(cells: Sequence[tuple[int, int]], fields: Sequence[FieldSpe
     for n, t in sorted(cells, reverse=True):
         lines = done[n, t] = []  # where check writes, one list per cell
         spec = PathFamilySpec("cycle", n, t)
-        delta = build_path_complex(spec)
+        masks = _path_masks(spec)
         expected = homology_cycle_complement(spec).as_vector()
         for field in fields:
-            got = complement_homology(delta, field)
+            got = _complement_vector(masks, n, field)
             check(
                 got == expected,
                 f"n={n} t={t} char={field.characteristic} cycle-complement-homology",
                 f"explicit={got} closed={expected}",
             )
         line_spec = PathFamilySpec("line", n, t)
-        line_oracles = [betti_hochster(build_path_complex(line_spec), field) for field in fields]
+        line_masks = _path_masks(line_spec)
+        line_oracles = [_oracle_table(line_masks, n, field) for field in fields]
         closed = betti_closed_cycle(spec)
-        oracles = [betti_hochster(delta, field) for field in fields]
+        oracles = [_oracle_table(masks, n, field) for field in fields]
         for field, oracle in zip(fields, oracles):
             check_tables(closed, oracle, f"n={n} t={t} char={field.characteristic} cycle-closed-vs-oracle")
         reference = oracles[0]

@@ -7,9 +7,11 @@ all), the *irrelevant* complex ``{Ø}`` (the single facet ``()``), and
 everything else.
 
 Vertices are 1-based integers; faces are ascending tuples of vertices.
-A complex is an immutable named tuple ``(ambient, facets)``.  The
-package builds complexes here and computes on their facets as bitmasks
-(``betti.facet_masks``).
+A complex is an immutable named tuple ``(ambient, facets)``.  It is the
+library's input type: the package computes on facets as bitmasks, and
+each public function that takes a complex converts it once, at entry
+(``betti.facet_masks``).  The commands build no complex at all; they
+take their facets as bitmasks from ``paths``.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ run complex realizes a sequence of run lengths on fresh vertices.
 
 ``PathFamilySpec`` and ``RunSequence`` are immutable named tuples that
 check their fields when built.
+
+The facets are written once, as bitmasks, bit b standing for vertex
+b + 1: ``_path_masks`` and ``_run_masks``, which the commands hand the
+oracle and the explicit complements directly.  ``build_path_complex``
+and ``build_run_complex`` turn the same masks into a
+``SimplicialComplex`` for a library caller, in the same order.
 """
 
 from __future__ import annotations
@@ -65,22 +71,52 @@ class RunSequence(_checked("RunSequence", "lengths")):
         return super().__new__(cls, lengths)
 
 
-def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
-    """The path complex: one facet per t-vertex path of the cycle or line.
+def _path_masks(spec: PathFamilySpec) -> list[int]:
+    """The path complex's facets as bitmasks, bit b standing for vertex b + 1, in sorted order.
 
-    The facets all have t vertices, so the distinct ones are an antichain
-    and the complex is built directly, its facets in sorted order.  Both
-    kinds have the n - t + 1 intervals {i, ..., i + t - 1}.  For t < n
+    The facets all have t vertices, so the distinct ones are an antichain.
+    Both kinds have the n - t + 1 intervals {i, ..., i + t - 1}.  For t < n
     the cycle has t - 1 paths more, through vertices n and 1: the wraps
     {1, ..., k} ∪ {n - t + k + 1, ..., n} for k = 1..t - 1, which sort
     after {1, ..., t} and before {2, ..., t + 1}, longest head first.  On
     the cycle with t = n every path is the whole vertex set, one facet.
     """
     n, t = spec.n, spec.t
-    facets = [tuple(range(i, i + t)) for i in range(1, n - t + 2)]
+    run = (1 << t) - 1
+    masks = [run << i for i in range(n - t + 1)]
     if spec.kind == "cycle" and t < n:
-        facets[1:1] = [(*range(1, k + 1), *range(n - t + k + 1, n + 1)) for k in range(t - 1, 0, -1)]
-    return SimplicialComplex(tuple(range(1, n + 1)), tuple(facets))
+        masks[1:1] = [(1 << k) - 1 | run >> k << n - t + k for k in range(t - 1, 0, -1)]
+    return masks
+
+
+def _run_masks(seq: RunSequence, t: int) -> list[int]:
+    """A disjoint union of runs as facet bitmasks, bit b standing for vertex b + 1, in sorted order.
+
+    The runs are realized on fresh consecutive vertex blocks, so the
+    result depends only on the run lengths and t, and its support is all
+    ``vertex_count_of_runs`` vertices.  The facets are distinct t-sets
+    listed in increasing order, a sorted antichain.
+    """
+    if t < 2:
+        raise ValueError(f"need t >= 2, got {t}")
+    run, masks, offset = (1 << t) - 1, [], 0
+    for s in seq.lengths:
+        masks += [run << offset + a for a in range(s)]
+        offset += s + t - 1
+    return masks
+
+
+def _complex(n: int, masks: list[int]) -> SimplicialComplex:
+    """The complex on the vertices 1..n with the facet bitmasks, bit b standing for vertex b + 1, in their order."""
+    return SimplicialComplex(
+        tuple(range(1, n + 1)),
+        tuple(tuple(v for v in range(1, fm.bit_length() + 1) if fm >> v - 1 & 1) for fm in masks),
+    )
+
+
+def build_path_complex(spec: PathFamilySpec) -> SimplicialComplex:
+    """The path complex: one facet per t-vertex path of the cycle or line, in ``_path_masks``' sorted order."""
+    return _complex(spec.n, _path_masks(spec))
 
 
 def vertex_count_of_runs(seq: RunSequence, t: int) -> int:
@@ -89,20 +125,5 @@ def vertex_count_of_runs(seq: RunSequence, t: int) -> int:
 
 
 def build_run_complex(seq: RunSequence, t: int) -> SimplicialComplex:
-    """A disjoint union of runs, on its own vertices.
-
-    The runs are realized on fresh consecutive vertex blocks, so the
-    result depends only on the run lengths and t, and its support is its
-    whole ambient.  The facets are distinct t-sets listed in increasing
-    order, a sorted antichain, so the complex is built directly.
-    """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    facets = []
-    offset = 0
-    for s in seq.lengths:
-        for a in range(s):
-            facets.append(tuple(range(offset + a + 1, offset + a + t + 1)))
-        offset += s + t - 1
-    return SimplicialComplex(tuple(range(1, offset + 1)), tuple(facets))
-
+    """A disjoint union of runs on its own vertices, its facets in ``_run_masks``' sorted order."""
+    return _complex(vertex_count_of_runs(seq, t), _run_masks(seq, t))

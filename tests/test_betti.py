@@ -425,7 +425,7 @@ class TestOracleRoute:
         delta = build_path_complex(PathFamilySpec(kind, 9, 2))
         masks = betti_module.facet_masks(delta)
         unions = _kept_by_filter(masks, 9)
-        components = {y: betti_module._components(_inside(masks, y)) for y in unions}
+        components = {y: [verts for verts, _ in betti_module._components(_inside(masks, y))] for y in unions}
         if kind == "line":
             searched = {y for y in unions if y & 1}
         else:
@@ -1251,8 +1251,8 @@ def connected_antichains(draw, max_vertices: int = 10) -> tuple[int, ...]:
     ))
     masks = {sum(1 << v for v in vs) for vs in sets}
     antichain = [fm for fm in masks if not any(o != fm and o & ~fm == 0 for o in masks)]
-    verts = max(betti_module._components(antichain), key=lambda c: (c.bit_count(), c))
-    return betti_module._relabelled(verts, antichain)
+    verts, members = max(betti_module._components(antichain), key=lambda c: (c[0].bit_count(), c[0]))
+    return betti_module._relabelled(verts, members)
 
 
 def _cone_vertices(shape: tuple[int, ...]) -> set[int]:

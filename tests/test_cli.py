@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -21,11 +22,13 @@ from dispatch import CASES, outcome, reference
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pathbetti
 from pathbetti import (
     BettiTable, FieldSpec, PathFamilySpec, RunSequence, betti_closed_cycle, betti_closed_line, betti_hochster, build_path_complex,
     cli, homology, homology_cycle_complement, homology_run_sequence,
 )
 from pathbetti import betti as betti_module
+from pathbetti import complexes, paths
 from pathbetti.cli import main
 from reference import render_diagram
 
@@ -428,7 +431,7 @@ class TestHomologyRendering:
             assert '"degree": null' in got[0] and '"explicit": []' in got[0]
 
     def test_a_mismatch_renders_false_and_exits_one(self, monkeypatch):
-        monkeypatch.setattr(cli, "complement_homology", lambda gamma, field: {0: 2, 3: 1})
+        monkeypatch.setattr(cli, "_complement_vector", lambda masks, m, field: {0: 2, 3: 1})
         got = outcome(main, ["homology", "--runs", "4,2", "--t", "2", "--explicit"])
         record = _homology_dict({"runs": [4, 2], "t": 2}, homology_run_sequence(2, RunSequence((4, 2))), {0: 2, 3: 1})
         assert record["match"] is False
@@ -555,7 +558,7 @@ class TestBettiCommand:
         def broken(*args, **kwargs):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "betti_hochster", broken)
+        monkeypatch.setattr(cli, "_oracle_table", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["betti", "--kind", "cycle", "--n", "5", "--t", "2", "--method", "oracle"])
 
@@ -622,10 +625,10 @@ class TestHomologyCommand:
         assert json.loads(out)["match"] is True
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        def broken(gamma, field):
+        def broken(masks, m, field):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "complement_homology", broken)
+        monkeypatch.setattr(cli, "_complement_vector", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["homology", "--runs", "3", "--t", "2", "--explicit"])
 
@@ -633,7 +636,7 @@ class TestHomologyCommand:
         def unbuilt(seq, t):
             raise AssertionError("the run complex was built")
 
-        monkeypatch.setattr(cli, "build_run_complex", unbuilt)
+        monkeypatch.setattr(cli, "_run_masks", unbuilt)
         code, _, err = _run(capsys, "homology", "--runs", "1500", "--t", "2", "--explicit")
         assert code == 3
         assert "cap" in err
@@ -748,8 +751,8 @@ class TestVerifyCommand:
             raise AssertionError("a cell was checked")
 
         monkeypatch.setattr(betti_module, "MAX_VERTICES", 5)
-        monkeypatch.setattr(cli, "betti_hochster", unreached)
-        monkeypatch.setattr(cli, "complement_homology", unreached)
+        monkeypatch.setattr(cli, "_oracle_table", unreached)
+        monkeypatch.setattr(cli, "_complement_vector", unreached)
         code, out, err = _run(capsys, "verify", "--max-n", "6", "--t-range", "2..3")
         assert code == 3
         assert out == ""
@@ -783,7 +786,7 @@ class TestVerifyCommand:
         def broken(*args):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "betti_hochster", broken)
+        monkeypatch.setattr(cli, "_oracle_table", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["verify", "--max-n", "4", "--t-range", "2..2"])
 
@@ -811,10 +814,51 @@ class TestVerifyCommand:
         assert "FAIL" in out
         assert "(i,j)" in out
         # every line but the last is one check, and the failures are the FAIL lines, the first one included
-        monkeypatch.setattr(cli, "complement_homology", lambda delta, field: {})
+        monkeypatch.setattr(cli, "_complement_vector", lambda masks, m, field: {})
         code, out, _ = _run(capsys, "verify", "--max-n", "4", "--t-range", "2..2")
         assert code == 1
         assert out.startswith("FAIL n=3 t=2 char=0 cycle-complement-homology: explicit={} closed=")
         *lines, total = out.splitlines()
         assert total == f"{len(lines)} checks, {sum(line.startswith('FAIL ') for line in lines)} failures"
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+
+
+# One command of each kind that reaches the oracle or an explicit complement.
+_MASK_COMMANDS = [
+    "betti --kind cycle --n 9 --t 3 --method oracle",
+    "betti --kind line --n 9 --t 2 --method both --format csv",
+    "betti --kind cycle --n 8 --t 2 --method both --format pretty --char 2",
+    "homology --runs 4,2,1 --t 2 --explicit",
+    "homology --kind cycle --n 10 --t 3 --explicit",
+    "verify --max-n 7 --t-range 2..4 --char-list 0,2",
+]
+
+
+class TestMaskPath:
+    def test_no_command_builds_a_tuple_complex(self, capsys, monkeypatch, empty_ind_memo):
+        # the commands take their facets as bitmasks from paths, so with every builder and
+        # converter of a SimplicialComplex refusing, each writes what it wrote before
+        def outputs():
+            got = []
+            for command in _MASK_COMMANDS:
+                empty_oracle_memos()
+                betti_module._ind_homology.cache_clear()
+                code, out, err = _run(capsys, *command.split())
+                got.append((code, re.sub(r'"timing_ms": [^,\n]*', '"timing_ms": null', out), err))
+            return got
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a command built or converted a tuple complex")
+
+        want = outputs()
+        assert [code for code, _, _ in want] == [0] * len(_MASK_COMMANDS)
+        for module in (pathbetti, complexes, paths, betti_module, cli):
+            for name in ("build_path_complex", "build_run_complex", "facet_masks", "make_complex"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        monkeypatch.setattr(complexes.SimplicialComplex, "__new__", refused)
+        with pytest.raises(AssertionError, match="tuple complex"):
+            pathbetti.build_path_complex(PathFamilySpec("cycle", 5, 2))
+        with pytest.raises(AssertionError, match="tuple complex"):
+            complexes.SimplicialComplex((1,), ((1,),))
+        assert outputs() == want

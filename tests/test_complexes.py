@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -136,12 +138,14 @@ class TestCone:
 
 
 def _components(delta: SimplicialComplex) -> list[tuple]:
-    """The oracle's connected components of delta, each as its facets, sorted."""
+    """The oracle's connected components of delta, each as its facets, sorted; each vertex mask is their union."""
     masks = facet_masks(delta)
-    return sorted(
-        tuple(f for f, fm in zip(delta.facets, masks) if fm & ~verts == 0)
-        for verts in betti._components(masks)
-    )
+    face = dict(zip(masks, delta.facets))
+    parts = []
+    for verts, members in betti._components(masks):
+        assert functools.reduce(operator.or_, members) == verts
+        parts.append(tuple(sorted(face[fm] for fm in members)))
+    return sorted(parts)
 
 
 class TestConnectedComponents:
@@ -150,7 +154,7 @@ class TestConnectedComponents:
     def test_two_blocks(self):
         delta = make_complex(range(1, 7), [(1, 2), (2, 3), (5, 6)])
         assert _components(delta) == [((1, 2), (2, 3)), ((5, 6),)]
-        assert sorted(betti._components(facet_masks(delta))) == [0b000111, 0b110000]
+        assert sorted(verts for verts, _ in betti._components(facet_masks(delta))) == [0b000111, 0b110000]
 
     def test_single_facet_single_component(self):
         delta = make_complex((1, 2), [(1, 2)])

@@ -15,6 +15,8 @@ from pathbetti import (
     make_complex,
     vertex_count_of_runs,
 )
+from pathbetti.betti import facet_masks
+from pathbetti.paths import _path_masks, _run_masks
 
 from reference import complement, enumerate_placements, induced_subcollection, reduced_homology_dims, run_sequence
 
@@ -226,6 +228,34 @@ class TestBuildRunComplement:
             placed = reduced_homology_dims(complement(gamma, gamma.ambient))
             model = reduced_homology_dims(_run_complement(run_sequence(placement), spec.t))
             assert placed == model
+
+
+class TestMasks:
+    """The facet bitmasks the commands hand the oracle, bit b standing for vertex b + 1."""
+
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_path_masks_are_the_path_complex(self, kind):
+        for n in range(3 if kind == "cycle" else 2, 23):
+            for t in range(2, n + 1):
+                spec = PathFamilySpec(kind, n, t)
+                assert _path_masks(spec) == facet_masks(build_path_complex(spec)), (n, t)
+
+    def test_run_masks_are_the_run_complex(self):
+        # every run sequence on at most 16 vertices for t = 2..5; each run's facets are the
+        # t-windows of its own block of s + t - 1 vertices, the blocks laid end to end from vertex 1
+        sequences = [(t, lengths) for t in range(2, 6) for lengths in _descending_runs(t, 16)]
+        assert len(sequences) == 405
+        for t, lengths in sequences:
+            seq = RunSequence(lengths)
+            gamma = build_run_complex(seq, t)
+            assert _run_masks(seq, t) == facet_masks(gamma), (t, lengths)
+            starts = [sum(s + t - 1 for s in lengths[:r]) for r in range(len(lengths))]
+            windows = [tuple(range(b + a + 1, b + a + t + 1)) for b, s in zip(starts, lengths) for a in range(s)]
+            assert gamma == SimplicialComplex(tuple(range(1, vertex_count_of_runs(seq, t) + 1)), tuple(windows))
+
+    def test_run_masks_need_t_at_least_two(self):
+        with pytest.raises(ValueError, match="need t >= 2"):
+            _run_masks(RunSequence((3,)), 1)
 
 
 def _brute_force_supports(spec: PathFamilySpec) -> list[tuple[int, ...]]:

@@ -685,7 +685,7 @@ def betti_hochster(delta: SimplicialComplex, field: FieldSpec = QQ) -> BettiTabl
     A facet Ø makes delta the irrelevant complex, whose only entry is
     (1, 0).  A component whose homology needs a complex over the face
     budget is refused with OracleCapError when the search meets it.
-    Inputs above the vertex cap are refused first, by
+    Inputs above the vertex cap are refused before any search, by
     ``check_vertex_cap``, as they are by the command line.  Memory
     follows the search's depth and the memos, not the number of unions.
     Delta's facets are turned into bitmasks once, here, and
